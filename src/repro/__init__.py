@@ -19,7 +19,9 @@ substrates its evaluation needs:
 * :mod:`repro.reliability` — deterministic fault injection and
   checkpoint/restore for the streaming and sweep stacks,
 * :mod:`repro.features` — the reusable feature pipeline (extractor
-  registry, content fingerprints, per-recording cached store),
+  registry, per-recording cached store),
+* :mod:`repro.identity` — the canonical encoder, content digest and
+  registry every layer keys by,
 * :mod:`repro.zones` — zone-occupancy inference from per-link
   attenuation, offline and streaming.
 
@@ -44,7 +46,7 @@ from .detectors import (
     get_detector,
     register_detector,
 )
-from .features import FeatureStore, RollingStdExtractor, extractor_fingerprint
+from .features import FeatureStore, RollingStdExtractor
 from .radio.office import OfficeLayout, paper_office, wide_office
 from .reliability import CheckpointStore, FaultInjector, FaultPlan, FaultSpec
 from .zones import (
@@ -178,7 +180,6 @@ __all__ = [
     "ZoneOccupancyEstimator",
     "__version__",
     "detector_names",
-    "extractor_fingerprint",
     "get_detector",
     "paper_office",
     "quick_campaign",

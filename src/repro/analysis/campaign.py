@@ -35,6 +35,7 @@ from ..core.evaluation import (
 )
 from ..core.radio_env import RadioEnvironment
 from ..core.security import DeauthOutcome
+from ..detectors import KdeMdDetector
 from ..mobility.behavior import BehaviorProfile
 from ..radio.channel import ChannelConfig
 from ..radio.office import OfficeLayout, paper_office
@@ -161,9 +162,8 @@ class AnalysisContext:
     seed:
         Seed of the cross-validation shuffles.
     detector:
-        Optional detector-zoo member (``repro.detectors``) evaluated in
-        place of the paper's KDE profile engine; ``None`` keeps the KDE
-        path bit-identical to before the zoo existed.
+        The detector-zoo member (``repro.detectors``) to evaluate; the
+        paper's KDE detector by default.
     features:
         Optional pre-built :class:`CampaignStdFeatures` for this recording
         and config — sweeps share one across the detector axis so the
@@ -176,7 +176,7 @@ class AnalysisContext:
         config: Optional[FadewichConfig] = None,
         seed: int = 0,
         *,
-        detector: Optional[object] = None,
+        detector: object = KdeMdDetector(),
         features: Optional[CampaignStdFeatures] = None,
     ) -> None:
         self.recording = recording

@@ -55,7 +55,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable,
     Collection,
     Dict,
     Iterator,
@@ -72,8 +71,8 @@ import numpy as np
 from ..core.config import FadewichConfig
 from ..core.evaluation import CampaignStdFeatures
 from ..detectors import KdeMdDetector, get_detector
-from ..features.base import extractor_fingerprint
 from ..features.rolling import RollingStdExtractor
+from ..identity import decode, digest, encode
 from ..radio.channel import ChannelConfig
 from ..radio.office import OfficeLayout
 from ..simulation.collector import (
@@ -86,12 +85,7 @@ from ..simulation.runner import CampaignRunner, DayTask
 from ..zones.estimator import ZoneAccuracy, ZoneOccupancyEstimator, score_walks
 from .campaign import AnalysisContext, CampaignScale
 from .md_performance import MDTableRow
-from .sweep_store import (
-    SweepStore,
-    component_from_dict,
-    component_to_dict,
-    content_hash,
-)
+from .sweep_store import SweepStore
 
 __all__ = [
     "ScenarioSpec",
@@ -162,8 +156,8 @@ class ScenarioSpec:
         configuration still matches while an edited-in-place configuration
         — or a swapped/retuned detector — never does.
         """
-        return content_hash(
-            self.layout, self.scale, self.channel_config, self.config, self.detector
+        return digest(
+            (self.layout, self.scale, self.channel_config, self.config, self.detector)
         )
 
     def to_dict(self) -> Dict[str, object]:
@@ -175,11 +169,11 @@ class ScenarioSpec:
             "config_name": self.config_name,
             "detector_name": self.detector_name,
             "replicate": self.replicate,
-            "layout": component_to_dict(self.layout),
-            "scale": component_to_dict(self.scale),
-            "channel_config": component_to_dict(self.channel_config),
-            "config": component_to_dict(self.config),
-            "detector": component_to_dict(self.detector),
+            "layout": encode(self.layout),
+            "scale": encode(self.scale),
+            "channel_config": encode(self.channel_config),
+            "config": encode(self.config),
+            "detector": encode(self.detector),
         }
 
     @staticmethod
@@ -190,16 +184,16 @@ class ScenarioSpec:
         return ScenarioSpec(
             index=int(data["index"]),
             name=str(data["name"]),
-            layout=component_from_dict(data["layout"]),
-            scale=component_from_dict(data["scale"]),
+            layout=decode(data["layout"]),
+            scale=decode(data["scale"]),
             channel_name=str(data["channel_name"]),
-            channel_config=component_from_dict(data["channel_config"]),
+            channel_config=decode(data["channel_config"]),
             config_name=str(data["config_name"]),
-            config=component_from_dict(data["config"]),
+            config=decode(data["config"]),
             replicate=int(data["replicate"]),
             detector_name=str(data.get("detector_name", "kde_md")),
             detector=(
-                component_from_dict(data["detector"])
+                decode(data["detector"])
                 if "detector" in data
                 else KdeMdDetector()
             ),
@@ -897,14 +891,15 @@ class SweepRunStats:
     fully warm store yields ``n_day_tasks == 0`` and a half-warm store only
     the missing simulations' days.
 
-    ``n_unclaimed`` is only non-zero in cooperative runs (``run`` with a
-    ``claim_filter``): scenarios that were neither cached nor granted to
-    this runner, i.e. left for other workers.  A run is *complete* —
-    its report covers the whole grid — iff ``n_unclaimed == 0``.
+    ``n_unclaimed`` is only non-zero in cooperative runs (``run`` with
+    ``claims``): scenarios that were neither cached nor granted to this
+    runner, i.e. left for other workers.  A run is *complete* — its
+    report covers the whole grid — iff ``n_unclaimed == 0``.
 
     ``n_discarded`` counts analysed results thrown away by a
-    ``put_filter`` veto (a lost lease): never persisted, never reported,
-    re-counted under ``n_unclaimed`` so completeness stays honest.
+    ``claims.may_put`` veto (a lost lease): never persisted, never
+    reported, re-counted under ``n_unclaimed`` so completeness stays
+    honest.
     """
 
     n_scenarios: int
@@ -1269,13 +1264,14 @@ class ScenarioSweepRunner:
             # the analysis features resolve to, plus the zone workload (or
             # its absence).  A retuned extractor or estimator can never
             # silently reuse records computed under the old definition.
-            "features": extractor_fingerprint(
+            "features": digest(
                 RollingStdExtractor(std_window_s=spec.config.md.std_window_s)
             ),
+            # The one-element list keeps the value stored keys carry.
             "zones": (
                 None
                 if self._zone_estimator is None
-                else content_hash(self._zone_estimator)
+                else digest([self._zone_estimator])
             ),
         }
 
@@ -1303,13 +1299,7 @@ class ScenarioSweepRunner:
         return replace(result, spec=spec)
 
     def run(
-        self,
-        store: Optional[SweepStore] = None,
-        *,
-        claim_filter: Optional[Callable[[Tuple[str, str, str, int]], bool]] = None,
-        put_filter: Optional[Callable[[Tuple[str, str, str, int]], bool]] = None,
-        on_put: Optional[Callable[[Tuple[str, str, str, int]], None]] = None,
-        on_superseded: Optional[Callable[[Tuple[str, str, str, int]], None]] = None,
+        self, store: Optional[SweepStore] = None, *, claims: object = None
     ) -> SweepReport:
         """Collect and analyse the grid, returning the report.
 
@@ -1330,46 +1320,33 @@ class ScenarioSweepRunner:
 
         Cooperative mode
         ----------------
-        ``claim_filter`` (requires ``store``) turns one run into a single
-        *pass* of a multi-worker fill: the filter is asked once per missing
-        simulation key, in the deterministic ``_sim_indices`` enumeration
-        order, and only the keys it grants are collected — the sweep-queue
-        layer (:class:`~repro.analysis.sweep_queue.SweepWorker`) answers by
-        taking lease files, so concurrent workers partition the grid.
-        Because seed derivation stays keyed by the *full* grid, any
-        partition of simulation keys across workers re-collects every
-        recording bit-identically to a solo run.
+        ``claims`` (used with a ``store``) turns one run into a single
+        *pass* of a multi-worker fill.  It answers four calls, each with a
+        simulation key (:meth:`ScenarioSpec.simulation_key`);
+        :class:`~repro.analysis.sweep_queue.SweepWorker` answers them with
+        lease files, so concurrent workers partition the grid:
 
-        Just before collecting, each granted simulation's scenarios are
-        re-checked against the store: completed records supersede claims
-        (another worker may have finished a key between the initial load
-        pass and the grant), so a crash-then-reclaim can never analyse a
-        scenario twice into diverging records.  ``on_superseded``
-        (requires ``claim_filter``) is called with each granted key whose
-        every scenario was superseded this way — the claim did no work,
-        and the sweep-queue layer answers by releasing the lease and
-        reclassifying the win, keeping "claims won" an exact partition of
-        the keys actually collected.  The returned report covers
-        only the cached + granted scenarios — check
-        ``last_run_stats.n_unclaimed`` (0 means the grid is complete) or
-        ``last_run_stats.complete`` before treating it as the full grid.
+        * ``claims.claim(key) -> bool`` is asked once per missing
+          simulation key, in the deterministic ``_sim_indices`` order, and
+          only granted keys are collected.  Because seed derivation stays
+          keyed by the *full* grid, any partition of keys across workers
+          re-collects every recording bit-identically to a solo run.
+        * ``claims.superseded(key)`` reports a granted key with no work
+          left: just before collecting, granted scenarios are re-checked
+          against the store, and records completed meanwhile by another
+          worker supersede the claim — so a crash-then-reclaim can never
+          analyse a scenario twice into diverging records.
+        * ``claims.may_put(key) -> bool`` is asked right before each
+          ``store.put``; ``False`` *discards* the result — neither
+          persisted nor reported, counted as unclaimed — which is how a
+          worker drops results whose lease was stolen mid-collect.
+        * ``claims.put_done(key)`` runs right after each ``store.put`` (a
+          crash-after-put fault-injection seam).
 
-        ``put_filter`` / ``on_put`` (both require ``store``) bracket each
-        persistence of a freshly analysed scenario.  ``put_filter`` is
-        asked with the scenario's simulation key immediately before its
-        ``store.put``; answering ``False`` *discards* the result — it is
-        neither persisted nor reported, and counts as unclaimed — which
-        is how :class:`~repro.analysis.sweep_queue.SweepWorker` drops
-        results whose lease was stolen mid-collect rather than racing the
-        thief's own put.  ``on_put`` runs right after each successful
-        ``store.put`` (a crash-after-put fault-injection seam).
+        The returned report covers only the cached + granted scenarios —
+        check ``last_run_stats.complete`` (``n_unclaimed == 0``) before
+        treating it as the full grid.
         """
-        if claim_filter is not None and store is None:
-            raise ValueError("claim_filter requires a store")
-        if (put_filter is not None or on_put is not None) and store is None:
-            raise ValueError("put_filter/on_put require a store")
-        if on_superseded is not None and claim_filter is None:
-            raise ValueError("on_superseded requires a claim_filter")
         results: Dict[str, ScenarioResult] = {}
         store_keys: Dict[str, Dict[str, object]] = {}
         if store is not None:
@@ -1378,10 +1355,9 @@ class ScenarioSweepRunner:
                 result = self._load_stored(store, spec, key)
                 if result is not None:
                     results[spec.name] = result
-        n_cached = len(results)
         missing = [spec for spec in self._specs if spec.name not in results]
         missing_keys = {spec.simulation_key() for spec in missing}
-        if claim_filter is None:
+        if claims is None:
             collect_keys = missing_keys
         else:
             # Ask in deterministic enumeration order so every worker walks
@@ -1389,7 +1365,7 @@ class ScenarioSweepRunner:
             granted = {
                 key
                 for key in self._sim_indices
-                if key in missing_keys and claim_filter(key)
+                if key in missing_keys and claims.claim(key)
             }
             # Completed records supersede claims: re-check granted
             # scenarios before doing any simulation work.
@@ -1401,9 +1377,8 @@ class ScenarioSweepRunner:
                     results[spec.name] = result
             missing = [s for s in self._specs if s.name not in results]
             collect_keys = granted & {s.simulation_key() for s in missing}
-            if on_superseded is not None:
-                for key in granted - collect_keys:
-                    on_superseded(key)
+            for key in granted - collect_keys:
+                claims.superseded(key)
         self._last_collect_task_count = 0
         pairs = self.collect(needed=collect_keys) if collect_keys else []
         n_analyzed = 0
@@ -1425,14 +1400,14 @@ class ScenarioSweepRunner:
             n_analyzed += 1
             if store is not None:
                 sim_key = spec.simulation_key()
-                if put_filter is not None and not put_filter(sim_key):
+                if claims is not None and not claims.may_put(sim_key):
                     # Lost the claim mid-collect: the thief will produce
                     # this record; persisting ours would race its put.
                     n_discarded += 1
                     continue
                 store.put(spec.name, store_keys[spec.name], result.to_dict())
-                if on_put is not None:
-                    on_put(sim_key)
+                if claims is not None:
+                    claims.put_done(sim_key)
             results[spec.name] = result
         self.last_run_stats = SweepRunStats(
             n_scenarios=len(self._specs),

@@ -88,6 +88,7 @@ from ..reliability.faults import (
     LEASE_UNLINK_RACE,
     WORKER_CRASH_AFTER_PUT,
     WORKER_CRASH_BEFORE_PUT,
+    FaultInjector,
     as_injector,
 )
 from .scenarios import ScenarioGrid, ScenarioSweepRunner, SweepReport
@@ -449,6 +450,74 @@ class SweepWorkerStats:
     claims_superseded: int = 0
 
 
+class _LeaseClaims:
+    """The claims of one :meth:`SweepWorker.run` pass, taken as leases.
+
+    Implements the ``claims`` protocol of
+    :meth:`~repro.analysis.scenarios.ScenarioSweepRunner.run`; ``held``
+    lists the leases still to release when the pass ends.
+    """
+
+    def __init__(
+        self,
+        leases: LeaseManager,
+        chunk: int,
+        stats: SweepWorkerStats,
+        faults: Optional[FaultInjector],
+        say: Callable[[str], None],
+    ) -> None:
+        self._leases = leases
+        self._chunk = chunk
+        self._stats = stats
+        self._faults = faults
+        self._say = say
+        self.held: List[str] = []
+
+    def claim(self, sim_key: Tuple[str, str, str, int]) -> bool:
+        if len(self.held) >= self._chunk:
+            return False
+        lease = sim_lease_name(sim_key)
+        if self._leases.try_acquire(lease):
+            self.held.append(lease)
+            self._stats.claims_won += 1
+            return True
+        self._stats.claims_lost += 1
+        return False
+
+    def superseded(self, sim_key: Tuple[str, str, str, int]) -> None:
+        # A competitor finished this key between our store load and our
+        # acquisition: the claim did no work.  Release it right away and
+        # reclassify the win.
+        lease = sim_lease_name(sim_key)
+        if lease in self.held:
+            self._leases.release(lease)
+            self.held.remove(lease)
+            self._stats.claims_won -= 1
+            self._stats.claims_superseded += 1
+
+    def may_put(self, sim_key: Tuple[str, str, str, int]) -> bool:
+        self._crash_point(WORKER_CRASH_BEFORE_PUT)
+        lease = sim_lease_name(sim_key)
+        if lease in self.held and not self._leases.owns(lease):
+            # The lease expired and a competitor stole it: discard our
+            # result — the thief's put (of the bit-identical record) is
+            # authoritative, and a racing double-put could interleave
+            # with it.
+            self._stats.puts_discarded += 1
+            self._say(f"lease {lease!r} stolen mid-collect; discarding result")
+            return False
+        return True
+
+    def put_done(self, sim_key: Tuple[str, str, str, int]) -> None:
+        self._crash_point(WORKER_CRASH_AFTER_PUT)
+
+    def _crash_point(self, point: str) -> None:
+        if self._faults is not None:
+            spec = self._faults.fired(point)
+            if spec is not None:
+                self._faults.apply(spec)
+
+
 class SweepWorker:
     """One cooperative participant in a multi-worker store fill.
 
@@ -562,65 +631,13 @@ class SweepWorker:
         heartbeat.start()
         try:
             while True:
-                claimed: List[str] = []
-
-                def claim(sim_key: Tuple[str, str, str, int]) -> bool:
-                    if len(claimed) >= self._claim_chunk:
-                        return False
-                    lease = sim_lease_name(sim_key)
-                    if self._leases.try_acquire(lease):
-                        claimed.append(lease)
-                        stats.claims_won += 1
-                        return True
-                    stats.claims_lost += 1
-                    return False
-
-                def put_gate(sim_key: Tuple[str, str, str, int]) -> bool:
-                    if self._faults is not None:
-                        spec = self._faults.fired(WORKER_CRASH_BEFORE_PUT)
-                        if spec is not None:
-                            self._faults.apply(spec)
-                    lease = sim_lease_name(sim_key)
-                    if lease in claimed and not self._leases.owns(lease):
-                        # The lease expired and a competitor stole it:
-                        # discard our result — the thief's put (of the
-                        # bit-identical record) is authoritative, and a
-                        # racing double-put could interleave with it.
-                        stats.puts_discarded += 1
-                        self._say(
-                            f"lease {lease!r} stolen mid-collect; "
-                            f"discarding result"
-                        )
-                        return False
-                    return True
-
-                def after_put(sim_key: Tuple[str, str, str, int]) -> None:
-                    if self._faults is not None:
-                        spec = self._faults.fired(WORKER_CRASH_AFTER_PUT)
-                        if spec is not None:
-                            self._faults.apply(spec)
-
-                def superseded(sim_key: Tuple[str, str, str, int]) -> None:
-                    # A competitor finished this key between our store
-                    # load and our acquisition: the claim did no work.
-                    # Release it right away and reclassify the win.
-                    lease = sim_lease_name(sim_key)
-                    if lease in claimed:
-                        self._leases.release(lease)
-                        claimed.remove(lease)
-                        stats.claims_won -= 1
-                        stats.claims_superseded += 1
-
+                claims = _LeaseClaims(
+                    self._leases, self._claim_chunk, stats, self._faults, self._say
+                )
                 try:
-                    report = self._runner.run(
-                        store=self._store,
-                        claim_filter=claim,
-                        put_filter=put_gate,
-                        on_put=after_put,
-                        on_superseded=superseded,
-                    )
+                    report = self._runner.run(store=self._store, claims=claims)
                 finally:
-                    for lease in claimed:
+                    for lease in claims.held:
                         self._leases.release(lease)
                 stats.passes += 1
                 run_stats = self._runner.last_run_stats

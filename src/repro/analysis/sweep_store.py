@@ -3,25 +3,14 @@
 PR 3's sweep engine made scenario grids cheap to *run*, but every
 ``ScenarioSweepRunner.run()`` started from zero: an interrupted 200-point
 grid lost all completed work.  This module adds the persistence layer:
-
-* a **component codec** (:func:`component_to_dict` /
-  :func:`component_from_dict`) that round-trips the frozen configuration
-  dataclasses a scenario is made of — :class:`~repro.core.config.FadewichConfig`,
-  :class:`~repro.radio.channel.ChannelConfig`,
-  :class:`~repro.analysis.campaign.CampaignScale`,
-  :class:`~repro.radio.office.OfficeLayout` and their nested parts —
-  through plain JSON, reconstructing value-equal objects;
-* a **content hash** (:func:`content_hash`) over the canonical JSON
-  encoding, used to key store records by what a scenario *means* rather
-  than what it is called;
-* the :class:`SweepStore` itself: one JSON record per grid point, written
-  atomically (temp file + ``os.replace``), keyed by the scenario name
-  **and** a structured key carrying the sweep's root-seed fingerprint and
-  the scenario's configuration content hash.  A record whose key does not
-  match the requested one is treated as stale and never returned — a
-  changed ``FadewichConfig`` (or root seed, or behaviour scale...) can
-  therefore never silently resurrect results computed under the old
-  definition.
+the :class:`SweepStore`, one JSON record per grid point, written
+atomically (temp file + ``os.replace``), keyed by the scenario name
+**and** a structured key carrying the sweep's root-seed fingerprint and
+the scenario's configuration digest (:func:`repro.identity.digest`).  A
+record whose key does not match the requested one is treated as stale
+and never returned — a changed ``FadewichConfig`` (or root seed, or
+behaviour scale...) can therefore never silently resurrect results
+computed under the old definition.
 
 The store deliberately deals in plain dicts: the scenario types serialise
 themselves (``ScenarioResult.to_dict`` / ``from_dict`` in
@@ -31,7 +20,6 @@ imports and makes records greppable JSON on disk.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -40,11 +28,10 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Type
+from typing import Dict, List, Mapping, Optional
 
 from ..core.config import FadewichConfig, MDConfig, REConfig
-from ..detectors import EmaMadDetector, KdeMdDetector, VarianceThresholdDetector
-from ..features.rolling import RollingStdExtractor
+from ..identity import digest, encode, register_component
 from ..radio.channel import ChannelConfig
 from ..reliability.faults import (
     STORE_CORRUPT,
@@ -58,24 +45,16 @@ from ..radio.geometry import Point
 from ..radio.office import OfficeLayout, Sensor, Workstation
 from ..radio.pathloss import FreeSpacePathLoss, LogDistancePathLoss
 from ..radio.shadowing import BodyShadowingModel
-from ..zones.attenuation import AttenuationExtractor
 from ..zones.estimator import ZoneOccupancyEstimator
 from ..zones.map import Zone, ZoneMap
 from .campaign import CampaignScale
 
 __all__ = [
-    "component_to_dict",
-    "component_from_dict",
-    "content_hash",
     "name_slug",
-    "register_component",
     "result_checksum",
     "SweepStore",
     "StoreStats",
 ]
-
-#: Key under which the codec stores a dataclass's registered type name.
-_TYPE_KEY = "__type__"
 
 #: Version stamp written into every record; bumped when the record layout
 #: changes incompatibly, so old files read as stale instead of crashing.
@@ -83,102 +62,30 @@ _TYPE_KEY = "__type__"
 #: payload, verified on read).
 RECORD_FORMAT = 2
 
-# --------------------------------------------------------------------------- #
-# Component codec
-# --------------------------------------------------------------------------- #
-
-#: Types the decoder may reconstruct.  Encoding accepts *any* dataclass;
-#: decoding only trusts this registry, so a record cannot instantiate
-#: arbitrary classes.
-_COMPONENT_TYPES: Dict[str, Type] = {
-    cls.__name__: cls
-    for cls in (
-        FadewichConfig,
-        MDConfig,
-        REConfig,
-        ChannelConfig,
-        LogDistancePathLoss,
-        FreeSpacePathLoss,
-        QuiescentNoise,
-        SkewLaplace,
-        BodyShadowingModel,
-        CampaignScale,
-        OfficeLayout,
-        Sensor,
-        Workstation,
-        Point,
-        KdeMdDetector,
-        EmaMadDetector,
-        VarianceThresholdDetector,
-        RollingStdExtractor,
-        AttenuationExtractor,
-        Zone,
-        ZoneMap,
-        ZoneOccupancyEstimator,
-    )
-}
-
-
-def register_component(cls: Type) -> Type:
-    """Register an additional dataclass for decoding (custom path-loss
-    models, layout subtypes...).  Returns the class, so it can be used as a
-    decorator."""
-    if not dataclasses.is_dataclass(cls):
-        raise TypeError(f"{cls!r} is not a dataclass")
-    _COMPONENT_TYPES[cls.__name__] = cls
-    return cls
-
-
-def component_to_dict(obj):
-    """Encode a configuration component as JSON-ready data.
-
-    Dataclasses become ``{"__type__": name, **fields}`` recursively;
-    sequences become lists; primitives pass through.  The encoding is
-    purely value-based, so two equal components encode identically —
-    the property :func:`content_hash` relies on.
-    """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        encoded = {_TYPE_KEY: type(obj).__name__}
-        for f in dataclasses.fields(obj):
-            encoded[f.name] = component_to_dict(getattr(obj, f.name))
-        return encoded
-    if isinstance(obj, (list, tuple)):
-        return [component_to_dict(v) for v in obj]
-    if isinstance(obj, Mapping):
-        return {str(k): component_to_dict(v) for k, v in obj.items()}
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise TypeError(
-        f"cannot encode {type(obj).__name__!r} as a sweep-store component"
-    )
-
-
-def component_from_dict(data):
-    """Decode :func:`component_to_dict` output back into value-equal objects.
-
-    JSON arrays decode to tuples (the frozen configuration dataclasses all
-    use tuple fields, and dataclass equality distinguishes list from
-    tuple); only registered dataclass types are instantiated.
-    """
-    if isinstance(data, Mapping):
-        if _TYPE_KEY in data:
-            type_name = data[_TYPE_KEY]
-            cls = _COMPONENT_TYPES.get(type_name)
-            if cls is None:
-                raise ValueError(
-                    f"unknown component type {type_name!r}; register it "
-                    "with repro.analysis.sweep_store.register_component"
-                )
-            kwargs = {
-                k: component_from_dict(v)
-                for k, v in data.items()
-                if k != _TYPE_KEY
-            }
-            return cls(**kwargs)
-        return {k: component_from_dict(v) for k, v in data.items()}
-    if isinstance(data, list):
-        return tuple(component_from_dict(v) for v in data)
-    return data
+#: The configuration dataclasses a scenario is made of, registered with
+#: the :mod:`repro.identity` codec so stored specs decode back into
+#: value-equal objects.  Detectors and feature extractors join the codec
+#: through their own registries.
+for _component in (
+    FadewichConfig,
+    MDConfig,
+    REConfig,
+    ChannelConfig,
+    LogDistancePathLoss,
+    FreeSpacePathLoss,
+    QuiescentNoise,
+    SkewLaplace,
+    BodyShadowingModel,
+    CampaignScale,
+    OfficeLayout,
+    Sensor,
+    Workstation,
+    Point,
+    Zone,
+    ZoneMap,
+    ZoneOccupancyEstimator,
+):
+    register_component(_component)
 
 
 #: Longest sanitised-name prefix kept in an on-disk filename.  The hash
@@ -222,32 +129,11 @@ def name_slug(name: str) -> str:
     return filename
 
 
-def content_hash(*components) -> str:
-    """SHA-256 hex digest of the canonical JSON encoding of components.
-
-    This is the staleness key of the store: records carry the hash of the
-    configuration content they were computed under, so renaming an axis
-    value cannot alias two different configurations and editing a
-    configuration in place cannot reuse results computed under the old
-    values.
-    """
-    encoded = [component_to_dict(c) for c in components]
-    canonical = json.dumps(encoded, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def result_checksum(result) -> str:
-    """SHA-256 hex digest of a result payload's canonical JSON.
-
-    The integrity stamp of a store record: ``put`` computes it over the
-    JSON-normalised payload (so what is hashed is exactly what a reader
-    will parse back) and ``get`` recomputes it over the parsed payload —
-    any bitrot, torn write or hand-edit of the result block makes the two
-    disagree and the record is quarantined instead of trusted.
-    """
-    normalised = json.loads(json.dumps(result))
-    canonical = json.dumps(normalised, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+#: The integrity stamp of a record's result payload: ``put`` computes it
+#: over the payload and ``get`` over the parsed payload, so any bitrot,
+#: torn write or hand-edit of the result block makes the two disagree and
+#: the record is quarantined instead of trusted.
+result_checksum = digest
 
 
 # --------------------------------------------------------------------------- #
@@ -423,11 +309,6 @@ class SweepStore:
         return self._path / f"{name_slug(name)}.lease"
 
     @staticmethod
-    def _normalise_key(key: Mapping) -> Dict:
-        """The key as it reads back from JSON (tuples to lists etc.)."""
-        return json.loads(json.dumps(dict(key), sort_keys=True))
-
-    @staticmethod
     def _valid_record(record) -> bool:
         """Whether parsed JSON has the shape of a record we wrote.
 
@@ -523,7 +404,7 @@ class SweepStore:
         if (
             record.get("format") != RECORD_FORMAT
             or not isinstance(record.get("result"), dict)
-            or record.get("key") != self._normalise_key(key)
+            or record.get("key") != encode(key)
         ):
             self.stats.count_stale()
             return None
@@ -545,7 +426,8 @@ class SweepStore:
         record = {
             "format": RECORD_FORMAT,
             "name": name,
-            "key": self._normalise_key(key),
+            # The key as it reads back from JSON (tuples to lists etc.).
+            "key": encode(key),
             "result": result,
             "checksum": result_checksum(result),
         }

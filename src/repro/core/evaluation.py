@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..detectors import KdeMdDetector
 from ..features.rolling import RollingStdExtractor
 from ..features.store import FeatureStore
 from ..mobility.events import EventKind, GroundTruthEvent
@@ -59,9 +60,7 @@ from ..simulation.dataset import LabeledSample, SampleDataset
 from .config import FadewichConfig
 from .movement import (
     OfflineMDResult,
-    detect_offline,
     detect_offline_scalar,
-    run_profile_grid,
     variation_windows_from_flags,
 )
 from .radio_env import RadioEnvironment
@@ -232,14 +231,14 @@ def _evaluate_md_sets(
     config: FadewichConfig,
     subsets: Sequence[Tuple[int, List[str]]],
     features: Optional[CampaignStdFeatures] = None,
-    detector: Optional[object] = None,
+    detector: object = KdeMdDetector(),
 ) -> Dict[int, MDEvaluation]:
     """Columnar MD evaluation of several sensor subsets at once.
 
     All subsets of all days advance through the batch profile engine in
     lockstep: one pooled ``(n_obs, n_days * n_subsets)`` std-sum matrix per
-    group of equally-shaped days.  ``detector`` swaps the profile engine
-    for any zoo member's ``offline_grid`` (``None`` keeps the KDE path).
+    group of equally-shaped days, through ``detector``'s
+    ``offline_grid``.
     """
     if not subsets:
         return {}
@@ -273,10 +272,7 @@ def _evaluate_md_sets(
     grids: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(day_inputs)
     for (_, init_samples), indices in groups.items():
         pooled = np.hstack([day_inputs[i][2] for i in indices])
-        if detector is None:
-            result = run_profile_grid(pooled, config.md, init_samples)
-        else:
-            result = detector.offline_grid(pooled, config.md, init_samples)
+        result = detector.offline_grid(pooled, config.md, init_samples)
         for position, i in enumerate(indices):
             block = slice(position * n_subsets, (position + 1) * n_subsets)
             grids[i] = (result.decisions[:, block], result.thresholds[:, block])
@@ -318,7 +314,7 @@ def evaluate_md(
     sensor_ids: Sequence[str],
     *,
     features: Optional[CampaignStdFeatures] = None,
-    detector: Optional[object] = None,
+    detector: object = KdeMdDetector(),
 ) -> MDEvaluation:
     """Run offline MD over every recorded day for one sensor subset.
 
@@ -339,7 +335,7 @@ def evaluate_md_grid(
     sensor_counts: Optional[Sequence[int]] = None,
     *,
     features: Optional[CampaignStdFeatures] = None,
-    detector: Optional[object] = None,
+    detector: object = KdeMdDetector(),
 ) -> Dict[int, MDEvaluation]:
     """Batch MD evaluation over a sweep of sensor counts.
 

@@ -48,6 +48,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..detectors import KdeMdDetector
 from ..ml.kde import GaussianKDE, mixture_quantiles
 from ..radio.trace import RssiTrace, StreamBuffer
 from .config import MDConfig
@@ -606,7 +607,7 @@ def detect_offline(
     config: Optional[MDConfig] = None,
     *,
     precomputed: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-    detector: Optional[object] = None,
+    detector: object = KdeMdDetector(),
 ) -> OfflineMDResult:
     """Run Algorithm 1 over a recorded trace (columnar fast path).
 
@@ -624,16 +625,13 @@ def detect_offline(
         :func:`rolling_std_sum` — the per-sensor-count sweeps reuse it to
         avoid recomputing the rolling statistics.
     detector:
-        A detector-zoo member (``repro.detectors``) whose ``offline_grid``
-        replaces the KDE profile engine; ``None`` keeps the paper's
-        detector, bit-identical to the scalar reference.
+        The detector-zoo member (``repro.detectors``) whose
+        ``offline_grid`` decides; the paper's KDE detector by default,
+        bit-identical to the scalar reference.
     """
     cfg = config if config is not None else MDConfig()
     times, std_sums, init_samples = _offline_series(trace, cfg, precomputed)
-    if detector is None:
-        grid = run_profile_grid(std_sums[:, np.newaxis], cfg, init_samples)
-    else:
-        grid = detector.offline_grid(std_sums[:, np.newaxis], cfg, init_samples)
+    grid = detector.offline_grid(std_sums[:, np.newaxis], cfg, init_samples)
     return OfflineMDResult(
         times=times,
         std_sums=std_sums,

@@ -168,10 +168,6 @@ class FadewichSystem:
         return self._config
 
     @property
-    def radio_environment(self) -> RadioEnvironment:
-        return self._re
-
-    @property
     def detector(self) -> MovementDetector:
         return self._detector
 

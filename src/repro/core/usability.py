@@ -69,14 +69,6 @@ class UsabilityResult:
     cost_per_day_s: float
     n_draws: int
 
-    def as_row(self) -> Dict[str, float]:
-        """The Table IV row as a dictionary."""
-        return {
-            "screensavers_per_day": self.screensavers_per_day,
-            "deauthentications_per_day": self.deauthentications_per_day,
-            "cost_per_day_s": self.cost_per_day_s,
-        }
-
 
 class UsabilitySimulator:
     """Replays FADEWICH's decisions against simulated keyboard/mouse input.
@@ -206,9 +198,3 @@ class UsabilitySimulator:
             cost_per_day_s=cost,
             n_draws=n_draws,
         )
-
-    def total_cost_seconds(self, result: UsabilityResult, n_days: int) -> float:
-        """Total campaign cost in seconds (the Figure 13 cost axis)."""
-        if n_days < 1:
-            raise ValueError("n_days must be >= 1")
-        return result.cost_per_day_s * n_days

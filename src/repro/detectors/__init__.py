@@ -13,6 +13,7 @@ identical recordings.
 """
 
 from .base import (
+    DETECTORS,
     DetectionGrid,
     detector_names,
     get_detector,
@@ -23,6 +24,7 @@ from .kde_md import KdeMdDetector
 from .variance import VarianceThresholdDetector
 
 __all__ = [
+    "DETECTORS",
     "DetectionGrid",
     "EmaMadDetector",
     "KdeMdDetector",

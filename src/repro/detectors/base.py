@@ -37,20 +37,20 @@ Every detector is a **frozen config dataclass** with a class-level
 Detector identity (``name`` plus config fields) participates in scenario
 naming, ``ScenarioSpec.content_hash`` and the sweep-store staleness
 fingerprint, so a grid re-run with a different detector never reuses
-stale records.  Register custom detectors with :func:`register_detector`
-(and with :func:`repro.analysis.sweep_store.register_component` if their
-specs must round-trip through stored sweep records).
+stale records.  Register custom detectors with :func:`register_detector`;
+that also makes their configs decodable from stored sweep records.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Type
 
 import numpy as np
 
+from ..identity import Registry
+
 __all__ = [
+    "DETECTORS",
     "DetectionGrid",
     "register_detector",
     "detector_names",
@@ -80,81 +80,9 @@ class DetectionGrid:
             )
 
 
-_ENGINE_METHODS = ("offline_grid", "streaming_engine")
-
-_DETECTORS: Dict[str, Type] = {}
-
-
-def register_detector(cls: Type) -> Type:
-    """Class decorator adding a detector to the registry.
-
-    The class must be a dataclass (its fields are the detector's
-    configuration), expose a non-empty class-level ``name`` string and
-    implement both engine methods.  Names are unique: re-registering the
-    same class is a no-op, registering a different class under a taken
-    name is an error.
-    """
-    if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
-        raise TypeError(
-            f"detector must be a dataclass type, got {cls!r}"
-        )
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name:
-        raise TypeError(
-            f"detector {cls.__name__} needs a non-empty class-level 'name' string"
-        )
-    for method in _ENGINE_METHODS:
-        if not callable(getattr(cls, method, None)):
-            raise TypeError(
-                f"detector {cls.__name__} must implement {method}()"
-            )
-    existing = _DETECTORS.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"detector name {name!r} is already registered by {existing.__name__}"
-        )
-    _DETECTORS[name] = cls
-    return cls
-
-
-def detector_names() -> List[str]:
-    """Sorted names of every registered detector."""
-    return sorted(_DETECTORS)
-
-
-def _is_detector_instance(obj: object) -> bool:
-    return (
-        not isinstance(obj, type)
-        and dataclasses.is_dataclass(obj)
-        and all(callable(getattr(obj, m, None)) for m in _ENGINE_METHODS)
-    )
-
-
-def get_detector(spec: object):
-    """Resolve ``spec`` to a detector instance.
-
-    Accepts a registered name (instantiated with default config), a
-    registered class, or a ready detector instance (passed through, which
-    is how config variants enter a grid).
-    """
-    if isinstance(spec, str):
-        cls = _DETECTORS.get(spec)
-        if cls is None:
-            raise ValueError(
-                f"unknown detector {spec!r}; registered detectors: "
-                f"{detector_names()}"
-            )
-        return cls()
-    if isinstance(spec, type):
-        if spec in _DETECTORS.values():
-            return spec()
-        raise TypeError(
-            f"{spec.__name__} is not a registered detector class; "
-            "decorate it with @register_detector"
-        )
-    if _is_detector_instance(spec):
-        return spec
-    raise TypeError(
-        "detector must be a registered name, a registered class or a "
-        f"detector instance, got {spec!r}"
-    )
+#: The detector zoo: :func:`register_detector` adds a member,
+#: :func:`get_detector` resolves a name, class or instance.
+DETECTORS = Registry("detector", ("offline_grid", "streaming_engine"))
+register_detector = DETECTORS.register
+detector_names = DETECTORS.names
+get_detector = DETECTORS.get

@@ -12,8 +12,8 @@ configuration to drift.
 
 Imports of the engine modules are deferred into the methods: the
 detectors package sits below ``core``/``streaming`` in the import graph
-(analysis imports detectors; evaluation and streaming only ever *receive*
-detector instances), and lazy imports keep that graph acyclic.
+(both import it for their default detector, this one), and lazy imports
+keep that graph acyclic.
 """
 
 from __future__ import annotations

@@ -6,13 +6,13 @@ column_of_stream)`` blocks derived from a campaign's RSSI traces.  This
 package turns the derivation into a first-class seam:
 
 - :mod:`repro.features.base` defines the :class:`FeatureExtractor`
-  contract (a frozen config dataclass with a ``day_block`` method), a
-  registry mirroring the detector zoo's, and a content fingerprint so
-  caches and sweep stores can key on *what* was extracted rather than on
+  contract (a frozen config dataclass with a ``day_block`` method) and
+  its registry; caches and sweep stores key on the extractor's
+  :func:`repro.identity.digest` — *what* was extracted rather than
   object identity.
 - :mod:`repro.features.store` provides :class:`FeatureStore`, the
-  per-recording cache of extractor blocks keyed by (day, extractor
-  fingerprint).  It validates day membership, so a ``DayRecording``
+  per-recording cache of extractor blocks keyed by (extractor digest,
+  day).  It validates day membership, so a ``DayRecording``
   from a different campaign can never alias another recording's cache.
 - :mod:`repro.features.rolling` re-expresses the historical
   ``CampaignStdFeatures`` rolling-std derivation as
@@ -21,8 +21,8 @@ package turns the derivation into a first-class seam:
 """
 
 from .base import (
+    EXTRACTORS,
     FeatureBlock,
-    extractor_fingerprint,
     extractor_names,
     get_extractor,
     register_extractor,
@@ -31,10 +31,10 @@ from .rolling import RollingStdExtractor
 from .store import FeatureStore
 
 __all__ = [
+    "EXTRACTORS",
     "FeatureBlock",
     "FeatureStore",
     "RollingStdExtractor",
-    "extractor_fingerprint",
     "extractor_names",
     "get_extractor",
     "register_extractor",

@@ -1,4 +1,4 @@
-"""Feature-extractor contract, registry and content fingerprint.
+"""Feature-extractor contract and registry.
 
 A *feature extractor* is a frozen config dataclass with a class-level
 ``name`` and one method::
@@ -11,27 +11,21 @@ where ``day`` is a :class:`~repro.simulation.collector.DayRecording`,
 matrix and ``columns`` the stream-id -> column mapping.  Because the
 config is frozen and fully describes the derivation, two extractors with
 equal fields produce equal blocks — which is what lets
-:func:`extractor_fingerprint` stand in for object identity in caches and
-sweep-store records.
-
-The fingerprint is deliberately local to this package (a sha256 over a
-canonical JSON encoding of the dataclass tree) rather than reusing
-:func:`repro.analysis.sweep_store.content_hash`: ``repro.features`` sits
-below the analysis layer and must not import it.
+:func:`repro.identity.digest` of an extractor stand in for object
+identity in caches and sweep-store records.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-from typing import Dict, List, Mapping, Tuple, Type
+from typing import Dict, Tuple
 
 import numpy as np
 
+from ..identity import Registry
+
 __all__ = [
+    "EXTRACTORS",
     "FeatureBlock",
-    "extractor_fingerprint",
     "register_extractor",
     "extractor_names",
     "get_extractor",
@@ -42,100 +36,8 @@ __all__ = [
 FeatureBlock = Tuple[np.ndarray, np.ndarray, Dict[str, int]]
 
 
-def _canonical(value: object) -> object:
-    """Encode a frozen-config value tree into JSON-serialisable form."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        encoded = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-        encoded["__type__"] = type(value).__name__
-        return encoded
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, Mapping):
-        return {str(k): _canonical(v) for k, v in value.items()}
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise TypeError(
-        f"extractor config values must be dataclasses, sequences, mappings "
-        f"or JSON primitives, got {value!r}"
-    )
-
-
-def extractor_fingerprint(extractor: object) -> str:
-    """Content hash of an extractor's type and frozen config fields.
-
-    Two extractor instances with equal fields fingerprint identically, so
-    a :class:`~repro.features.store.FeatureStore` hit does not depend on
-    holding the same instance — and *any* config change (or a different
-    extractor type) yields a fresh key.
-    """
-    payload = json.dumps(
-        _canonical(extractor), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-_EXTRACTORS: Dict[str, Type] = {}
-
-
-def register_extractor(cls: Type) -> Type:
-    """Class decorator adding a feature extractor to the registry.
-
-    The class must be a dataclass (its fields are the extraction
-    configuration), expose a non-empty class-level ``name`` string and
-    implement ``day_block()``.  Names are unique: re-registering the same
-    class is a no-op, registering a different class under a taken name is
-    an error.
-    """
-    if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
-        raise TypeError(f"feature extractor must be a dataclass type, got {cls!r}")
-    name = getattr(cls, "name", None)
-    if not isinstance(name, str) or not name:
-        raise TypeError(
-            f"extractor {cls.__name__} needs a non-empty class-level 'name' string"
-        )
-    if not callable(getattr(cls, "day_block", None)):
-        raise TypeError(f"extractor {cls.__name__} must implement day_block()")
-    existing = _EXTRACTORS.get(name)
-    if existing is not None and existing is not cls:
-        raise ValueError(
-            f"extractor name {name!r} is already registered by {existing.__name__}"
-        )
-    _EXTRACTORS[name] = cls
-    return cls
-
-
-def extractor_names() -> List[str]:
-    """Sorted names of every registered feature extractor."""
-    return sorted(_EXTRACTORS)
-
-
-def get_extractor(spec: object):
-    """Resolve ``spec`` to an extractor instance.
-
-    Accepts a registered name (instantiated with default config), a
-    registered class, or a ready extractor instance (passed through).
-    """
-    if isinstance(spec, str):
-        cls = _EXTRACTORS.get(spec)
-        if cls is None:
-            raise ValueError(
-                f"unknown extractor {spec!r}; registered extractors: "
-                f"{extractor_names()}"
-            )
-        return cls()
-    if isinstance(spec, type):
-        if spec in _EXTRACTORS.values():
-            return spec()
-        raise TypeError(
-            f"{spec.__name__} is not a registered extractor class; "
-            "decorate it with @register_extractor"
-        )
-    if dataclasses.is_dataclass(spec) and callable(getattr(spec, "day_block", None)):
-        return spec
-    raise TypeError(
-        "extractor must be a registered name, a registered class or an "
-        f"extractor instance, got {spec!r}"
-    )
+#: The feature-extractor registry.
+EXTRACTORS = Registry("extractor", ("day_block",))
+register_extractor = EXTRACTORS.register
+extractor_names = EXTRACTORS.names
+get_extractor = EXTRACTORS.get

@@ -3,8 +3,8 @@
 One :class:`FeatureStore` is bound to one
 :class:`~repro.simulation.collector.CampaignRecording` and caches every
 extractor's per-day blocks side by side, keyed by ``(extractor
-fingerprint, day index)``.  The fingerprint is content-based
-(:func:`~repro.features.base.extractor_fingerprint`), so two equal
+digest, day index)``.  The digest is content-based
+(:func:`repro.identity.digest`), so two equal
 configs share cache entries while any config change computes fresh
 matrices.
 
@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
-from .base import FeatureBlock, extractor_fingerprint
+from ..identity import digest
+from .base import FeatureBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..simulation.collector import CampaignRecording, DayRecording
@@ -66,7 +67,7 @@ class FeatureStore:
             raise ValueError(
                 f"day {day.day_index} does not belong to this store's recording"
             )
-        key = (extractor_fingerprint(extractor), day.day_index)
+        key = (digest(extractor), day.day_index)
         block = self._blocks.get(key)
         if block is None:
             self._misses += 1

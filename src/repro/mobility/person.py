@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -266,10 +266,3 @@ class Person:
             self.seat = seat
         self._state = PresenceState.SEATED
         self._trajectory = None
-
-    def history_snapshot(self) -> List[str]:
-        """A short human-readable description of the current state."""
-        desc = [f"user={self.user_id}", f"state={self._state.value}"]
-        if self.workstation_id:
-            desc.append(f"workstation={self.workstation_id}")
-        return desc

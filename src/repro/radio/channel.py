@@ -185,11 +185,6 @@ class RadioChannel:
         """Stream ids in the channel's enumeration order."""
         return self._links.stream_ids
 
-    @property
-    def is_split(self) -> bool:
-        """Whether the channel uses per-purpose random streams."""
-        return self._split
-
     def mean_rssi(self, sid: str) -> float:
         """The undisturbed mean RSSI of a stream (dBm)."""
         return self._mean_rssi[sid]

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 __all__ = [
     "Point",
@@ -46,9 +46,6 @@ class Point:
         """A new point offset by ``(dx, dy)``."""
         return Point(self.x + dx, self.y + dy)
 
-    def as_tuple(self) -> Tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -64,10 +61,6 @@ class Segment:
 
     def midpoint(self) -> Point:
         return Point((self.a.x + self.b.x) / 2.0, (self.a.y + self.b.y) / 2.0)
-
-    def distance_to_point(self, p: Point) -> float:
-        """Shortest distance from ``p`` to the segment."""
-        return point_segment_distance(p, self.a, self.b)
 
 
 def distance(a: Point, b: Point) -> float:

@@ -67,9 +67,6 @@ class StreamBuffer:
         first = next(iter(self._buffers.values()))
         return len(first)
 
-    def is_full(self) -> bool:
-        return self.fill_level() >= self._maxlen
-
     def clear(self) -> None:
         for buf in self._buffers.values():
             buf.clear()

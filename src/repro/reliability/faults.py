@@ -242,9 +242,6 @@ class FaultPlan:
     def of(cls, *specs: FaultSpec, seed: int = 0) -> "FaultPlan":
         return cls(specs=specs, seed=seed)
 
-    def for_point(self, point: str) -> Tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.point == point)
-
     def injector(self) -> "FaultInjector":
         return FaultInjector(self)
 

@@ -258,11 +258,6 @@ class CampaignCollector:
     def clock(self) -> SimulationClock:
         return self._clock
 
-    @property
-    def seed_sequence(self) -> np.random.SeedSequence:
-        """The root seed sequence all campaign randomness derives from."""
-        return self._root
-
     # ------------------------------------------------------------------ #
     def _day_sequences(
         self,

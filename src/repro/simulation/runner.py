@@ -173,10 +173,6 @@ class CampaignRunner:
     def mode(self) -> str:
         return self._mode
 
-    @property
-    def seed_sequence(self) -> np.random.SeedSequence:
-        return self._root
-
     def _make_collector(self, seed_seq: np.random.SeedSequence) -> CampaignCollector:
         return CampaignCollector(
             self._layout,

@@ -66,6 +66,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.config import MDConfig
 from ..core.windows import VariationWindow
+from ..detectors import DETECTORS, KdeMdDetector
 from ..ml.kde import GaussianKDE
 
 __all__ = [
@@ -503,10 +504,9 @@ class OnlineDetector:
         Sampling rate of the stream (window sizes derive from it exactly
         like the scalar detector's).
     detector:
-        Optional detector-zoo member (``repro.detectors``): its
-        ``streaming_engine`` replaces the KDE :class:`OnlineProfile` as
-        the decision engine behind the shared std-sum kernel and window
-        tracker.  ``None`` keeps the paper's detector.
+        The detector-zoo member (``repro.detectors``) whose
+        ``streaming_engine`` decides behind the shared std-sum kernel and
+        window tracker; the paper's KDE detector by default.
     zones:
         Optional :class:`~repro.zones.estimator.ZoneEngine` (from
         :meth:`~repro.zones.estimator.ZoneOccupancyEstimator.
@@ -522,7 +522,7 @@ class OnlineDetector:
         config: Optional[MDConfig] = None,
         sample_rate_hz: float = 4.0,
         *,
-        detector: Optional[object] = None,
+        detector: object = KdeMdDetector(),
         zones: Optional[object] = None,
     ) -> None:
         if sample_rate_hz <= 0:
@@ -540,10 +540,7 @@ class OnlineDetector:
             int(round(self._config.profile_init_s * self._rate)), 2
         )
         self._std = OnlineStdSum(len(self._stream_ids), window_samples)
-        if detector is None:
-            self._profile = OnlineProfile(self._config, init_samples)
-        else:
-            self._profile = detector.streaming_engine(self._config, init_samples)
+        self._profile = detector.streaming_engine(self._config, init_samples)
         if zones is not None and list(zones.stream_ids) != self._stream_ids:
             raise ValueError(
                 "zone engine stream ids do not match the detector's"
@@ -563,12 +560,12 @@ class OnlineDetector:
 
     @property
     def profile(self):
-        """The decision engine (``OnlineProfile`` or a zoo engine)."""
+        """The decision engine (``OnlineProfile`` for the KDE detector)."""
         return self._profile
 
     @property
-    def detector(self) -> Optional[object]:
-        """The zoo member driving decisions (``None`` = the KDE path)."""
+    def detector(self) -> object:
+        """The zoo member driving decisions."""
         return self._detector
 
     @property
@@ -612,19 +609,15 @@ class OnlineDetector:
                 f"decision engine {type(engine).__name__} does not implement "
                 "snapshot(); checkpointing requires snapshot()/restore()"
             )
-        if self._detector is None:
-            det_spec = None
-        else:
-            det_spec = {
-                "name": self._detector.name,
-                "config": dataclasses.asdict(self._detector),
-            }
         return {
             "format": 1,
             "stream_ids": list(self._stream_ids),
             "sample_rate_hz": self._rate,
             "config": dataclasses.asdict(self._config),
-            "detector": det_spec,
+            "detector": {
+                "name": self._detector.name,
+                "config": dataclasses.asdict(self._detector),
+            },
             "std": self._std.snapshot(),
             "engine": engine.snapshot(),
             "windows": self._windows.snapshot(),
@@ -640,14 +633,10 @@ class OnlineDetector:
         fmt = state.get("format")
         if fmt != 1:
             raise ValueError(f"unsupported detector snapshot format: {fmt!r}")
-        detector: Optional[object] = None
-        det_spec = state["detector"]
-        if det_spec is not None:
-            from ..detectors import get_detector  # local: optional layer
-
-            detector = type(get_detector(det_spec["name"]))(
-                **det_spec["config"]
-            )
+        # Snapshots written while the KDE detector was the implicit
+        # default carry ``null`` here.
+        det_spec = state["detector"] or {"name": KdeMdDetector.name, "config": {}}
+        detector = DETECTORS.lookup(det_spec["name"])(**det_spec["config"])
         zones: Optional[object] = None
         zones_state = state.get("zones")
         if zones_state is not None:

@@ -67,6 +67,7 @@ from typing import Any, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.config import MDConfig
+from ..detectors import KdeMdDetector
 from ..reliability.faults import ROUTER_SHARD_DEATH, as_injector
 from .detector import DetectionBlock, OnlineDetector
 from .source import SampleBatch
@@ -182,8 +183,8 @@ class IngestRouter:
         this far behind.
     config / sample_rate_hz / detector:
         Defaults for detectors built at registration (overridable per
-        tenant); ``detector`` names a detector-zoo member
-        (``repro.detectors``), ``None`` meaning the paper's KDE path.
+        tenant); ``detector`` is a detector-zoo member
+        (``repro.detectors``), the paper's KDE detector by default.
     keep_blocks:
         Keep every processed :class:`DetectionBlock` on the tenant state
         (the load-generator / equivalence-test mode).  A long-running
@@ -214,7 +215,7 @@ class IngestRouter:
         config: Optional[MDConfig] = None,
         sample_rate_hz: float = 4.0,
         keep_blocks: bool = True,
-        detector: Optional[object] = None,
+        detector: object = KdeMdDetector(),
         failure_policy: str = "fail_fast",
         max_shard_restarts: int = 3,
         faults: Optional[object] = None,

@@ -1,9 +1,7 @@
-"""The detector zoo: registry, bit-identity, codec and sweep-axis contracts.
+"""The detector zoo: bit-identity, codec and sweep-axis contracts.
 
 Extends the repo's equivalence discipline to :mod:`repro.detectors`:
 
-* the registry resolves names / classes / instances and rejects anything
-  that is not a frozen-config detector, with actionable errors;
 * **every registered detector** (and tuned variants) has a streaming
   engine bitwise-identical to its offline reference grid under
   hypothesis-generated random batch splits — partial-window head
@@ -11,14 +9,13 @@ Extends the repo's equivalence discipline to :mod:`repro.detectors`:
 * ``KdeMdDetector`` is a pure port: its grids equal
   :func:`repro.core.movement.run_profile_grid` exactly, so the golden
   numbers cannot move;
-* detector configs round-trip through the sweep-store component codec;
+* detector configs round-trip through the :mod:`repro.identity` codec;
 * *detector* works as a first-class :class:`ScenarioGrid` axis: shared
   recordings, per-detector store records (warm resume of one detector
   leaves the others' holes intact), KDE rows of a zoo sweep identical to
   a KDE-only sweep, and a ragged-tolerant comparison table.
 """
 
-import dataclasses
 import json
 
 import numpy as np
@@ -35,11 +32,7 @@ from repro.analysis.scenarios import (
     ScenarioSweepRunner,
     SweepReport,
 )
-from repro.analysis.sweep_store import (
-    SweepStore,
-    component_from_dict,
-    component_to_dict,
-)
+from repro.analysis.sweep_store import SweepStore
 from repro.core.config import FadewichConfig, MDConfig
 from repro.core.movement import online_std_sum_series, run_profile_grid
 from repro.detectors import (
@@ -49,9 +42,8 @@ from repro.detectors import (
     VarianceThresholdDetector,
     detector_names,
     get_detector,
-    register_detector,
 )
-from repro.detectors import base as detector_base
+from repro.identity import decode, encode
 from repro.ml.metrics import DetectionCounts
 from repro.radio.office import paper_office
 from repro.streaming import IngestRouter, OnlineDetector, SampleBatch
@@ -111,85 +103,6 @@ def anomaly_series(rng, n):
 
 
 # --------------------------------------------------------------------- #
-class TestRegistry:
-    def test_builtin_names_sorted(self):
-        names = detector_names()
-        assert names == sorted(names)
-        assert {"ema_mad", "kde_md", "variance"} <= set(names)
-
-    def test_get_detector_resolves_name_class_and_instance(self):
-        assert get_detector("kde_md") == KdeMdDetector()
-        assert get_detector(EmaMadDetector) == EmaMadDetector()
-        tuned = VarianceThresholdDetector(window=5)
-        assert get_detector(tuned) is tuned
-
-    def test_unknown_name_lists_registered_detectors(self):
-        with pytest.raises(ValueError, match="kde_md"):
-            get_detector("kalman")
-
-    def test_rejects_non_detector_objects(self):
-        with pytest.raises(TypeError, match="registered name"):
-            get_detector(42)
-        with pytest.raises(TypeError, match="register_detector"):
-            get_detector(MDConfig)  # a dataclass, but not a detector class
-
-    def test_register_rejects_malformed_detectors(self):
-        with pytest.raises(TypeError, match="dataclass"):
-            register_detector(object)
-
-        @dataclasses.dataclass(frozen=True)
-        class NoName:
-            pass
-
-        with pytest.raises(TypeError, match="name"):
-            register_detector(NoName)
-
-        @dataclasses.dataclass(frozen=True)
-        class NoEngines:
-            name = "no-engines"
-
-        with pytest.raises(TypeError, match="offline_grid"):
-            register_detector(NoEngines)
-
-    def test_register_name_collision_and_reregister_no_op(self):
-        @dataclasses.dataclass(frozen=True)
-        class Impostor:
-            name = "kde_md"
-
-            def offline_grid(self, std_sums, config, init_samples):
-                raise NotImplementedError
-
-            def streaming_engine(self, config, init_samples):
-                raise NotImplementedError
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_detector(Impostor)
-        # Re-registering the real class is a no-op, not a collision.
-        assert register_detector(KdeMdDetector) is KdeMdDetector
-        assert detector_base._DETECTORS["kde_md"] is KdeMdDetector
-
-    def test_custom_registration_round_trip(self):
-        @dataclasses.dataclass(frozen=True)
-        class Custom:
-            name = "custom-zoo-test"
-            scale: float = 1.0
-
-            def offline_grid(self, std_sums, config, init_samples):
-                raise NotImplementedError
-
-            def streaming_engine(self, config, init_samples):
-                raise NotImplementedError
-
-        try:
-            register_detector(Custom)
-            assert "custom-zoo-test" in detector_names()
-            assert get_detector("custom-zoo-test") == Custom()
-            assert get_detector(Custom) == Custom()
-        finally:
-            detector_base._DETECTORS.pop("custom-zoo-test", None)
-        assert "custom-zoo-test" not in detector_names()
-
-
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -238,15 +151,13 @@ class TestComponentCodec:
         ids=lambda d: type(d).__name__,
     )
     def test_round_trip_through_json(self, det):
-        back = component_from_dict(json.loads(json.dumps(component_to_dict(det))))
+        back = decode(json.loads(json.dumps(encode(det))))
         assert type(back) is type(det)
         assert back == det
 
     def test_variants_encode_distinctly(self):
-        assert component_to_dict(EmaMadDetector()) != component_to_dict(TUNED_EMA)
-        assert component_to_dict(VarianceThresholdDetector()) != component_to_dict(
-            TUNED_VARIANCE
-        )
+        assert encode(EmaMadDetector()) != encode(TUNED_EMA)
+        assert encode(VarianceThresholdDetector()) != encode(TUNED_VARIANCE)
 
 
 # --------------------------------------------------------------------- #

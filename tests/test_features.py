@@ -1,4 +1,4 @@
-"""The reusable feature pipeline: registry, fingerprints, cached store.
+"""The reusable feature pipeline: fingerprints and the cached store.
 
 Locks the PR 10 refactor contract: ``repro.features`` serves per-day
 ``(times, matrix, columns)`` blocks keyed by (recording identity,
@@ -11,23 +11,14 @@ the wrong matrix) stays fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 import pytest
 
 from repro.core.config import FadewichConfig
 from repro.core.evaluation import CampaignStdFeatures
 from repro.core.movement import rolling_std_matrix
-from repro.features import (
-    FeatureStore,
-    RollingStdExtractor,
-    extractor_fingerprint,
-    extractor_names,
-    get_extractor,
-    register_extractor,
-)
+from repro.features import FeatureStore, RollingStdExtractor
+from repro.identity import digest
 from repro.mobility.behavior import BehaviorProfile
 from repro.simulation.collector import CampaignCollector
 from repro.zones import AttenuationExtractor
@@ -49,69 +40,22 @@ def other_recording(layout):
     )
 
 
-class TestRegistry:
-    def test_builtin_extractors_registered(self):
-        names = extractor_names()
-        assert "rolling_std" in names
-        assert "attenuation" in names
-        assert names == sorted(names)
-
-    def test_get_extractor_resolution(self):
-        by_name = get_extractor("rolling_std")
-        assert isinstance(by_name, RollingStdExtractor)
-        assert get_extractor(RollingStdExtractor) == by_name
-        tuned = RollingStdExtractor(std_window_s=8.0)
-        assert get_extractor(tuned) is tuned
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown extractor"):
-            get_extractor("no-such-extractor")
-
-    def test_register_requires_named_dataclass(self):
-        class NotADataclass:
-            name = "nope"
-
-        with pytest.raises(TypeError):
-            register_extractor(NotADataclass)
-
-        @dataclass(frozen=True)
-        class Unnamed:
-            pass
-
-        with pytest.raises(TypeError, match="class-level 'name'"):
-            register_extractor(Unnamed)
-
-    def test_name_collision_rejected(self):
-        @dataclass(frozen=True)
-        class Impostor:
-            name: ClassVar[str] = "rolling_std"
-
-            def day_block(self, day, layout):
-                raise NotImplementedError
-
-        with pytest.raises(ValueError):
-            register_extractor(Impostor)
-
-    def test_reregistration_is_idempotent(self):
-        assert register_extractor(RollingStdExtractor) is RollingStdExtractor
-
-
 class TestFingerprint:
     def test_equal_configs_share_fingerprints(self):
         a = RollingStdExtractor(std_window_s=4.0)
         b = RollingStdExtractor(std_window_s=4.0)
         assert a is not b
-        assert extractor_fingerprint(a) == extractor_fingerprint(b)
+        assert digest(a) == digest(b)
 
     def test_config_changes_move_the_fingerprint(self):
-        base = extractor_fingerprint(RollingStdExtractor())
-        assert extractor_fingerprint(RollingStdExtractor(std_window_s=8.0)) != base
-        assert extractor_fingerprint(AttenuationExtractor()) != base
+        base = digest(RollingStdExtractor())
+        assert digest(RollingStdExtractor(std_window_s=8.0)) != base
+        assert digest(AttenuationExtractor()) != base
 
     def test_nested_dataclasses_fingerprint(self):
         a = AttenuationExtractor(exponent=2.5)
         b = AttenuationExtractor(exponent=3.0)
-        assert extractor_fingerprint(a) != extractor_fingerprint(b)
+        assert digest(a) != digest(b)
 
 
 class TestFeatureStore:

@@ -48,7 +48,7 @@ from repro.analysis.sweep_queue import (
 )
 from repro.analysis.sweep_store import SweepStore
 from repro.core.config import FadewichConfig, MDConfig
-from repro.detectors import detector_names, get_detector
+from repro.detectors import KdeMdDetector, detector_names, get_detector
 from repro.radio.office import paper_office
 from repro.reliability import (
     HARD_CRASH_EXIT_CODE,
@@ -355,9 +355,7 @@ class TestSnapshotRoundTrip:
             np.concatenate([got_head, got_tail]), want
         )
 
-    @pytest.mark.parametrize(
-        "detector", [None] + sorted(detector_names())
-    )
+    @pytest.mark.parametrize("detector", sorted(detector_names()))
     @given(cut=st.integers(min_value=1, max_value=599))
     @settings(max_examples=12, deadline=None)
     def test_online_detector_cut_anywhere_bitwise(self, detector, cut):
@@ -369,13 +367,15 @@ class TestSnapshotRoundTrip:
         times, matrix = anomalous_day(seed=1234)
         cfg = MDConfig(profile_init_s=15.0, batch_size=10, merge_gap_s=2.0)
         ids = [f"s{j}" for j in range(matrix.shape[1])]
-        zoo = None if detector is None else get_detector(detector)
-        uncut = OnlineDetector(ids, cfg, sample_rate_hz=RATE, detector=zoo)
+        uncut = OnlineDetector(
+            ids, cfg, sample_rate_hz=RATE, detector=get_detector(detector)
+        )
         want = run_stream(uncut, times, matrix, [77] * 7 + [61])
         uncut.finalize()
 
-        zoo2 = None if detector is None else get_detector(detector)
-        head = OnlineDetector(ids, cfg, sample_rate_hz=RATE, detector=zoo2)
+        head = OnlineDetector(
+            ids, cfg, sample_rate_hz=RATE, detector=get_detector(detector)
+        )
         got_head = run_stream(head, times[:cut], matrix[:cut], _sizes(cut))
         state = loads_snapshot(dumps_snapshot(head.snapshot()))
         restored = OnlineDetector.from_snapshot(state)
@@ -389,6 +389,27 @@ class TestSnapshotRoundTrip:
         }
         assert_streams_equal(got, want)
         assert restored.completed_windows == uncut.completed_windows
+
+    def test_null_detector_snapshot_restores_as_kde(self):
+        # Snapshots taken while the KDE detector was the implicit default
+        # store ``"detector": null``; they must keep restoring bitwise.
+        state = json.loads(_NULL_DETECTOR_SNAPSHOT)
+        restored = OnlineDetector.from_snapshot(state)
+        assert restored.detector == KdeMdDetector()
+
+        matrix = np.asarray(_NULL_DETECTOR_MATRIX)
+        times = np.arange(matrix.shape[0]) / RATE
+        cfg = MDConfig(**state["config"])
+        uncut = OnlineDetector(["a", "b"], cfg, sample_rate_hz=RATE)
+        uncut.process_block(times[:20], matrix[:20])
+        # The literal is exactly the state the KDE default reaches.
+        assert {**uncut.snapshot(), "detector": None} == state
+        want = uncut.process_block(times[20:], matrix[20:])
+        got = restored.process_block(times[20:], matrix[20:])
+        assert_streams_equal(
+            {key: getattr(got, key) for key in _STREAM_KEYS},
+            {key: getattr(want, key) for key in _STREAM_KEYS},
+        )
 
     def test_snapshot_format_guard(self):
         ids = ["a", "b"]
@@ -411,6 +432,39 @@ class TestSnapshotRoundTrip:
             loads_snapshot(dumps_snapshot(state))
         )
         assert restored._detector.name == "ema_mad"
+
+
+_STREAM_KEYS = ("std_sums", "decisions", "thresholds", "durations")
+
+#: An ``OnlineDetector`` snapshot of the KDE default after 20 samples of
+#: ``_NULL_DETECTOR_MATRIX``, in the format that stored the detector as
+#: ``null``.
+_NULL_DETECTOR_SNAPSHOT = """{"config": {"alpha": 1.0, "batch_size": 4, \
+"merge_gap_s": 1.0, "profile_init_s": 2.0, "std_window_s": 0.5, "tau": 0.25}, \
+"detector": null, "engine": {"init_buffer": [0.7499999999999964, \
+0.15000000000000213, 1.4499999999999993, 1.25, 1.0, 0.8499999999999979, \
+0.8500000000000014, 1.25], "kde": {"bandwidth": 0.16009596682450503, \
+"data": [1.0, 0.8499999999999979, 0.8500000000000014, 1.25, \
+0.6999999999999993, 0.5999999999999979, 0.5, 1.0]}, "pending": \
+[1.0500000000000007, 1.3999999999999986, 0.8000000000000007], \
+"pending_count": 3, "threshold": 1.4781240829963362}, "format": 1, \
+"last_t": 4.75, "sample_rate_hz": 4.0, "std": {"count": 20, "tails": \
+[[-60.6], [-60.1]]}, "stream_ids": ["a", "b"], "windows": {"completed": \
+[[3.25, 3.5]], "last_anomalous_t": null, "window_start": null}, \
+"zones": null}"""
+
+_NULL_DETECTOR_MATRIX = [
+    [-60.0, -59.7], [-60.3, -60.9], [-60.5, -61.0], [-59.9, -58.7],
+    [-60.5, -60.6], [-59.5, -59.6], [-59.9, -60.9], [-60.0, -59.3],
+    [-61.3, -60.5], [-61.9, -61.3], [-61.8, -60.2], [-61.3, -59.7],
+    [-59.8, -60.2], [-62.5, -60.5], [-60.0, -59.9], [-61.5, -60.5],
+    [-61.0, -60.8], [-58.9, -60.8], [-60.0, -59.1], [-60.6, -60.1],
+    [-59.9, -59.9], [-61.2, -59.9], [-58.6, -61.5], [-59.1, -59.9],
+    [-54.6, -52.0], [-53.2, -55.2], [-53.9, -53.4], [-54.2, -53.3],
+    [-54.1, -53.3], [-52.6, -54.7], [-59.8, -60.5], [-59.9, -61.2],
+    [-60.6, -60.2], [-59.1, -58.9], [-61.3, -60.8], [-59.4, -62.0],
+    [-60.5, -60.1], [-58.7, -59.3], [-60.3, -60.4], [-60.3, -58.5],
+]
 
 
 def _sizes(n, chunk=37):
@@ -746,26 +800,23 @@ class TestWorkerFaults:
             runner, store,
             poll_interval_s=0.05, lease_ttl_s=30.0, timeout_s=120.0,
         )
-        inner_claim = None
-
-        def racing_claim(sim_key):
-            # The "competitor" lands the key's completed records after
-            # the load pass but before this worker's claim is granted.
-            if sim_key == raced_key:
-                for spec in by_key[sim_key]:
-                    key = runner.store_key(spec)
-                    result = donor_store.get(spec.name, key)
-                    store.put(spec.name, key, result)
-            return inner_claim(sim_key)
-
         original_run = runner.run
 
-        def wrapped_run(store=None, *, claim_filter=None, **kwargs):
-            nonlocal inner_claim
-            inner_claim = claim_filter
-            return original_run(
-                store=store, claim_filter=racing_claim, **kwargs
-            )
+        def wrapped_run(store=None, *, claims=None):
+            inner_claim = claims.claim
+
+            def racing_claim(sim_key):
+                # The "competitor" lands the key's completed records after
+                # the load pass but before this worker's claim is granted.
+                if sim_key == raced_key:
+                    for spec in by_key[sim_key]:
+                        key = runner.store_key(spec)
+                        result = donor_store.get(spec.name, key)
+                        store.put(spec.name, key, result)
+                return inner_claim(sim_key)
+
+            claims.claim = racing_claim
+            return original_run(store=store, claims=claims)
 
         runner.run = wrapped_run
         report = worker.run()

@@ -221,13 +221,13 @@ class TestCooperativeRun:
     def serial_dict(self):
         return make_runner(small_grid()).run().to_dict()
 
-    def test_claim_filter_requires_store(self):
-        with pytest.raises(ValueError, match="claim_filter"):
-            make_runner(small_grid()).run(claim_filter=lambda key: True)
-
     def test_claim_nothing_is_a_complete_noop(self, tmp_path, serial_dict):
+        class ClaimNothing:
+            def claim(self, sim_key):
+                return False
+
         runner = make_runner(small_grid())
-        report = runner.run(store=SweepStore(tmp_path), claim_filter=lambda key: False)
+        report = runner.run(store=SweepStore(tmp_path), claims=ClaimNothing())
         stats = runner.last_run_stats
         assert stats.n_analyzed == 0 and stats.n_day_tasks == 0
         assert stats.n_unclaimed == len(serial_dict["scenarios"])

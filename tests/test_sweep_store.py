@@ -3,9 +3,6 @@
 Locks the contracts of :mod:`repro.analysis.sweep_store` and the store
 integration of :mod:`repro.analysis.scenarios`:
 
-* the component codec round-trips every configuration dataclass a scenario
-  is made of into value-equal objects, and the content hash separates
-  value changes from renames;
 * ``SweepStore`` records are atomic, name-keyed files that never serve a
   result whose key (root seed, sim index, configuration content...) does
   not match — changed configurations invalidate, they are never reused;
@@ -33,19 +30,10 @@ from repro.analysis.scenarios import (
     ScenarioSweepRunner,
     SweepReport,
 )
-from repro.analysis.sweep_store import (
-    StoreStats,
-    SweepStore,
-    component_from_dict,
-    component_to_dict,
-    content_hash,
-    register_component,
-    name_slug,
-)
+from repro.analysis.sweep_store import StoreStats, SweepStore, name_slug
 from repro.core.config import FadewichConfig
 from repro.ml.metrics import DetectionCounts
-from repro.radio.channel import ChannelConfig
-from repro.radio.office import paper_office, wide_office
+from repro.radio.office import paper_office
 from repro.simulation.runner import CampaignRunner
 
 
@@ -77,62 +65,6 @@ def counting_run_tasks(monkeypatch):
 
     monkeypatch.setattr(CampaignRunner, "run_tasks", counting)
     return executed
-
-
-class TestComponentCodec:
-    @pytest.mark.parametrize(
-        "component",
-        [
-            FadewichConfig(),
-            FadewichConfig().derive(t_delta_s=6.0, md={"alpha": 2.0}),
-            ChannelConfig(),
-            ChannelConfig(slow_drift_sigma_db=0.25),
-            CampaignScale.compact(),
-            CampaignScale.paper().derive("paper-busy", departures_per_hour=2.0),
-            paper_office(),
-            wide_office(),
-            paper_office().with_sensors(["d1", "d2", "d3"]),
-        ],
-    )
-    def test_round_trip_equality(self, component):
-        encoded = component_to_dict(component)
-        # Must survive an actual JSON round trip, not just the codec.
-        decoded = component_from_dict(json.loads(json.dumps(encoded)))
-        assert decoded == component
-        assert type(decoded) is type(component)
-
-    def test_content_hash_value_based(self):
-        assert content_hash(FadewichConfig()) == content_hash(FadewichConfig())
-        assert content_hash(FadewichConfig()) != content_hash(
-            FadewichConfig().derive(t_delta_s=6.0)
-        )
-        # A nested MD parameter change reaches the hash too.
-        assert content_hash(FadewichConfig()) != content_hash(
-            FadewichConfig().derive(md={"alpha": 2.0})
-        )
-        # Hash covers the component sequence, order included.
-        a, b = FadewichConfig(), ChannelConfig()
-        assert content_hash(a, b) != content_hash(b, a)
-
-    def test_unknown_type_decoding_rejected(self):
-        with pytest.raises(ValueError, match="unknown component type"):
-            component_from_dict({"__type__": "NoSuchThing", "x": 1})
-
-    def test_unencodable_object_rejected(self):
-        with pytest.raises(TypeError, match="cannot encode"):
-            component_to_dict(object())
-
-    def test_register_component(self):
-        import dataclasses
-
-        @register_component
-        @dataclasses.dataclass(frozen=True)
-        class _Custom:
-            value: float = 1.0
-
-        assert component_from_dict(component_to_dict(_Custom(2.5))) == _Custom(2.5)
-        with pytest.raises(TypeError, match="not a dataclass"):
-            register_component(int)
 
 
 class TestMDTableRowRoundTrip:
