@@ -22,6 +22,8 @@ substrates its evaluation needs:
   registry, per-recording cached store),
 * :mod:`repro.identity` — the canonical encoder, content digest and
   registry every layer keys by,
+* :mod:`repro.sliding` — the sliding-window kernel that every rolling
+  reduction's offline and streaming paths share,
 * :mod:`repro.zones` — zone-occupancy inference from per-link
   attenuation, offline and streaming.
 

@@ -24,6 +24,7 @@ from ..core.windows import true_window_for_event
 from ..ml.kde import GaussianKDE
 from ..mobility.events import EventKind
 from ..simulation.collector import CampaignRecording
+from ..sliding import sample_count
 
 __all__ = ["StdProfileResult", "compute_std_profile", "render_std_profile"]
 
@@ -70,7 +71,7 @@ def compute_std_profile(
     day = recording.days[day_index]
     trace = day.trace
     rate = 1.0 / trace.sample_interval
-    window_samples = max(int(round(cfg.md.std_window_s * rate)), 2)
+    window_samples = sample_count(cfg.md.std_window_s, rate)
     # The per-stream rolling matrix is the same shared feature matrix the
     # evaluation pipeline slices; summing its columns gives the s_t series.
     times, std_matrix = rolling_std_matrix(trace, window_samples)

@@ -73,6 +73,7 @@ from ..core.evaluation import CampaignStdFeatures
 from ..detectors import KdeMdDetector, get_detector
 from ..features.rolling import RollingStdExtractor
 from ..identity import decode, digest, encode
+from ..mobility.scheduler import CampaignSchedule
 from ..radio.channel import ChannelConfig
 from ..radio.office import OfficeLayout
 from ..simulation.collector import (
@@ -1044,6 +1045,27 @@ class ScenarioSweepRunner:
             self._root, SCENARIO_DOMAIN, self._sim_indices[spec.simulation_key()]
         )
 
+    def _plan(
+        self, spec: ScenarioSpec
+    ) -> Tuple[
+        np.random.SeedSequence,
+        CampaignCollector,
+        CampaignSchedule,
+        np.random.SeedSequence,
+    ]:
+        """A scenario's seed, collector, schedule and day seed base: the
+        plan :meth:`collect` simulates and :meth:`_zone_accuracy` replays."""
+        seed = self.scenario_seed(spec)
+        collector = CampaignCollector(
+            spec.layout, channel_config=spec.channel_config, seed=seed
+        )
+        schedule = collector.make_schedule(
+            spec.scale.n_days,
+            spec.scale.day_duration_s,
+            spec.scale.profiles_for(spec.layout),
+        )
+        return seed, collector, schedule, collector.next_generated_base()
+
     def _sensor_counts_for(self, spec: ScenarioSpec) -> List[int]:
         if self._grid is not None:
             return self._grid.sensor_counts_for(spec.layout)
@@ -1087,18 +1109,7 @@ class ScenarioSweepRunner:
             if needed_keys is not None and key not in needed_keys:
                 continue
             sim_specs[key] = spec
-            scenario_seed = self.scenario_seed(spec)
-            collector = CampaignCollector(
-                spec.layout,
-                channel_config=spec.channel_config,
-                seed=scenario_seed,
-            )
-            schedule = collector.make_schedule(
-                spec.scale.n_days,
-                spec.scale.day_duration_s,
-                spec.scale.profiles_for(spec.layout),
-            )
-            base = collector.next_generated_base()
+            scenario_seed, _, schedule, base = self._plan(spec)
             start = len(tasks)
             tasks.extend(
                 DayTask(
@@ -1197,18 +1208,7 @@ class ScenarioSweepRunner:
         """
         estimator = self._zone_estimator
         assert estimator is not None
-        scenario_seed = self.scenario_seed(spec)
-        collector = CampaignCollector(
-            spec.layout,
-            channel_config=spec.channel_config,
-            seed=scenario_seed,
-        )
-        schedule = collector.make_schedule(
-            spec.scale.n_days,
-            spec.scale.day_duration_s,
-            spec.scale.profiles_for(spec.layout),
-        )
-        base = collector.next_generated_base()
+        _, collector, schedule, base = self._plan(spec)
         store = features.store if features is not None else None
         total = ZoneAccuracy()
         for day, day_schedule in zip(recording.days, schedule.days):

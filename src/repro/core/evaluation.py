@@ -57,6 +57,7 @@ from ..radio.links import enumerate_stream_ids
 from ..radio.trace import RssiTrace
 from ..simulation.collector import CampaignRecording, DayRecording
 from ..simulation.dataset import LabeledSample, SampleDataset
+from ..sliding import sample_count
 from .config import FadewichConfig
 from .movement import (
     OfflineMDResult,
@@ -223,7 +224,7 @@ def _profile_init_samples(times: np.ndarray, config: FadewichConfig) -> int:
     if times.shape[0] < 2:
         raise ValueError("not enough samples for offline MD")
     rate = 1.0 / float(np.median(np.diff(times)))
-    return max(int(round(config.md.profile_init_s * rate)), 2)
+    return sample_count(config.md.profile_init_s, rate)
 
 
 def _evaluate_md_sets(

@@ -46,11 +46,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..detectors import KdeMdDetector
 from ..ml.kde import GaussianKDE, mixture_quantiles
 from ..radio.trace import RssiTrace, StreamBuffer
+from ..sliding import sample_count, sliding
 from .config import MDConfig
 from .windows import VariationWindow
 
@@ -237,10 +237,12 @@ class MovementDetector:
             raise ValueError("sample_rate_hz must be positive")
         self._config = config if config is not None else MDConfig()
         self._rate = sample_rate_hz
-        window_samples = max(int(round(self._config.std_window_s * sample_rate_hz)), 2)
-        init_samples = max(int(round(self._config.profile_init_s * sample_rate_hz)), 2)
-        self._tracker = StdSumTracker(stream_ids, window_samples)
-        self._profile = NormalProfile(self._config, init_samples)
+        self._tracker = StdSumTracker(
+            stream_ids, sample_count(self._config.std_window_s, sample_rate_hz)
+        )
+        self._profile = NormalProfile(
+            self._config, sample_count(self._config.profile_init_s, sample_rate_hz)
+        )
         self._window_start: Optional[float] = None
         self._last_anomalous_t: Optional[float] = None
         self._completed: List[VariationWindow] = []
@@ -388,30 +390,13 @@ def online_std_sum_series(
     """
     if window_samples < 2:
         raise ValueError("window_samples must be >= 2")
-    n, k = matrix.shape
-    out = np.full(n, np.nan)
-    if n < 2:
-        return out
-    w = min(window_samples, n)
-    # Partial windows (fill levels 2 .. w-1): a handful of steps, computed
-    # with the same per-stream np.std calls and left-to-right stream
-    # accumulation as the online tracker.
-    cols = [np.ascontiguousarray(matrix[:, j]) for j in range(k)]
-    for i in range(1, w - 1):
-        total = 0.0
-        for col in cols:
-            total += float(np.std(col[: i + 1]))
-        out[i] = total
-    # Full windows, vectorised per stream.  np.std over the rows of a
-    # sliding window view reduces the same values in the same order as the
-    # online tracker's per-window np.std, so the results are bit-identical;
-    # streams are accumulated left to right exactly like the tracker.
-    acc: Optional[np.ndarray] = None
-    for col in cols:
-        stds = np.std(sliding_window_view(col, w), axis=1)
-        acc = stds if acc is None else acc + stds
-    out[w - 1 :] = acc
-    return out
+    # The same per-stream sliding std and left-to-right stream sum as the
+    # online tracker and OnlineStdSum.
+    total = np.full(matrix.shape[0], np.nan)
+    for j in range(matrix.shape[1]):
+        stds = sliding(matrix[:, j], window_samples, np.std, first=1)
+        total = stds if j == 0 else total + stds
+    return total
 
 
 @dataclass(frozen=True)
@@ -652,13 +637,11 @@ def _offline_series(
         times, std_sums = precomputed
     else:
         rate = 1.0 / trace.sample_interval
-        window_samples = max(int(round(cfg.std_window_s * rate)), 2)
-        times, std_sums = rolling_std_sum(trace, window_samples)
+        times, std_sums = rolling_std_sum(trace, sample_count(cfg.std_window_s, rate))
     if times.shape[0] < 2:
         raise ValueError("not enough samples for offline MD")
     rate = 1.0 / float(np.median(np.diff(times)))
-    init_samples = max(int(round(cfg.profile_init_s * rate)), 2)
-    return times, std_sums, init_samples
+    return times, std_sums, sample_count(cfg.profile_init_s, rate)
 
 
 def detect_offline_scalar(

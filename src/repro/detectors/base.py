@@ -44,6 +44,7 @@ that also makes their configs decodable from stored sweep records.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -86,3 +87,34 @@ DETECTORS = Registry("detector", ("offline_grid", "streaming_engine"))
 register_detector = DETECTORS.register
 detector_names = DETECTORS.names
 get_detector = DETECTORS.get
+
+
+def column_grid(
+    column: Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]],
+    std_sums,
+    init_samples: int,
+) -> DetectionGrid:
+    """An ``offline_grid`` from ``column(values, init_samples) -> (decisions,
+    thresholds)``, called once per contiguous column of ``std_sums``."""
+    matrix = np.asarray(std_sums, dtype=float)
+    if matrix.ndim != 2:
+        raise ValueError(f"std_sums must be 2-D, got shape {matrix.shape}")
+    if init_samples < 2:
+        raise ValueError(f"init_samples must be >= 2, got {init_samples}")
+    decisions = np.empty(matrix.shape, dtype=np.int8)
+    thresholds = np.empty(matrix.shape)
+    for col in range(matrix.shape[1]):
+        decisions[:, col], thresholds[:, col] = column(
+            np.ascontiguousarray(matrix[:, col]), init_samples
+        )
+    return DetectionGrid(decisions=decisions, thresholds=thresholds)
+
+
+def calibrated_threshold(
+    init_values: Sequence[float], scale: float, floor: float
+) -> float:
+    """The init-window threshold ``max(scale × median(init_values), floor)``
+    (an empty window has median 0)."""
+    values = np.asarray(init_values, dtype=float)
+    base = float(np.median(values)) if values.size else 0.0
+    return max(scale * base, floor)

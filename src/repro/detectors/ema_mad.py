@@ -19,11 +19,11 @@ trace first materialises at ``init_samples - 1``, mirroring the KDE
 grid's convention.
 
 Two engines, one contract: :meth:`EmaMadDetector.offline_grid` is the
-full-array reference (``sliding_window_view`` stds/medians over whole
-columns), :meth:`EmaMadDetector.streaming_engine` the bounded-state
-incremental engine (a carry tail of the last ``long_window - 1`` smoothed
-values, kept in arrival order — the ``OnlineStdSum`` pattern).  Both
-apply the same numpy reductions to the same value sequences, so their
+full-array reference, :meth:`EmaMadDetector.streaming_engine` the
+bounded-state incremental engine over a :class:`~repro.sliding.Carry` of
+the last ``long_window - 1`` smoothed values.  The short-window std runs
+through :func:`repro.sliding.sliding` and the long-window median/MAD
+through :meth:`EmaMadDetector._median_mad`, on both paths, so their
 outputs are bitwise identical under any batch split; the tier-1
 registry-parametrized hypothesis suite enforces it.
 """
@@ -37,7 +37,13 @@ from typing import ClassVar, List, Optional, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import DetectionGrid, register_detector
+from ..sliding import Carry, sliding
+from .base import (
+    DetectionGrid,
+    calibrated_threshold,
+    column_grid,
+    register_detector,
+)
 
 __all__ = ["EmaMadDetector"]
 
@@ -61,14 +67,18 @@ _MAD_SIGMA = 1.4826
 _MAD_TINY = 1e-9
 
 
-def _ema_series(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-step python-float EMA recursion (both engines share it)."""
+def _ema_series(
+    values: np.ndarray, alpha: float, e: Optional[float] = None
+) -> Tuple[np.ndarray, Optional[float]]:
+    """Per-step python-float EMA recursion from state ``e``: ``(series, e)``.
+
+    Both engines share it; the streaming one carries ``e`` across batches.
+    """
     out = np.empty(values.size)
-    e: Optional[float] = None
     for i, v in enumerate(values.tolist()):
         e = v if e is None else alpha * v + (1.0 - alpha) * e
         out[i] = e
-    return out
+    return out, e
 
 
 def _sorted_mid(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -260,21 +270,33 @@ class EmaMadDetector:
     # -- offline reference -------------------------------------------------
 
     def offline_grid(self, std_sums, config, init_samples: int) -> DetectionGrid:
-        matrix = np.asarray(std_sums, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(f"std_sums must be 2-D, got shape {matrix.shape}")
-        if init_samples < 2:
-            raise ValueError(f"init_samples must be >= 2, got {init_samples}")
-        n, n_cols = matrix.shape
-        decisions = np.empty((n, n_cols), dtype=np.int8)
-        thresholds = np.empty((n, n_cols))
-        for col in range(n_cols):
-            dec, thr = self._offline_column(
-                np.ascontiguousarray(matrix[:, col]), init_samples
+        return column_grid(self._offline_column, std_sums, init_samples)
+
+    def _median_mad(
+        self, ema: np.ndarray, new: int, seen: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Long-window ``(median, MAD)`` at the last ``new`` entries of ``ema``.
+
+        Laid out like :func:`repro.sliding.sliding` with ``first =
+        min_long - 1``: NaN until ``min_long`` values exist, then prefix
+        statistics in one vectorised pass, then full windows.
+        """
+        long_w = self.long_window
+        tail = ema.size - new
+        med = np.full(new, np.nan)
+        mad = np.full(new, np.nan)
+        lo = max(self.min_long - 1 - seen, 0)
+        full = max(long_w - 1 - seen, 0)
+        hi = min(full, new)
+        if lo < hi:
+            med[lo:hi], mad[lo:hi] = _prefix_median_mad(
+                ema, tail + np.arange(lo, hi)
             )
-            decisions[:, col] = dec
-            thresholds[:, col] = thr
-        return DetectionGrid(decisions=decisions, thresholds=thresholds)
+        if full < new:
+            med[full:], mad[full:] = _window_median_mad(
+                ema[tail + full - long_w + 1 :], long_w
+            )
+        return med, mad
 
     def _offline_column(
         self, values: np.ndarray, init_samples: int
@@ -282,72 +304,42 @@ class EmaMadDetector:
         n = values.size
         decisions = np.full(n, -1, dtype=np.int8)
         thresholds = np.full(n, np.nan)
-        if n == 0:
-            return decisions, thresholds
-        ema = _ema_series(values, self.ema_alpha)
-        w, long_w = self.short_window, self.long_window
-
-        # Short-window std of the smoothed series: defined from 2 values
-        # (partial head), full windows vectorised.
-        stds = np.full(n, np.nan)
-        for i in range(1, min(w - 1, n)):
-            stds[i] = np.std(ema[: i + 1])
-        if n >= w:
-            stds[w - 1 :] = np.std(sliding_window_view(ema, w), axis=1)
-
-        # Long-window median/MAD: defined once min_long values exist.
-        med = np.full(n, np.nan)
-        mad = np.full(n, np.nan)
-        lo, hi = self.min_long - 1, min(long_w - 1, n)
-        if lo < hi:
-            med[lo:hi], mad[lo:hi] = _prefix_median_mad(
-                ema, np.arange(lo, hi)
-            )
-        if n >= long_w:
-            med[long_w - 1 :], mad[long_w - 1 :] = _window_median_mad(
-                ema, long_w
-            )
+        ema, _ = _ema_series(values, self.ema_alpha)
+        stds = sliding(ema, self.short_window, np.std, first=1)
+        med, mad = self._median_mad(ema, n, 0)
 
         if n < init_samples:
             return decisions, thresholds
-
-        # Calibrate the energy threshold on the init window, then walk the
-        # hysteresis state machine over the remainder.
-        calib = stds[1:init_samples]
-        base = float(np.median(calib)) if calib.size else 0.0
-        eff = max(self.threshold_scale * base, _EFF_FLOOR)
+        eff = calibrated_threshold(
+            stds[1:init_samples], self.threshold_scale, _EFF_FLOOR
+        )
         thresholds[init_samples - 1 :] = eff
-        down = eff * self.down_ratio
-        # Vectorised trigger/exit evidence (same IEEE ops as the scalar
-        # streaming walk), then the inherently sequential two-state
-        # hysteresis over plain python bools.
-        s_tail = stds[init_samples:]
-        mad_tail = mad[init_samples:]
-        rs = np.where(mad_tail > _MAD_TINY, mad_tail * _MAD_SIGMA, 0.0)
-        dev = np.zeros(n - init_samples)
-        robust = rs > _MAD_TINY
-        dev[robust] = (
-            np.abs(ema[init_samples:] - med[init_samples:])[robust]
-            / rs[robust]
+        decisions[init_samples:], _ = self._hysteresis(
+            init_samples, stds, ema, med, mad, eff, eff * self.down_ratio, False
         )
-        trig_tail = np.where(
-            np.isnan(med[init_samples:]),
-            s_tail > eff,
-            (dev > self.dev_factor) | (s_tail > eff),
-        )
-        exit_tail = s_tail < down
-        active = False
-        out = decisions[init_samples:]
-        for i, (trig, drop) in enumerate(
-            zip(trig_tail.tolist(), exit_tail.tolist())
-        ):
-            if active:
-                if drop:
-                    active = False
-            elif trig:
-                active = True
-            out[i] = 1 if active else 0
         return decisions, thresholds
+
+    def _hysteresis(self, j, stds, ema, med, mad, eff, down, active):
+        """``(decisions, active)`` of the walk over instants ``j`` onwards.
+
+        Vectorised trigger/exit evidence, then the inherently sequential
+        two-state hysteresis over plain python bools, starting from
+        ``active``; both engines run it on their post-init instants.
+        """
+        stds, ema, med, mad = stds[j:], ema[j:], med[j:], mad[j:]
+        rs = np.where(mad > _MAD_TINY, mad * _MAD_SIGMA, 0.0)
+        dev = np.zeros(stds.size)
+        robust = rs > _MAD_TINY
+        dev[robust] = np.abs(ema - med)[robust] / rs[robust]
+        trig = np.where(
+            np.isnan(med), stds > eff, (dev > self.dev_factor) | (stds > eff)
+        )
+        decisions = np.empty(stds.size, dtype=np.int8)
+        exits = (stds < down).tolist()
+        for i, (trigger, exit_) in enumerate(zip(trig.tolist(), exits)):
+            active = not exit_ if active else trigger
+            decisions[i] = active
+        return decisions, active
 
     # -- streaming engine --------------------------------------------------
 
@@ -358,14 +350,13 @@ class EmaMadDetector:
 class EmaMadEngine:
     """Incremental :class:`EmaMadDetector` over one scalar series.
 
-    Bounded state: the EMA accumulator, a carry tail of the last
-    ``long_window - 1`` *smoothed* values in arrival order (one tail
-    serves both the short and long windows since ``long_window >=
-    short_window``), the init-window calibration buffer and the hysteresis
-    flag.  ``extend`` applies the same reductions as the offline column —
-    prefix stds/medians for the partial head, ``sliding_window_view``
-    rows once windows fill — so its concatenated output is bitwise equal
-    to the reference whatever the batch splits.
+    Bounded state: the EMA accumulator, a :class:`~repro.sliding.Carry` of
+    the last ``long_window - 1`` *smoothed* values (one carry serves both
+    windows since ``long_window >= short_window``), the init-window
+    calibration buffer and the hysteresis flag.  ``extend`` applies the
+    offline column's reductions to the carried values, so its
+    concatenated output is bitwise equal to the reference whatever the
+    batch splits.
     """
 
     def __init__(self, detector: EmaMadDetector, init_samples: int) -> None:
@@ -373,9 +364,8 @@ class EmaMadEngine:
             raise ValueError(f"init_samples must be >= 2, got {init_samples}")
         self._det = detector
         self._init = int(init_samples)
-        self._count = 0
         self._ema_last: Optional[float] = None
-        self._carry = np.empty(0)
+        self._carry = Carry(detector.long_window - 1, ["ema"])
         self._calib: List[float] = []
         self._eff: Optional[float] = None
         self._down = np.nan
@@ -383,10 +373,11 @@ class EmaMadEngine:
 
     def snapshot(self) -> dict:
         """JSON-ready bounded state (``down`` may be NaN pre-calibration)."""
+        carry = self._carry.snapshot()
         return {
-            "count": self._count,
+            "count": carry["count"],
             "ema_last": self._ema_last,
-            "carry": self._carry.tolist(),
+            "carry": carry["tails"][0],
             "calib": list(self._calib),
             "eff": self._eff,
             "down": self._down,
@@ -395,12 +386,9 @@ class EmaMadEngine:
 
     def restore(self, state: dict) -> None:
         """Overwrite the mutable state from a :meth:`snapshot` dict."""
-        self._count = int(state["count"])
+        self._carry.restore({"count": state["count"], "tails": [state["carry"]]})
         ema_last = state["ema_last"]
         self._ema_last = None if ema_last is None else float(ema_last)
-        self._carry = np.ascontiguousarray(
-            np.asarray(state["carry"], dtype=float)
-        )
         self._calib = [float(v) for v in state["calib"]]
         eff = state["eff"]
         self._eff = None if eff is None else float(eff)
@@ -410,96 +398,30 @@ class EmaMadEngine:
     def extend(self, values) -> Tuple[np.ndarray, np.ndarray]:
         """Consume one batch; return its (decisions, thresholds)."""
         det = self._det
-        batch = np.ascontiguousarray(values, dtype=float).ravel()
+        batch = np.asarray(values, dtype=float).ravel()
         m = batch.size
         decisions = np.full(m, -1, dtype=np.int8)
         thresholds = np.full(m, np.nan)
-        if m == 0:
-            return decisions, thresholds
+        ema_b, self._ema_last = _ema_series(batch, det.ema_alpha, self._ema_last)
+        (ext,), c0 = self._carry.push(ema_b[:, None])
+        stds_b = sliding(ext, det.short_window, np.std, new=m, seen=c0, first=1)
+        med_b, mad_b = det._median_mad(ext, m, c0)
 
-        # Smooth, then extend the carried tail so window reductions see
-        # the same contiguous value sequences the offline column does.
-        ema_b = np.empty(m)
-        e = self._ema_last
-        for j, v in enumerate(batch.tolist()):
-            e = v if e is None else det.ema_alpha * v + (1.0 - det.ema_alpha) * e
-            ema_b[j] = e
-        self._ema_last = e
-        c0 = self._count
-        tail = self._carry.size  # == min(c0, long_window - 1)
-        ext = np.concatenate((self._carry, ema_b)) if tail else ema_b
-        w, long_w = det.short_window, det.long_window
-
-        # Short-window stds for this batch (global index g = c0 + j).
-        stds_b = np.full(m, np.nan)
-        head_lo = max(1 - c0, 0)
-        head_hi = min(max(w - 1 - c0, 0), m)
-        for j in range(head_lo, head_hi):
-            stds_b[j] = np.std(ext[: tail + j + 1])
-        j0 = max(w - 1 - c0, 0)
-        if j0 < m:
-            rows = sliding_window_view(ext, w)
-            stds_b[j0:] = np.std(rows[tail + j0 - w + 1 :], axis=1)
-
-        # Long-window median/MAD for this batch.
-        med_b = np.full(m, np.nan)
-        mad_b = np.full(m, np.nan)
-        part_lo = max(det.min_long - 1 - c0, 0)
-        part_hi = min(max(long_w - 1 - c0, 0), m)
-        if part_lo < part_hi:
-            ends = tail + np.arange(part_lo, part_hi)
-            med_b[part_lo:part_hi], mad_b[part_lo:part_hi] = (
-                _prefix_median_mad(ext, ends)
-            )
-        jl = max(long_w - 1 - c0, 0)
-        if jl < m:
-            # The slice holds the previous long_w - 1 smoothed values plus
-            # the batch's remainder: exactly the m - jl full windows, same
-            # contiguous values as the offline column's.
-            start = tail + jl - long_w + 1
-            med_b[jl:], mad_b[jl:] = _window_median_mad(ext[start:], long_w)
-
-        # Calibration + hysteresis, one step at a time.
-        for j in range(m):
-            g = c0 + j
-            s = float(stds_b[j])
-            if self._eff is None:
-                if 1 <= g <= self._init - 1:
-                    self._calib.append(s)
-                if g == self._init - 1:
-                    base = (
-                        float(np.median(np.asarray(self._calib)))
-                        if self._calib
-                        else 0.0
-                    )
-                    self._eff = max(det.threshold_scale * base, _EFF_FLOOR)
-                    self._down = self._eff * det.down_ratio
-                    self._calib = []
-            if self._eff is None:
-                continue
-            if g >= self._init - 1:
-                thresholds[j] = self._eff
-            if g < self._init:
-                continue
-            if not np.isnan(med_b[j]):
-                madv = float(mad_b[j])
-                rs = madv * _MAD_SIGMA if madv > _MAD_TINY else 0.0
-                dev = (
-                    abs(float(ema_b[j]) - float(med_b[j])) / rs
-                    if rs > _MAD_TINY
-                    else 0.0
+        if self._eff is None:
+            # Calibrate once the init window's stds (positions 1 ..
+            # init_samples - 1) have all been seen.
+            lo, hi = max(1 - c0, 0), max(self._init - c0, 0)
+            self._calib.extend(stds_b[lo:hi].tolist())
+            if c0 + m >= self._init:
+                self._eff = calibrated_threshold(
+                    self._calib, det.threshold_scale, _EFF_FLOOR
                 )
-                trig = dev > det.dev_factor or s > self._eff
-            else:
-                trig = s > self._eff
-            if self._active:
-                if s < self._down:
-                    self._active = False
-            elif trig:
-                self._active = True
-            decisions[j] = 1 if self._active else 0
-
-        self._count = c0 + m
-        keep = min(self._count, long_w - 1)
-        self._carry = ext[len(ext) - keep :].copy() if keep else ext[:0].copy()
+                self._down = self._eff * det.down_ratio
+                self._calib = []
+        if self._eff is not None:
+            thresholds[max(self._init - 1 - c0, 0) :] = self._eff
+            j = max(self._init - c0, 0)
+            decisions[j:], self._active = det._hysteresis(
+                j, stds_b, ema_b, med_b, mad_b, self._eff, self._down, self._active
+            )
         return decisions, thresholds

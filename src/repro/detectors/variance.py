@@ -15,11 +15,10 @@ initialisation; the threshold trace first materialises at
 ``init_samples - 1`` (the KDE grid's convention).
 
 :meth:`VarianceThresholdDetector.offline_grid` is the full-array
-reference; :meth:`VarianceThresholdDetector.streaming_engine` keeps only
-a carry tail of the last ``window - 1`` raw values (arrival order) and
-applies the same numpy reductions to the same value sequences, so the
-two are bitwise identical under arbitrary batch splits — enforced by the
-registry-parametrized hypothesis suite in tier-1.
+reference and :meth:`VarianceThresholdDetector.streaming_engine` its
+bounded-state twin; both take rolling variances through
+:mod:`repro.sliding`, so they are bitwise identical under arbitrary batch
+splits — enforced by the registry-parametrized hypothesis suite in tier-1.
 """
 
 from __future__ import annotations
@@ -28,9 +27,14 @@ from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .base import DetectionGrid, register_detector
+from ..sliding import Carry, sliding
+from .base import (
+    DetectionGrid,
+    calibrated_threshold,
+    column_grid,
+    register_detector,
+)
 
 __all__ = ["VarianceThresholdDetector"]
 
@@ -60,21 +64,7 @@ class VarianceThresholdDetector:
     # -- offline reference -------------------------------------------------
 
     def offline_grid(self, std_sums, config, init_samples: int) -> DetectionGrid:
-        matrix = np.asarray(std_sums, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(f"std_sums must be 2-D, got shape {matrix.shape}")
-        if init_samples < 2:
-            raise ValueError(f"init_samples must be >= 2, got {init_samples}")
-        n, n_cols = matrix.shape
-        decisions = np.empty((n, n_cols), dtype=np.int8)
-        thresholds = np.empty((n, n_cols))
-        for col in range(n_cols):
-            dec, thr = self._offline_column(
-                np.ascontiguousarray(matrix[:, col]), init_samples
-            )
-            decisions[:, col] = dec
-            thresholds[:, col] = thr
-        return DetectionGrid(decisions=decisions, thresholds=thresholds)
+        return column_grid(self._offline_column, std_sums, init_samples)
 
     def _offline_column(
         self, values: np.ndarray, init_samples: int
@@ -82,22 +72,13 @@ class VarianceThresholdDetector:
         n = values.size
         decisions = np.full(n, -1, dtype=np.int8)
         thresholds = np.full(n, np.nan)
-        if n == 0:
-            return decisions, thresholds
-        w = self.window
-        # Fewer than 2 samples -> 0.0, the exemplar's convention; partial
-        # head from 2 values, full windows vectorised.
-        variances = np.zeros(n)
-        for i in range(1, min(w - 1, n)):
-            variances[i] = np.var(values[: i + 1])
-        if n >= w:
-            variances[w - 1 :] = np.var(sliding_window_view(values, w), axis=1)
-
         if n < init_samples:
             return decisions, thresholds
-        calib = variances[1:init_samples]
-        base = float(np.median(calib)) if calib.size else 0.0
-        eff = max(self.threshold_scale * base, _EFF_FLOOR)
+        # Fewer than 2 samples -> 0.0, the exemplar's convention.
+        variances = sliding(values, self.window, np.var, first=1, fill=0.0)
+        eff = calibrated_threshold(
+            variances[1:init_samples], self.threshold_scale, _EFF_FLOOR
+        )
         thresholds[init_samples - 1 :] = eff
         decisions[init_samples:] = variances[init_samples:] > eff
         return decisions, thresholds
@@ -111,11 +92,11 @@ class VarianceThresholdDetector:
 class VarianceEngine:
     """Incremental :class:`VarianceThresholdDetector` over one series.
 
-    State is the last ``window - 1`` raw values (arrival order), the
-    sample count, the calibration buffer and — once calibrated — the
-    effective threshold.  Stateless past calibration: each decision reads
-    only the current rolling variance, so the post-init batch path is
-    fully vectorised.
+    State is a :class:`~repro.sliding.Carry` of the last ``window - 1``
+    values, the calibration buffer and — once calibrated — the effective
+    threshold.  Stateless past calibration: each decision reads only the
+    current rolling variance, so the post-init batch path is fully
+    vectorised.
     """
 
     def __init__(self, detector: VarianceThresholdDetector, init_samples: int) -> None:
@@ -123,76 +104,49 @@ class VarianceEngine:
             raise ValueError(f"init_samples must be >= 2, got {init_samples}")
         self._det = detector
         self._init = int(init_samples)
-        self._count = 0
-        self._carry = np.empty(0)
+        self._carry = Carry(detector.window - 1, ["s_t"])
         self._calib: List[float] = []
         self._eff: Optional[float] = None
 
     def snapshot(self) -> dict:
         """JSON-ready bounded state of the rolling-variance engine."""
+        carry = self._carry.snapshot()
         return {
-            "count": self._count,
-            "carry": self._carry.tolist(),
+            "count": carry["count"],
+            "carry": carry["tails"][0],
             "calib": list(self._calib),
             "eff": self._eff,
         }
 
     def restore(self, state: dict) -> None:
         """Overwrite the mutable state from a :meth:`snapshot` dict."""
-        self._count = int(state["count"])
-        self._carry = np.ascontiguousarray(
-            np.asarray(state["carry"], dtype=float)
-        )
+        self._carry.restore({"count": state["count"], "tails": [state["carry"]]})
         self._calib = [float(v) for v in state["calib"]]
         eff = state["eff"]
         self._eff = None if eff is None else float(eff)
 
     def extend(self, values) -> Tuple[np.ndarray, np.ndarray]:
         """Consume one batch; return its (decisions, thresholds)."""
-        batch = np.ascontiguousarray(values, dtype=float).ravel()
+        batch = np.asarray(values, dtype=float).ravel()
         m = batch.size
         decisions = np.full(m, -1, dtype=np.int8)
         thresholds = np.full(m, np.nan)
-        if m == 0:
-            return decisions, thresholds
-        c0 = self._count
-        tail = self._carry.size  # == min(c0, window - 1)
-        ext = np.concatenate((self._carry, batch)) if tail else batch
-        w = self._det.window
-
-        # Rolling variances for this batch (global index g = c0 + j).
-        var_b = np.zeros(m)
-        head_lo = max(1 - c0, 0)
-        head_hi = min(max(w - 1 - c0, 0), m)
-        for j in range(head_lo, head_hi):
-            var_b[j] = np.var(ext[: tail + j + 1])
-        j0 = max(w - 1 - c0, 0)
-        if j0 < m:
-            rows = sliding_window_view(ext, w)
-            var_b[j0:] = np.var(rows[tail + j0 - w + 1 :], axis=1)
+        (ext,), c0 = self._carry.push(batch[:, None])
+        var_b = sliding(
+            ext, self._det.window, np.var, new=m, seen=c0, first=1, fill=0.0
+        )
 
         # Calibrate once init_samples values have been seen, then compare.
         if self._eff is None:
-            lo = max(1 - c0, 0)
-            hi = min(max(self._init - c0, 0), m)
-            if hi > lo:
-                self._calib.extend(float(v) for v in var_b[lo:hi])
+            lo, hi = max(1 - c0, 0), max(self._init - c0, 0)
+            self._calib.extend(var_b[lo:hi].tolist())
             if c0 + m >= self._init:
-                base = (
-                    float(np.median(np.asarray(self._calib)))
-                    if self._calib
-                    else 0.0
+                self._eff = calibrated_threshold(
+                    self._calib, self._det.threshold_scale, _EFF_FLOOR
                 )
-                self._eff = max(self._det.threshold_scale * base, _EFF_FLOOR)
                 self._calib = []
         if self._eff is not None:
-            thr_j = max(self._init - 1 - c0, 0)
-            thresholds[thr_j:] = self._eff
-            dec_j = max(self._init - c0, 0)
-            if dec_j < m:
-                decisions[dec_j:] = var_b[dec_j:] > self._eff
-
-        self._count = c0 + m
-        keep = min(self._count, w - 1)
-        self._carry = ext[len(ext) - keep :].copy()
+            thresholds[max(self._init - 1 - c0, 0) :] = self._eff
+            j = max(self._init - c0, 0)
+            decisions[j:] = var_b[j:] > self._eff
         return decisions, thresholds

@@ -5,11 +5,10 @@ all consume the same shape of input: per-day ``(times, matrix,
 column_of_stream)`` blocks derived from a campaign's RSSI traces.  This
 package turns the derivation into a first-class seam:
 
-- :mod:`repro.features.base` defines the :class:`FeatureExtractor`
-  contract (a frozen config dataclass with a ``day_block`` method) and
-  its registry; caches and sweep stores key on the extractor's
-  :func:`repro.identity.digest` — *what* was extracted rather than
-  object identity.
+- :mod:`repro.features.base` defines the extractor contract (any frozen
+  config dataclass with a ``name`` and a ``day_block`` method) and the
+  ``EXTRACTORS`` registry; caches and sweep stores key on an extractor's
+  :func:`repro.identity.digest` — *what* was extracted, not identity.
 - :mod:`repro.features.store` provides :class:`FeatureStore`, the
   per-recording cache of extractor blocks keyed by (extractor digest,
   day).  It validates day membership, so a ``DayRecording``

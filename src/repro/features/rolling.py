@@ -4,9 +4,9 @@ This is the derivation every golden in the tier-1 suite was pinned
 against, lifted verbatim out of ``core/evaluation.py``: window length
 from the configured std window and the trace's median sample interval,
 then :func:`repro.core.movement.rolling_std_matrix` over all streams.
-Keeping the expression identical (same rounding, same minimum window of
-two samples) keeps the KDE detection path through the feature store
-bit-identical to the pre-refactor code.
+Keeping the expression identical (:func:`repro.sliding.sample_count`) keeps
+the KDE detection path through the feature store bit-identical to the
+pre-refactor code.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar
 
 from ..core.movement import rolling_std_matrix
+from ..sliding import sample_count
 from .base import FeatureBlock, register_extractor
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -48,7 +49,7 @@ class RollingStdExtractor:
         """Rolling-std block for one day, columns in trace stream order."""
         trace = day.trace
         rate = 1.0 / trace.sample_interval
-        window_samples = max(int(round(self.std_window_s * rate)), 2)
+        window_samples = sample_count(self.std_window_s, rate)
         times, matrix = rolling_std_matrix(trace, window_samples)
         columns = {sid: j for j, sid in enumerate(trace.stream_ids)}
         return times, matrix, columns

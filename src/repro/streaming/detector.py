@@ -20,25 +20,11 @@ Three bounded-state pieces compose :class:`OnlineDetector`:
   :class:`~repro.core.movement.MovementDetector` and the closed form of
   :func:`~repro.core.movement.window_duration_series`.
 
-Bit-exactness notes
--------------------
-
-The offline reference computes the partial-window head with per-instant
-``np.std`` over all samples so far and the full windows with ``np.std``
-over ``sliding_window_view`` rows, accumulating streams left to right.
-:class:`OnlineStdSum` performs the *same reductions on the same
-contiguous memory layout*: the carry tail plus the incoming batch form
-one contiguous per-stream array whose slices hold exactly the values the
-offline column slices hold, so every ``np.std`` sees identical input in
-identical order.  A ring buffer with wrap-around would present the same
-values in rotated order and break bitwise equality of the pairwise
-summation inside ``np.std`` — which is why the carry is materialised in
-arrival order instead.
-
-Per-sample cost is therefore O(``window_samples`` × ``n_streams``) — the
-reduction itself — and independent of how many samples the stream has
-already delivered; state is O(``window_samples`` × ``n_streams`` +
-profile window).
+Bit-exactness of ``s_t`` under any batch split comes from
+:mod:`repro.sliding`, which the offline series shares.  Per-sample cost is
+O(``window_samples`` × ``n_streams``) — the reduction itself — and
+independent of how many samples the stream has already delivered; state
+is O(``window_samples`` × ``n_streams`` + profile window).
 
 Checkpoint/restore
 ------------------
@@ -52,7 +38,9 @@ detector restored from a JSON-serialised snapshot continues the stream
 **bitwise identically** to one that was never interrupted, at any cut
 point (partial-window head included).  That is the property the
 reliability layer's kill/resume tests assert for every registered zoo
-engine, and what makes router shard restarts provably lossless.
+engine, and what makes router shard restarts provably lossless.  A
+snapshot whose carry tails do not hold ``min(count, window - 1)`` values
+is rejected at restore.
 """
 
 from __future__ import annotations
@@ -62,12 +50,12 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..core.config import MDConfig
 from ..core.windows import VariationWindow
 from ..detectors import DETECTORS, KdeMdDetector
 from ..ml.kde import GaussianKDE
+from ..sliding import Carry, sample_count, sliding
 
 __all__ = [
     "OnlineStdSum",
@@ -93,7 +81,9 @@ class OnlineStdSum:
     very first sample of the stream — a standard deviation needs two
     points).  Concatenating the outputs over any batching of a stream is
     bit-identical to :func:`~repro.core.movement.online_std_sum_series`
-    over the full sample matrix.
+    over the full sample matrix: both run :func:`repro.sliding.sliding`,
+    this one over a :class:`repro.sliding.Carry` of the last
+    ``window_samples - 1`` samples per stream.
     """
 
     def __init__(self, n_streams: int, window_samples: int) -> None:
@@ -103,13 +93,7 @@ class OnlineStdSum:
             raise ValueError("window_samples must be >= 2")
         self._k = int(n_streams)
         self._w = int(window_samples)
-        self._count = 0
-        # Last min(count, w - 1) samples per stream, contiguous, in
-        # arrival order — the carry that makes any batch boundary
-        # invisible to the window arithmetic.
-        self._tails: List[np.ndarray] = [
-            np.empty(0) for _ in range(self._k)
-        ]
+        self.reset()
 
     @property
     def window_samples(self) -> int:
@@ -122,81 +106,28 @@ class OnlineStdSum:
     @property
     def samples_seen(self) -> int:
         """Total samples consumed since construction / :meth:`reset`."""
-        return self._count
+        return self._carry.count
 
     def reset(self) -> None:
-        self._count = 0
-        self._tails = [np.empty(0) for _ in range(self._k)]
+        self._carry = Carry(self._w - 1, range(self._k))
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready bounded state: sample count + per-stream carry tails."""
-        return {
-            "count": self._count,
-            "tails": [tail.tolist() for tail in self._tails],
-        }
+        return self._carry.snapshot()
 
     def restore(self, state: Mapping[str, Any]) -> None:
         """Overwrite the mutable state from a :meth:`snapshot` dict."""
-        tails = state["tails"]
-        if len(tails) != self._k:
-            raise ValueError(
-                f"snapshot holds {len(tails)} stream tails, expected {self._k}"
-            )
-        self._count = int(state["count"])
-        self._tails = [
-            np.ascontiguousarray(np.asarray(tail, dtype=float))
-            for tail in tails
-        ]
+        self._carry.restore(state)
 
     def extend(self, matrix: np.ndarray) -> np.ndarray:
         """Consume one ``(m, n_streams)`` batch; return its ``s_t`` values."""
         matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] != self._k:
-            raise ValueError(
-                f"expected a (m, {self._k}) sample batch, got {matrix.shape}"
-            )
+        exts, seen = self._carry.push(matrix)
         m = matrix.shape[0]
-        out = np.full(m, np.nan)
-        if m == 0:
-            return out
-        w = self._w
-        c0 = self._count
-        # Carry + batch: per stream one contiguous array whose slices are
-        # exactly the offline column slices ending at each batch instant.
-        exts = [
-            np.concatenate([tail, np.ascontiguousarray(matrix[:, j])])
-            for j, tail in enumerate(self._tails)
-        ]
-        lt = exts[0].shape[0] - m
-
-        # Partial-window head (global fill levels 2 .. w-1): per-instant
-        # np.std over every sample so far, streams accumulated left to
-        # right — the same arithmetic as the offline partial head and the
-        # per-sample tracker.  The carry holds the *entire* history here
-        # (count <= w - 2 < w - 1), so ext[: lt + i + 1] is the full
-        # stream prefix.
-        head_lo = max(0, 1 - c0)
-        head_hi = min(m, max(0, (w - 1) - c0))
-        for i in range(head_lo, head_hi):
-            total = 0.0
-            for ext in exts:
-                total += float(np.std(ext[: lt + i + 1]))
-            out[i] = total
-
-        # Full windows, vectorised per stream over the carry+batch array —
-        # the same sliding_window_view reduction as the offline series.
-        i0 = max(0, (w - 1) - c0)
-        if i0 < m and lt + m >= w:
-            acc: Optional[np.ndarray] = None
-            for ext in exts:
-                stds = np.std(sliding_window_view(ext, w), axis=1)
-                acc = stds if acc is None else acc + stds
-            out[i0:] = acc
-
-        self._count = c0 + m
-        nt = min(self._count, w - 1)
-        self._tails = [np.ascontiguousarray(ext[-nt:]) for ext in exts]
-        return out
+        total = sliding(exts[0], self._w, np.std, new=m, seen=seen, first=1)
+        for ext in exts[1:]:
+            total += sliding(ext, self._w, np.std, new=m, seen=seen, first=1)
+        return total
 
 
 class OnlineProfile:
@@ -533,14 +464,13 @@ class OnlineDetector:
         self._config = config if config is not None else MDConfig()
         self._rate = float(sample_rate_hz)
         self._detector = detector
-        window_samples = max(
-            int(round(self._config.std_window_s * self._rate)), 2
+        self._std = OnlineStdSum(
+            len(self._stream_ids),
+            sample_count(self._config.std_window_s, self._rate),
         )
-        init_samples = max(
-            int(round(self._config.profile_init_s * self._rate)), 2
+        self._profile = detector.streaming_engine(
+            self._config, sample_count(self._config.profile_init_s, self._rate)
         )
-        self._std = OnlineStdSum(len(self._stream_ids), window_samples)
-        self._profile = detector.streaming_engine(self._config, init_samples)
         if zones is not None and list(zones.stream_ids) != self._stream_ids:
             raise ValueError(
                 "zone engine stream ids do not match the detector's"

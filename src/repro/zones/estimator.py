@@ -29,16 +29,13 @@ window: scores are NaN and occupancy is ``-1`` for the first
 ``calibration_samples`` instants on *both* paths (the offline grid is
 causal by construction, so the streaming twin can match it bitwise).
 
-Bitwise-equivalence notes (mirroring ``OnlineStdSum``): the engine keeps
-the last ``w - 1`` attenuation samples per link contiguous in arrival
-order and re-materialises ``concat(tail, batch)``, so every full rolling
-window reduces over the same contiguous memory as the offline
-``sliding_window_view`` row, and every partial head is a prefix-slice
-``np.mean`` over the same values.  The calibration median is an order
-statistic — value-deterministic, so the engine computes it from its own
-buffered copy of the first smoothed values.  Per-zone averaging
-accumulates link columns in the zone's declared stream order with
-identical scalar weights on both paths.
+Both paths smooth through :func:`repro.sliding.sliding`, the engine over
+a :class:`repro.sliding.Carry` of the last ``w - 1`` attenuation samples
+per link, which is what makes them bitwise equal under any batch split.
+The calibration median is an order statistic — value-deterministic, so
+the engine computes it from its own buffered copy of the first smoothed
+values.  Per-zone averaging accumulates link columns in the zone's
+declared stream order with identical scalar weights on both paths.
 """
 
 from __future__ import annotations
@@ -47,10 +44,10 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..radio.geometry import Point
 from ..radio.office import OfficeLayout
+from ..sliding import Carry, sliding
 from .attenuation import AttenuationExtractor
 from .map import ZoneMap
 
@@ -130,22 +127,6 @@ class ZoneAccuracy:
             "accuracy": float(self.accuracy),
             "coverage": float(self.coverage),
         }
-
-
-def _smooth_column(col: np.ndarray, w: int) -> np.ndarray:
-    """Rolling mean with a prefix-mean head — the offline reference.
-
-    ``col`` must be contiguous; the first ``w - 1`` outputs average the
-    prefix seen so far (the partial-window head the streaming contract
-    covers), the rest are full ``w``-sample windows.
-    """
-    n = col.shape[0]
-    out = np.empty(n)
-    for i in range(min(w - 1, n)):
-        out[i] = np.mean(col[: i + 1])
-    if n >= w:
-        out[w - 1 :] = np.mean(sliding_window_view(col, w), axis=1)
-    return out
 
 
 def _score_matrix(
@@ -259,8 +240,7 @@ class ZoneOccupancyEstimator:
         for sids in zone_streams:
             for sid in sids:
                 if sid not in excess:
-                    col = np.ascontiguousarray(matrix[:, columns[sid]])
-                    smoothed = _smooth_column(col, w)
+                    smoothed = sliding(matrix[:, columns[sid]], w, np.mean)
                     calib = float(np.median(smoothed[:k]))
                     excess[sid] = np.maximum(smoothed[k:] - calib, 0.0)
         scores[k:] = _score_matrix(excess, zone_streams, weights, n - k)
@@ -305,10 +285,10 @@ class ZoneOccupancyEstimator:
 class ZoneEngine:
     """Streaming zone-occupancy engine, bitwise-identical to offline.
 
-    Bounded state: the last ``smoothing_samples - 1`` attenuation values
-    per needed link (arrival order), up to ``calibration_samples``
-    smoothed values per link while calibrating, the per-link calibration
-    medians once frozen, and a sample counter.  Hosted per-tenant by
+    Bounded state: a :class:`~repro.sliding.Carry` of the last
+    ``smoothing_samples - 1`` attenuation values per needed link, up to
+    ``calibration_samples`` smoothed values per link while calibrating, and
+    the per-link calibration medians once frozen.  Hosted per-tenant by
     :class:`~repro.streaming.detector.OnlineDetector`.
     """
 
@@ -346,13 +326,10 @@ class ZoneEngine:
         missing = [sid for sid in self._needed if sid not in baselines]
         if missing:
             raise ValueError(f"missing baselines for streams {missing!r}")
-        self._baselines = {sid: float(baselines[sid]) for sid in self._needed}
+        self._baseline_row = np.array([float(baselines[sid]) for sid in self._needed])
         col_of = {sid: j for j, sid in enumerate(self.stream_ids)}
-        self._col_of = {sid: col_of[sid] for sid in self._needed}
-        self._count = 0
-        self._tails: Dict[str, np.ndarray] = {
-            sid: np.empty(0) for sid in self._needed
-        }
+        self._cols = [col_of[sid] for sid in self._needed]
+        self._carry = Carry(self.smoothing_samples - 1, self._needed)
         self._calib_buf: Dict[str, np.ndarray] = {
             sid: np.empty(0) for sid in self._needed
         }
@@ -369,33 +346,12 @@ class ZoneEngine:
         m = matrix.shape[0]
         w = self.smoothing_samples
         k = self.calibration_samples
-        c0 = self._count
         n_zones = self.zone_map.n_zones
-        if m == 0:
-            return ZoneGrid(
-                scores=np.full((0, n_zones), np.nan),
-                occupied=np.empty(0, dtype=np.int64),
-            )
-        smoothed: Dict[str, np.ndarray] = {}
-        for sid in self._needed:
-            col = self._baselines[sid] - np.ascontiguousarray(
-                matrix[:, self._col_of[sid]]
-            )
-            tail = self._tails[sid]
-            ext = np.concatenate((tail, col)) if tail.size else col
-            lt = ext.shape[0] - m
-            out = np.empty(m)
-            # Partial-window head: while fewer than w samples have ever
-            # arrived the tail holds the entire history, so each prefix
-            # slice is the same contiguous array the offline head averages.
-            for i in range(min(m, max(0, (w - 1) - c0))):
-                out[i] = np.mean(ext[: lt + i + 1])
-            i0 = max(0, (w - 1) - c0)
-            if i0 < m:
-                out[i0:] = np.mean(sliding_window_view(ext, w), axis=1)
-            smoothed[sid] = out
-            nt = min(c0 + m, w - 1)
-            self._tails[sid] = np.ascontiguousarray(ext[ext.shape[0] - nt :])
+        exts, c0 = self._carry.push(self._baseline_row - matrix[:, self._cols])
+        smoothed = {
+            sid: sliding(ext, w, np.mean, new=m, seen=c0)
+            for sid, ext in zip(self._needed, exts)
+        }
         if self._calib is None:
             take = min(m, k - c0)
             if take > 0:
@@ -427,21 +383,21 @@ class ZoneEngine:
                 excess, self._zone_streams, self._weights, m - j0
             )
             occupied[j0:] = _decide(scores[j0:], self.threshold_db)
-        self._count = c0 + m
         return ZoneGrid(scores=scores, occupied=occupied)
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, object]:
         """Plain-JSON state: config, baselines, tails and calibration."""
+        carry = self._carry.snapshot()
         return {
-            "count": int(self._count),
+            "count": carry["count"],
             "stream_ids": list(self.stream_ids),
             "smoothing_samples": int(self.smoothing_samples),
             "calibration_samples": int(self.calibration_samples),
             "threshold_db": float(self.threshold_db),
             "zones": self.zone_map.to_jsonable(),
-            "baselines": dict(self._baselines),
-            "tails": {sid: tail.tolist() for sid, tail in self._tails.items()},
+            "baselines": dict(zip(self._needed, self._baseline_row.tolist())),
+            "tails": dict(zip(self._needed, carry["tails"])),
             "calib_buf": {
                 sid: buf.tolist() for sid, buf in self._calib_buf.items()
             },
@@ -450,6 +406,13 @@ class ZoneEngine:
 
     @classmethod
     def from_snapshot(cls, state: Mapping[str, object]) -> "ZoneEngine":
+        """Rebuild an engine from :meth:`snapshot`, rejecting inconsistent state.
+
+        The tails, calibration buffers and (once frozen) calibration
+        medians must cover exactly the needed streams, and each buffer must
+        hold every smoothed value seen while calibrating; anything else
+        raises a ``ValueError`` naming the stream.
+        """
         engine = cls(
             zone_map=ZoneMap.from_jsonable(state["zones"]),
             stream_ids=list(state["stream_ids"]),
@@ -458,15 +421,27 @@ class ZoneEngine:
             calibration_samples=int(state["calibration_samples"]),
             threshold_db=float(state["threshold_db"]),
         )
-        tails = state["tails"]
-        if set(tails) != set(engine._needed):
-            raise ValueError("snapshot tails do not match the needed streams")
-        engine._count = int(state["count"])
-        for sid in engine._needed:
-            engine._tails[sid] = np.asarray(tails[sid], dtype=float)
-        for sid, buf in state["calib_buf"].items():
-            engine._calib_buf[sid] = np.asarray(buf, dtype=float)
+        needed = engine._needed
         calib = state.get("calib")
+        for key in ("tails", "calib_buf") + (() if calib is None else ("calib",)):
+            got, want = set(state[key]), set(needed)
+            if got != want:
+                raise ValueError(
+                    f"snapshot {key} do not match the needed streams: missing "
+                    f"{sorted(want - got)}, unexpected {sorted(got - want)}"
+                )
+        count = int(state["count"])
+        tails = state["tails"]
+        engine._carry.restore({"count": count, "tails": [tails[sid] for sid in needed]})
+        buffered = 0 if calib is not None else min(count, engine.calibration_samples)
+        for sid in needed:
+            buf = np.asarray(state["calib_buf"][sid], dtype=float)
+            if buf.shape != (buffered,):
+                raise ValueError(
+                    f"snapshot calib_buf of stream {sid!r} holds {buf.size} "
+                    f"values, expected {buffered}"
+                )
+            engine._calib_buf[sid] = buf
         engine._calib = (
             None if calib is None else {s: float(v) for s, v in calib.items()}
         )
