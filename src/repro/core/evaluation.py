@@ -22,9 +22,9 @@ Every hot step of the pipeline exists twice, under a strict contract:
 * :func:`evaluate_md` / :func:`evaluate_md_grid` are the columnar fast
   paths: one shared rolling-window feature matrix per recorded day
   (:class:`CampaignStdFeatures`), sliced per sensor subset and pushed
-  through the lockstep profile engine
-  (:func:`~repro.core.movement.run_profile_grid`), all sensor counts and
-  days advancing together.  :func:`evaluate_md_scalar` is the retained
+  through the detector's ``offline_grid`` (for the KDE detector the
+  lockstep profile engine, :class:`~repro.detectors.kde_md.OnlineProfile`),
+  all sensor counts and days advancing together.  :func:`evaluate_md_scalar` is the retained
   per-observation reference: it restricts the trace, recomputes the
   rolling statistics and drives
   :func:`~repro.core.movement.detect_offline_scalar` per sensor count.

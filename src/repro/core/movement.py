@@ -20,24 +20,23 @@ Entry points:
   :class:`~repro.radio.trace.RssiTrace`, used by the evaluation harness,
 * :func:`detect_offline_scalar` — the retained per-observation reference
   implementation of exactly the same contract,
-* :func:`run_profile_grid` — the batch profile engine advancing many
-  independent ``s_t`` columns (sensor subsets, days) in lockstep.
+* :func:`run_profile_grid` — many independent ``s_t`` columns (sensor
+  subsets, days) at once.
 
-Scalar reference and batch path
--------------------------------
+The per-observation reference
+-----------------------------
 
 :class:`NormalProfile` (driven one observation at a time) is the semantics
-reference for Algorithm 1's profile.  :func:`run_profile_grid` replays the
-same arithmetic column-by-column over whole arrays: identical KDE data
-windows, identical Scott bandwidths, and the *same* threshold solver —
-both paths delegate to the shared safeguarded-Newton quantile engine
-(:func:`~repro.ml.kde.mixture_quantiles`), whose per-row arithmetic is
-independent of batching and which only evaluates the mixture CDF on
-still-active rows.  Decisions and thresholds are therefore **bit-for-bit
-identical** to feeding :meth:`NormalProfile.observe` the same values (see
-``tests/test_analysis_equivalence.py``).  Both sides warm-start each
-threshold from the chain's previous threshold, which is what makes profile
-updates nearly free.  Any change to one side must keep the other in sync.
+reference for Algorithm 1's profile.  Everywhere else the profile runs
+on one engine, :class:`~repro.detectors.kde_md.OnlineProfile`:
+:func:`detect_offline`, :func:`run_profile_grid` and the streaming
+service all drive it.  Both build identical KDE data windows with identical
+Scott bandwidths and solve thresholds with the same warm-started
+safeguarded-Newton engine (:func:`~repro.ml.kde.mixture_quantiles`), whose
+per-row arithmetic is independent of batching.  Decisions and thresholds
+are therefore **bit-for-bit identical** to feeding
+:meth:`NormalProfile.observe` the same values (see
+``tests/test_analysis_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -47,8 +46,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..detectors import KdeMdDetector
-from ..ml.kde import GaussianKDE, mixture_quantiles
+from ..detectors import DetectionGrid, KdeMdDetector
+from ..ml.kde import GaussianKDE
 from ..radio.trace import RssiTrace, StreamBuffer
 from ..sliding import sample_count, sliding
 from .config import MDConfig
@@ -399,51 +398,8 @@ def online_std_sum_series(
     return total
 
 
-@dataclass(frozen=True)
-class ProfileGridResult:
-    """Output of :func:`run_profile_grid`.
-
-    Attributes
-    ----------
-    decisions:
-        ``(n_obs, n_columns)`` int8 matrix: ``-1`` while the profile is
-        initialising (the scalar path's ``None``), ``0`` normal, ``1``
-        anomalous.
-    thresholds:
-        ``(n_obs, n_columns)`` threshold in force after each observation
-        (NaN while initialising) — the per-column
-        :attr:`OfflineMDResult.threshold_trace`.
-    """
-
-    decisions: np.ndarray
-    thresholds: np.ndarray
-
-
-def _scott_bandwidths(data: np.ndarray) -> np.ndarray:
-    """Row-wise Scott bandwidths, replicating ``scott_bandwidth`` exactly."""
-    n = data.shape[1]
-    if n < 2:
-        return np.ones(data.shape[0])
-    sigma = np.std(data, axis=1, ddof=1)
-    return np.where(sigma <= 0, 1.0, sigma * n ** (-1.0 / 5.0))
-
-
-def _run_profile_grid_scalar(
-    std_sums: np.ndarray, config: MDConfig, init_samples: int
-) -> ProfileGridResult:
-    """Column-by-column :class:`NormalProfile` drive (general fallback)."""
-    n, n_cols = std_sums.shape
-    decisions = np.full((n, n_cols), -1, dtype=np.int8)
-    thresholds = np.full((n, n_cols), np.nan)
-    for c in range(n_cols):
-        profile = NormalProfile(config, init_samples)
-        for i in range(n):
-            anomalous = profile.observe(float(std_sums[i, c]))
-            if profile.threshold is not None:
-                thresholds[i, c] = profile.threshold
-            if anomalous is not None:
-                decisions[i, c] = 1 if anomalous else 0
-    return ProfileGridResult(decisions=decisions, thresholds=thresholds)
+#: :func:`run_profile_grid`'s result: the zoo's :class:`DetectionGrid`.
+ProfileGridResult = DetectionGrid
 
 
 def run_profile_grid(
@@ -451,83 +407,21 @@ def run_profile_grid(
 ) -> ProfileGridResult:
     """Advance Algorithm 1's normal profile over many ``s_t`` columns at once.
 
-    Parameters
-    ----------
-    std_sums:
-        ``(n_obs, n_columns)`` matrix of standard-deviation sums; each
-        column is an independent profile chain (a sensor subset, a day...).
-    config:
-        MD parameters.
-    init_samples:
-        Number of observations of the installation phase (the scalar path's
-        ``NormalProfile(config, init_samples)``).
-
-    Per column this produces exactly the decisions and thresholds of
-    feeding the values one by one to :meth:`NormalProfile.observe`: the
-    initialisation KDE, the batched accept/reject updates and the
-    warm-started Newton quantile solve all replicate the scalar arithmetic
-    bit for bit (both paths share :func:`~repro.ml.kde.mixture_quantiles`).
+    ``std_sums`` is an ``(n_obs, n_columns)`` matrix whose columns are
+    independent profile chains (sensor subsets, days...), or one plain
+    series; ``init_samples`` is the installation phase of
+    ``NormalProfile(config, init_samples)``.  This is
+    :meth:`KdeMdDetector.offline_grid <repro.detectors.KdeMdDetector>`:
+    per column, bit for bit the decisions and thresholds of feeding the
+    values one by one to :meth:`NormalProfile.observe`.
     """
-    cfg = config if config is not None else MDConfig()
-    if init_samples < 2:
-        raise ValueError("init_samples must be >= 2")
     std_sums = np.asarray(std_sums, dtype=float)
     if std_sums.ndim == 1:
         # A plain s_t series is one profile chain, not n one-observation
         # columns.
         std_sums = std_sums[:, np.newaxis]
-    std_sums = np.ascontiguousarray(std_sums)
-    if cfg.batch_size > init_samples:
-        # The first accepted update would grow the KDE data window from
-        # init_samples to batch_size at column-dependent times, breaking the
-        # rectangular lockstep state; fall back to the reference drive.
-        return _run_profile_grid_scalar(std_sums, cfg, init_samples)
-    n, n_cols = std_sums.shape
-    decisions = np.full((n, n_cols), -1, dtype=np.int8)
-    thresholds = np.full((n, n_cols), np.nan)
-    n0 = init_samples
-    if n < n0:
-        return ProfileGridResult(decisions=decisions, thresholds=thresholds)
-
-    q = 100.0 - cfg.alpha
-    # Initial profile: the first n0 observations of every column.  The KDE
-    # windows are mutated in place as batches are accepted, so this must be
-    # a real copy, never a view of the caller's matrix.
-    data = std_sums[:n0].T.copy()
-    bandwidths = _scott_bandwidths(data)
-    th = mixture_quantiles(data, bandwidths, q)
-    thresholds[n0 - 1] = th
-
-    b = cfg.batch_size
-    keep = data.shape[1] - b  # drop_oldest = len(batch) = b on every update
-    start = n0
-    while start < n:
-        end = min(start + b, n)
-        segment = std_sums[start:end]
-        flags = segment >= th[None, :]
-        decisions[start:end] = flags
-        thresholds[start:end] = th[None, :]
-        if end - start == b:
-            anomalous_frac = np.count_nonzero(flags, axis=0) / float(b)
-            accept = anomalous_frac < cfg.tau
-            if accept.any():
-                idx = np.flatnonzero(accept)
-                # Slide the accepted columns' KDE windows: drop the oldest
-                # batch_size values, append the new batch (GaussianKDE.updated).
-                data[idx, :keep] = data[idx, b:]
-                data[idx, keep:] = segment[:, idx].T
-                updated = np.ascontiguousarray(data[idx])
-                new_h = _scott_bandwidths(updated)
-                bandwidths[idx] = new_h
-                # Warm-start the accepted columns from their previous
-                # thresholds, exactly like NormalProfile._rebuild_threshold.
-                th[idx] = mixture_quantiles(updated, new_h, q, x0=th[idx])
-                # The scalar path updates the threshold while observing the
-                # batch's last value, so the trace shows the new threshold
-                # there already.
-                thresholds[end - 1] = th
-        start = end
-    return ProfileGridResult(decisions=decisions, thresholds=thresholds)
+    cfg = config if config is not None else MDConfig()
+    return KdeMdDetector().offline_grid(std_sums, cfg, init_samples)
 
 
 def variation_windows_from_flags(

@@ -2,10 +2,10 @@
 streaming paths.
 
 Every detector is a frozen config dataclass with a registry ``name`` and
-two engines — an offline reference (:meth:`offline_grid`) and a
-streaming engine (:meth:`streaming_engine`) proven bitwise identical to
-it under arbitrary batch splits (see :mod:`repro.detectors.base` for the
-full contract).  The zoo ships the paper's KDE-MD detector (a pure port
+one engine: :meth:`streaming_engine` builds it, and :meth:`offline_grid`
+runs it over whole columns, so offline and streaming agree bitwise under
+arbitrary batch splits (see :mod:`repro.detectors.base` for the full
+contract).  The zoo ships the paper's KDE-MD detector (a pure port
 — golden numbers unchanged), the EMA+MAD hysteresis detector and the
 rolling-variance threshold baseline; *detector* is a first-class
 ``ScenarioGrid`` axis, so sweeps compare members head-to-head on

@@ -11,28 +11,29 @@ The contract
 ------------
 
 Every detector is a **frozen config dataclass** with a class-level
-``name`` and a pair of engines:
-
-``offline_grid(std_sums, config, init_samples) -> DetectionGrid``
-    The batch reference.  ``std_sums`` is an ``(n, n_cols)`` float matrix
-    of per-instant std sums (one column per sensor subset, evaluated in
-    lockstep — the shape :func:`repro.core.movement.run_profile_grid`
-    consumes); ``config`` is the scenario's
-    :class:`~repro.core.config.MDConfig`; ``init_samples`` is the number
-    of leading observations that form the initialisation window.  The
-    result carries per-column ``decisions`` (int8: ``-1`` while
-    initialising, ``0``/``1`` after) and ``thresholds`` (NaN while
-    undefined), with the threshold first materialising at row
-    ``init_samples - 1`` — the same convention as the KDE profile grid.
+``name``, one engine and two entry points to it:
 
 ``streaming_engine(config, init_samples) -> engine``
     A fresh incremental engine whose ``extend(values) ->
     (decisions, thresholds)`` consumes one scalar series in arbitrary
-    batch splits.  The concatenated outputs must be **bitwise identical**
-    to column 0 of ``offline_grid`` over the same values — the same
-    equivalence contract ``OnlineStdSum``/``OnlineProfile`` established —
-    and the tier-1 suite enforces it for every registered detector under
-    hypothesis-generated random splits (partial-window head included).
+    batch splits; the concatenated outputs must not depend on the
+    splits, which the tier-1 suite checks for every registered detector
+    under hypothesis-generated random splits (partial-window head
+    included).  ``config`` is the scenario's
+    :class:`~repro.core.config.MDConfig`; ``init_samples`` is the number
+    of leading observations that form the initialisation window.
+    Decisions are int8 (``-1`` while initialising, ``0``/``1`` after)
+    and thresholds NaN while undefined, the threshold first
+    materialising at ``init_samples - 1``.
+
+``offline_grid(std_sums, config, init_samples) -> DetectionGrid``
+    The engine run over whole columns: ``std_sums`` is an ``(n,
+    n_cols)`` float matrix of per-instant std sums, one independent
+    column per sensor subset or day, and column ``j`` of the result is
+    ``streaming_engine(config, init_samples).extend(std_sums[:, j])``.
+    :func:`column_grid` does exactly that; the KDE detector instead
+    advances all columns as lockstep chains of one profile, with the
+    same bits.
 
 Detector identity (``name`` plus config fields) participates in scenario
 naming, ``ScenarioSpec.content_hash`` and the sweep-store staleness
@@ -44,7 +45,7 @@ that also makes their configs decodable from stored sweep records.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -66,8 +67,7 @@ class DetectionGrid:
     ``decisions`` is int8 with ``-1`` while the detector initialises and
     ``0``/``1`` (no movement / movement) afterwards; ``thresholds`` holds
     the effective threshold trace, NaN wherever it is not yet defined.
-    Matches the :class:`~repro.core.movement.ProfileGridResult` layout so
-    existing consumers need no translation.
+    :class:`~repro.core.movement.ProfileGridResult` is another name for it.
     """
 
     decisions: np.ndarray
@@ -89,13 +89,9 @@ detector_names = DETECTORS.names
 get_detector = DETECTORS.get
 
 
-def column_grid(
-    column: Callable[[np.ndarray, int], Tuple[np.ndarray, np.ndarray]],
-    std_sums,
-    init_samples: int,
-) -> DetectionGrid:
-    """An ``offline_grid`` from ``column(values, init_samples) -> (decisions,
-    thresholds)``, called once per contiguous column of ``std_sums``."""
+def column_grid(detector, std_sums, config, init_samples: int) -> DetectionGrid:
+    """An ``offline_grid`` that runs a fresh ``detector.streaming_engine``
+    over each contiguous column of ``std_sums``."""
     matrix = np.asarray(std_sums, dtype=float)
     if matrix.ndim != 2:
         raise ValueError(f"std_sums must be 2-D, got shape {matrix.shape}")
@@ -104,8 +100,9 @@ def column_grid(
     decisions = np.empty(matrix.shape, dtype=np.int8)
     thresholds = np.empty(matrix.shape)
     for col in range(matrix.shape[1]):
-        decisions[:, col], thresholds[:, col] = column(
-            np.ascontiguousarray(matrix[:, col]), init_samples
+        engine = detector.streaming_engine(config, init_samples)
+        decisions[:, col], thresholds[:, col] = engine.extend(
+            np.ascontiguousarray(matrix[:, col])
         )
     return DetectionGrid(decisions=decisions, thresholds=thresholds)
 
@@ -118,3 +115,35 @@ def calibrated_threshold(
     values = np.asarray(init_values, dtype=float)
     base = float(np.median(values)) if values.size else 0.0
     return max(scale * base, floor)
+
+
+def check_fields(rules) -> None:
+    """Reject a snapshot: raise a ``ValueError`` naming the field of the
+    first ``(field, ok, rule)`` whose ``ok`` is false."""
+    for field, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"snapshot field {field!r} {rule}")
+
+
+def calibration_rules(state, init_samples: int) -> list:
+    """:func:`check_fields` rules of a calibrating zoo engine's snapshot.
+
+    ``eff`` is set exactly from ``init_samples`` values on; ``calib`` holds
+    the statistics of positions ``1 .. count - 1`` until then, none after.
+    """
+    count, calib = state["count"], state["calib"]
+    calibrated = count >= init_samples
+    want = 0 if calibrated else max(count - 1, 0)
+    return [
+        (
+            "eff",
+            (state["eff"] is not None) == calibrated,
+            f"must be set exactly when count {count} >= init_samples "
+            f"{init_samples}",
+        ),
+        (
+            "calib",
+            len(calib) == want,
+            f"holds {len(calib)} values at count {count}, expected {want}",
+        ),
+    ]

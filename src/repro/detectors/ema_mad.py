@@ -18,14 +18,14 @@ makes).  Decisions are ``-1`` during initialisation and the threshold
 trace first materialises at ``init_samples - 1``, mirroring the KDE
 grid's convention.
 
-Two engines, one contract: :meth:`EmaMadDetector.offline_grid` is the
-full-array reference, :meth:`EmaMadDetector.streaming_engine` the
-bounded-state incremental engine over a :class:`~repro.sliding.Carry` of
-the last ``long_window - 1`` smoothed values.  The short-window std runs
-through :func:`repro.sliding.sliding` and the long-window median/MAD
-through :meth:`EmaMadDetector._median_mad`, on both paths, so their
-outputs are bitwise identical under any batch split; the tier-1
-registry-parametrized hypothesis suite enforces it.
+The detector has one engine, :class:`EmaMadEngine`: bounded state over a
+:class:`~repro.sliding.Carry` of the last ``long_window - 1`` smoothed
+values, the short-window std through :func:`repro.sliding.sliding` and
+the long-window median/MAD through :meth:`EmaMadDetector._median_mad`, so
+its output does not depend on how the series is split into batches.
+:meth:`EmaMadDetector.offline_grid` runs it once over each whole column.
+``tests/test_detector_oracles.py`` checks it bitwise against naive
+per-instant loops (``np.median`` windows and the hysteresis walk).
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from ..sliding import Carry, sliding
 from .base import (
     DetectionGrid,
     calibrated_threshold,
+    calibration_rules,
+    check_fields,
     column_grid,
     register_detector,
 )
@@ -70,10 +72,7 @@ _MAD_TINY = 1e-9
 def _ema_series(
     values: np.ndarray, alpha: float, e: Optional[float] = None
 ) -> Tuple[np.ndarray, Optional[float]]:
-    """Per-step python-float EMA recursion from state ``e``: ``(series, e)``.
-
-    Both engines share it; the streaming one carries ``e`` across batches.
-    """
+    """Per-step python-float EMA recursion from state ``e``: ``(series, e)``."""
     out = np.empty(values.size)
     for i, v in enumerate(values.tolist()):
         e = v if e is None else alpha * v + (1.0 - alpha) * e
@@ -101,8 +100,8 @@ def _prefix_median_mad(
 
     Equivalent to ``np.median(arr[:e + 1])`` / ``np.median(np.abs(arr[:e
     + 1] - med))`` per end index — same order statistics, same midpoint
-    arithmetic, hence bitwise-identical for the finite series both
-    engines feed it — but with two padded sorts instead of O(window)
+    arithmetic, hence bitwise-identical for the finite series the engine
+    feeds it — but with two padded sorts instead of O(window)
     separate numpy reductions (the growing-prefix head of the long
     window made ``offline_grid`` median-dispatch-bound).  Padding is
     ``+inf``, which sorts after every finite value.
@@ -186,8 +185,9 @@ def _sorted_window_median_mad(
     elements for even ``w``, which is bitwise ``np.mean`` of that pair.
     MADs come from :func:`_kth_dev` without materialising deviations.
     Output is bit-for-bit :func:`_dense_window_median_mad` for finite
-    input (the registry equivalence suite and the dedicated hypothesis
-    test enforce it); callers gate non-finite input to the dense path.
+    input (the per-instant ``np.median`` oracle in
+    ``tests/test_detector_oracles.py`` enforces it on tied values, odd and
+    even ``w``); callers gate non-finite input to the dense path.
     """
     vals = arr.tolist()
     n = len(vals)
@@ -267,10 +267,8 @@ class EmaMadDetector:
         if not 0.0 < self.down_ratio <= 1.0:
             raise ValueError(f"down_ratio must be in (0, 1], got {self.down_ratio}")
 
-    # -- offline reference -------------------------------------------------
-
     def offline_grid(self, std_sums, config, init_samples: int) -> DetectionGrid:
-        return column_grid(self._offline_column, std_sums, init_samples)
+        return column_grid(self, std_sums, config, init_samples)
 
     def _median_mad(
         self, ema: np.ndarray, new: int, seen: int
@@ -298,33 +296,12 @@ class EmaMadDetector:
             )
         return med, mad
 
-    def _offline_column(
-        self, values: np.ndarray, init_samples: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n = values.size
-        decisions = np.full(n, -1, dtype=np.int8)
-        thresholds = np.full(n, np.nan)
-        ema, _ = _ema_series(values, self.ema_alpha)
-        stds = sliding(ema, self.short_window, np.std, first=1)
-        med, mad = self._median_mad(ema, n, 0)
-
-        if n < init_samples:
-            return decisions, thresholds
-        eff = calibrated_threshold(
-            stds[1:init_samples], self.threshold_scale, _EFF_FLOOR
-        )
-        thresholds[init_samples - 1 :] = eff
-        decisions[init_samples:], _ = self._hysteresis(
-            init_samples, stds, ema, med, mad, eff, eff * self.down_ratio, False
-        )
-        return decisions, thresholds
-
     def _hysteresis(self, j, stds, ema, med, mad, eff, down, active):
         """``(decisions, active)`` of the walk over instants ``j`` onwards.
 
         Vectorised trigger/exit evidence, then the inherently sequential
         two-state hysteresis over plain python bools, starting from
-        ``active``; both engines run it on their post-init instants.
+        ``active``; the engine runs it on its post-init instants.
         """
         stds, ema, med, mad = stds[j:], ema[j:], med[j:], mad[j:]
         rs = np.where(mad > _MAD_TINY, mad * _MAD_SIGMA, 0.0)
@@ -341,8 +318,6 @@ class EmaMadDetector:
             decisions[i] = active
         return decisions, active
 
-    # -- streaming engine --------------------------------------------------
-
     def streaming_engine(self, config, init_samples: int) -> "EmaMadEngine":
         return EmaMadEngine(self, init_samples)
 
@@ -353,10 +328,9 @@ class EmaMadEngine:
     Bounded state: the EMA accumulator, a :class:`~repro.sliding.Carry` of
     the last ``long_window - 1`` *smoothed* values (one carry serves both
     windows since ``long_window >= short_window``), the init-window
-    calibration buffer and the hysteresis flag.  ``extend`` applies the
-    offline column's reductions to the carried values, so its
-    concatenated output is bitwise equal to the reference whatever the
-    batch splits.
+    calibration buffer and the hysteresis flag.  Each ``extend`` reduces
+    the carried values plus the batch, so the concatenated output is the
+    same whatever the batch splits.
     """
 
     def __init__(self, detector: EmaMadDetector, init_samples: int) -> None:
@@ -386,13 +360,35 @@ class EmaMadEngine:
 
     def restore(self, state: dict) -> None:
         """Overwrite the mutable state from a :meth:`snapshot` dict."""
+        eff, down = state["eff"], float(state["down"])
+        check_fields(
+            calibration_rules(state, self._init)
+            + [
+                (
+                    "ema_last",
+                    (state["ema_last"] is None) == (state["count"] == 0),
+                    "must be null exactly when count is 0",
+                ),
+                (
+                    "down",
+                    np.isnan(down)
+                    if eff is None
+                    else down == eff * self._det.down_ratio,
+                    "must be NaN before calibration, eff * down_ratio after",
+                ),
+                (
+                    "active",
+                    eff is not None or not state["active"],
+                    "must be false before calibration",
+                ),
+            ]
+        )
         self._carry.restore({"count": state["count"], "tails": [state["carry"]]})
         ema_last = state["ema_last"]
         self._ema_last = None if ema_last is None else float(ema_last)
         self._calib = [float(v) for v in state["calib"]]
-        eff = state["eff"]
         self._eff = None if eff is None else float(eff)
-        self._down = float(state["down"])
+        self._down = down
         self._active = bool(state["active"])
 
     def extend(self, values) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,11 +14,12 @@ over the initialisation window.  Decisions are ``-1`` during
 initialisation; the threshold trace first materialises at
 ``init_samples - 1`` (the KDE grid's convention).
 
-:meth:`VarianceThresholdDetector.offline_grid` is the full-array
-reference and :meth:`VarianceThresholdDetector.streaming_engine` its
-bounded-state twin; both take rolling variances through
-:mod:`repro.sliding`, so they are bitwise identical under arbitrary batch
-splits — enforced by the registry-parametrized hypothesis suite in tier-1.
+The detector has one engine, :class:`VarianceEngine`, which takes rolling
+variances through :mod:`repro.sliding`, so its output does not depend on
+how the series is split into batches.
+:meth:`VarianceThresholdDetector.offline_grid` runs it once over each
+whole column.  ``tests/test_detector_oracles.py`` checks it bitwise
+against a naive per-instant loop.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from ..sliding import Carry, sliding
 from .base import (
     DetectionGrid,
     calibrated_threshold,
+    calibration_rules,
+    check_fields,
     column_grid,
     register_detector,
 )
@@ -61,29 +64,8 @@ class VarianceThresholdDetector:
                 f"threshold_scale must be > 0, got {self.threshold_scale}"
             )
 
-    # -- offline reference -------------------------------------------------
-
     def offline_grid(self, std_sums, config, init_samples: int) -> DetectionGrid:
-        return column_grid(self._offline_column, std_sums, init_samples)
-
-    def _offline_column(
-        self, values: np.ndarray, init_samples: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        n = values.size
-        decisions = np.full(n, -1, dtype=np.int8)
-        thresholds = np.full(n, np.nan)
-        if n < init_samples:
-            return decisions, thresholds
-        # Fewer than 2 samples -> 0.0, the exemplar's convention.
-        variances = sliding(values, self.window, np.var, first=1, fill=0.0)
-        eff = calibrated_threshold(
-            variances[1:init_samples], self.threshold_scale, _EFF_FLOOR
-        )
-        thresholds[init_samples - 1 :] = eff
-        decisions[init_samples:] = variances[init_samples:] > eff
-        return decisions, thresholds
-
-    # -- streaming engine --------------------------------------------------
+        return column_grid(self, std_sums, config, init_samples)
 
     def streaming_engine(self, config, init_samples: int) -> "VarianceEngine":
         return VarianceEngine(self, init_samples)
@@ -120,6 +102,7 @@ class VarianceEngine:
 
     def restore(self, state: dict) -> None:
         """Overwrite the mutable state from a :meth:`snapshot` dict."""
+        check_fields(calibration_rules(state, self._init))
         self._carry.restore({"count": state["count"], "tails": [state["carry"]]})
         self._calib = [float(v) for v in state["calib"]]
         eff = state["eff"]

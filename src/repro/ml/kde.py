@@ -20,8 +20,8 @@ moving threshold (the profile chains of Algorithm 1) warm-start from the
 previous threshold via ``x0``.  Every per-row operation is independent of
 the other rows, so solving a profile alone or inside a batch is
 **bit-identical** — the property the scalar/lockstep equivalence suite
-relies on (:meth:`GaussianKDE.percentile` and the batch engine in
-:mod:`repro.core.movement` both delegate here).
+relies on (:meth:`GaussianKDE.percentile` and the profile engine in
+:mod:`repro.detectors.kde_md` both delegate here).
 
 :func:`bisect_quantiles` retains the pre-Newton bracketed bisection as the
 reference threshold rule; the regression suite pins the Newton engine to
@@ -38,6 +38,7 @@ from scipy.special import erf
 __all__ = [
     "GaussianKDE",
     "scott_bandwidth",
+    "scott_bandwidths",
     "silverman_bandwidth",
     "mixture_quantiles",
     "bisect_quantiles",
@@ -47,16 +48,19 @@ _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 
+def scott_bandwidths(data: np.ndarray) -> np.ndarray:
+    """Scott's rule ``sigma * n^(-1/5)`` for each row of an ``(rows, n)``
+    matrix; 1.0 for a constant row or when ``n < 2``."""
+    n = data.shape[1]
+    if n < 2:
+        return np.ones(data.shape[0])
+    sigma = np.std(data, axis=1, ddof=1)
+    return np.where(sigma <= 0, 1.0, sigma * n ** (-1.0 / 5.0))
+
+
 def scott_bandwidth(data: np.ndarray) -> float:
     """Scott's rule of thumb bandwidth ``sigma * n^(-1/5)``."""
-    data = np.asarray(data, dtype=float)
-    n = data.shape[0]
-    if n < 2:
-        return 1.0
-    sigma = float(np.std(data, ddof=1))
-    if sigma <= 0:
-        return 1.0
-    return sigma * n ** (-1.0 / 5.0)
+    return float(scott_bandwidths(np.asarray(data, dtype=float).reshape(1, -1))[0])
 
 
 def silverman_bandwidth(data: np.ndarray) -> float:
@@ -179,8 +183,8 @@ def mixture_quantiles(
     Row arithmetic is strictly independent: solving one profile alone is
     bit-identical to solving it inside any batch.  The scalar
     :meth:`GaussianKDE.percentile` and the lockstep profile engine of
-    :mod:`repro.core.movement` both call this function, which is what keeps
-    their thresholds bit-for-bit equal.
+    :mod:`repro.detectors.kde_md` both call this function, which is what
+    keeps their thresholds bit-for-bit equal.
     """
     if not 0.0 <= q <= 100.0:
         raise ValueError("q must be within [0, 100]")

@@ -25,8 +25,6 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-
 __all__ = ["Carry", "sample_count", "sliding"]
 
 
@@ -60,7 +58,19 @@ def sliding(
     lo = max(first - seen, 0)  # first output that is not ``fill``
     full = max(w - 1 - seen, lo)  # first output over a whole window
     if full < new:
-        rows = reduce(sliding_window_view(values[tail + full - w + 1 :], w), axis=1)
+        # The rows of ``sliding_window_view(values[tail + full - w + 1:], w)``,
+        # built directly: streaming engines call this once per stream per
+        # batch, where that helper's argument handling outweighed the reduce.
+        step = values.itemsize
+        windows = np.ndarray(
+            (new - full, w),
+            dtype=float,
+            buffer=values,
+            offset=(tail + full - w + 1) * step,
+            strides=(step, step),
+        )
+        windows.flags.writeable = False
+        rows = reduce(windows, axis=1)
         if full == 0:  # the steady state: nothing but full windows
             return rows
     out = np.full(new, fill)

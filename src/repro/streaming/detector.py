@@ -1,6 +1,6 @@
 """The incremental detection kernel: Algorithm 1 over an unbounded stream.
 
-Three bounded-state pieces compose :class:`OnlineDetector`:
+:class:`OnlineDetector` composes bounded-state pieces:
 
 * :class:`OnlineStdSum` — the rolling ``s_t`` series.  Keeps only the last
   ``window_samples - 1`` samples per stream as carry between batches, so
@@ -9,12 +9,9 @@ Three bounded-state pieces compose :class:`OnlineDetector`:
   the per-sample :class:`~repro.core.movement.StdSumTracker`) **bit for
   bit** — including the partial-window head at stream start, whatever the
   arrival batching;
-* :class:`OnlineProfile` — the KDE normal profile with batch updates,
-  replicating :class:`~repro.core.movement.NormalProfile` arithmetic
-  exactly (same :class:`~repro.ml.kde.GaussianKDE` windows, same
-  warm-started chained Newton re-solves through
-  :func:`~repro.ml.kde.mixture_quantiles`), but consuming whole segments
-  between profile-batch boundaries with vectorised threshold compares;
+* the detector's decision engine — by default
+  :class:`~repro.detectors.kde_md.OnlineProfile`, the KDE normal profile
+  (re-exported here), the same engine the offline grids run;
 * :class:`WindowTracker` — the variation-window bookkeeping (open window,
   merge gap, per-step ``dW_t``), the same automaton as
   :class:`~repro.core.movement.MovementDetector` and the closed form of
@@ -39,22 +36,23 @@ detector restored from a JSON-serialised snapshot continues the stream
 point (partial-window head included).  That is the property the
 reliability layer's kill/resume tests assert for every registered zoo
 engine, and what makes router shard restarts provably lossless.  A
-snapshot whose carry tails do not hold ``min(count, window - 1)`` values
-is rejected at restore.
+snapshot whose carry tails do not hold ``min(count, window - 1)`` values,
+or whose decision-engine fields disagree with each other, is rejected at
+restore with a ``ValueError`` naming the field.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..core.config import MDConfig
 from ..core.windows import VariationWindow
 from ..detectors import DETECTORS, KdeMdDetector
-from ..ml.kde import GaussianKDE
+from ..detectors.kde_md import OnlineProfile
 from ..sliding import Carry, sample_count, sliding
 
 __all__ = [
@@ -128,159 +126,6 @@ class OnlineStdSum:
         for ext in exts[1:]:
             total += sliding(ext, self._w, np.std, new=m, seen=seen, first=1)
         return total
-
-
-class OnlineProfile:
-    """Streaming KDE normal profile with batch updates.
-
-    Replicates :class:`~repro.core.movement.NormalProfile` exactly — the
-    initialisation KDE over the first ``init_samples`` observations, the
-    ``(100 - alpha)``-th percentile threshold, the accept/reject batch
-    update with ``drop_oldest = batch_size`` — while consuming whole
-    value segments at once: between profile-batch boundaries the
-    threshold is constant, so the anomaly compares vectorise.  Threshold
-    re-solves warm-start from the chain's previous threshold via
-    :meth:`~repro.ml.kde.GaussianKDE.percentile` (the shared
-    safeguarded-Newton engine), exactly like the scalar profile.
-    """
-
-    def __init__(self, config: MDConfig, init_samples: int) -> None:
-        if init_samples < 2:
-            raise ValueError("init_samples must be >= 2")
-        self._config = config
-        self._init_samples = int(init_samples)
-        self._init_buffer: List[float] = []
-        self._kde: Optional[GaussianKDE] = None
-        self._threshold: Optional[float] = None
-        self._pending: List[np.ndarray] = []
-        self._pending_count = 0
-
-    # ------------------------------------------------------------------ #
-    @property
-    def is_ready(self) -> bool:
-        return self._kde is not None
-
-    @property
-    def threshold(self) -> Optional[float]:
-        return self._threshold
-
-    @property
-    def kde(self) -> Optional[GaussianKDE]:
-        return self._kde
-
-    def _rebuild_threshold(self) -> None:
-        assert self._kde is not None
-        self._threshold = self._kde.percentile(
-            100.0 - self._config.alpha, x0=self._threshold
-        )
-
-    # ------------------------------------------------------------------ #
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-ready bounded state of the profile chain.
-
-        The pending segments are stored concatenated: the profile only
-        ever reads them through ``np.concatenate`` at a batch boundary,
-        so restoring them as a single segment is value- (hence bitwise-)
-        equivalent.  The KDE is captured as its data window plus the
-        resolved float bandwidth — restoring with the explicit bandwidth
-        sidesteps any re-derivation.
-        """
-        pending = (
-            np.concatenate(self._pending).tolist() if self._pending else []
-        )
-        return {
-            "init_buffer": list(self._init_buffer),
-            "kde": (
-                None
-                if self._kde is None
-                else {
-                    "data": self._kde.data.tolist(),
-                    "bandwidth": self._kde.bandwidth,
-                }
-            ),
-            "threshold": self._threshold,
-            "pending": pending,
-            "pending_count": self._pending_count,
-        }
-
-    def restore(self, state: Mapping[str, Any]) -> None:
-        """Overwrite the mutable state from a :meth:`snapshot` dict."""
-        self._init_buffer = [float(v) for v in state["init_buffer"]]
-        kde_state = state["kde"]
-        if kde_state is None:
-            self._kde = None
-        else:
-            self._kde = GaussianKDE(
-                np.asarray(kde_state["data"], dtype=float),
-                bandwidth=float(kde_state["bandwidth"]),
-            )
-        threshold = state["threshold"]
-        self._threshold = None if threshold is None else float(threshold)
-        pending = np.ascontiguousarray(
-            np.asarray(state["pending"], dtype=float)
-        )
-        self._pending = [pending] if pending.size else []
-        self._pending_count = int(state["pending_count"])
-
-    # ------------------------------------------------------------------ #
-    def extend(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Consume ``s_t`` values; return ``(decisions, thresholds)``.
-
-        ``decisions`` is int8 per value: ``-1`` while the profile is
-        initialising (the scalar path's ``None``), ``0`` normal, ``1``
-        anomalous.  ``thresholds`` is the threshold in force *after* each
-        observation (NaN while initialising) — the streaming
-        :attr:`~repro.core.movement.OfflineMDResult.threshold_trace`.
-        """
-        values = np.ascontiguousarray(np.asarray(values, dtype=float).ravel())
-        n = values.shape[0]
-        decisions = np.full(n, -1, dtype=np.int8)
-        thresholds = np.full(n, np.nan)
-        pos = 0
-        if not self.is_ready:
-            take = min(self._init_samples - len(self._init_buffer), n)
-            self._init_buffer.extend(float(v) for v in values[:take])
-            pos = take
-            if len(self._init_buffer) >= self._init_samples:
-                self._kde = GaussianKDE(self._init_buffer)
-                self._rebuild_threshold()
-                thresholds[take - 1] = self._threshold
-            else:
-                return decisions, thresholds
-
-        b = self._config.batch_size
-        while pos < n:
-            assert self._threshold is not None
-            room = b - self._pending_count
-            seg = values[pos : pos + room]
-            flags = seg >= self._threshold
-            decisions[pos : pos + seg.shape[0]] = flags
-            thresholds[pos : pos + seg.shape[0]] = self._threshold
-            self._pending.append(seg)
-            self._pending_count += seg.shape[0]
-            pos += seg.shape[0]
-            if self._pending_count >= b:
-                batch = (
-                    self._pending[0]
-                    if len(self._pending) == 1
-                    else np.concatenate(self._pending)
-                )
-                anomalous_in_batch = int(
-                    np.count_nonzero(batch >= self._threshold)
-                )
-                if anomalous_in_batch / batch.shape[0] < self._config.tau:
-                    assert self._kde is not None
-                    self._kde = self._kde.updated(
-                        batch, drop_oldest=batch.shape[0]
-                    )
-                    self._rebuild_threshold()
-                    # The scalar path rebuilds while observing the batch's
-                    # last value, so the trace shows the new threshold
-                    # there already.
-                    thresholds[pos - 1] = self._threshold
-                self._pending = []
-                self._pending_count = 0
-        return decisions, thresholds
 
 
 class WindowTracker:
