@@ -6,26 +6,31 @@ rolling windows of the same kind.  Each runs offline over a whole column
 and streaming over batches, and the two must agree bitwise:
 
 * :func:`sliding` reduces each position's window — the last ``w`` values,
-  or the whole prefix while fewer exist (the *partial head*).  The head
-  reduces one prefix at a time, full windows as ``sliding_window_view``
-  rows.
-* :class:`Carry` keeps the last ``keep`` values of each stream contiguous
-  and in arrival order, so ``concat(tail, batch)`` holds the values of the
-  matching whole-column slice in the same layout, and every reduction sees
-  identical input in identical order.  (A ring buffer would rotate the
-  memory and change the pairwise summation inside ``np.std``.)
+  or the whole prefix while fewer exist (the *partial head*) — over every
+  row of a ``(k, n)`` block at once: full windows are one ``(k, m, w)``
+  view and one ``reduce(..., axis=-1)`` call, however many rows.
+* :class:`Carry` keeps the last ``keep`` values of each stream as one row
+  of a C-contiguous array, in arrival order, so ``[tail | batch column]``
+  holds the values of the matching whole-column slice in the same layout,
+  and every reduction sees identical input in identical order.  (A ring
+  buffer would rotate the memory and change the pairwise summation.)
 
 Offline callers pass a whole column with ``seen=0``, streaming callers what
-:meth:`Carry.push` returns; multi-stream callers sum streams left to right.
-The module imports nothing from :mod:`repro`, so every layer may use it.
+:meth:`Carry.push` returns; multi-stream callers add rows with
+:func:`sum_rows`.  The module imports nothing from :mod:`repro`, so every
+layer may use it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-__all__ = ["Carry", "sample_count", "sliding"]
+__all__ = ["Carry", "sample_count", "sliding", "sum_rows"]
+
+# Window values per reduce call: a whole-day block (9,600 x 72, w = 8) in
+# one call would build a ~44 MB temporary inside ``np.std``.
+_CHUNK = 1 << 16
 
 
 def sample_count(seconds: float, rate_hz: float) -> int:
@@ -45,46 +50,69 @@ def sliding(
 ) -> np.ndarray:
     """Reduce the window ending at each of the last ``new`` entries of ``values``.
 
-    Those entries (all of ``values`` by default) are stream positions
-    ``seen, seen + 1, ...``; the entries before them must hold the
-    ``min(seen, w - 1)`` values that precede them.  Position ``g`` gets
-    ``fill`` if ``g < first``, else ``reduce`` over its last ``min(g + 1,
-    w)`` values: ``reduce(prefix)`` in the head, ``reduce(rows, axis=1)``
-    for the full windows.
+    ``values`` is an ``(n,)`` stream or a ``(k, n)`` block of streams, and
+    the result keeps its leading shape.  The ``new`` entries (all ``n`` by
+    default) are stream positions ``seen, seen + 1, ...``; the entries
+    before them must hold the ``min(seen, w - 1)`` values that precede them.
+    Position ``g`` gets ``fill`` if ``g < first``, else ``reduce(...,
+    axis=-1)`` over its last ``min(g + 1, w)`` values.
     """
     values = np.ascontiguousarray(values, dtype=float)
-    new = values.shape[0] if new is None else new
-    tail = values.shape[0] - new
+    n = values.shape[-1]
+    new = n if new is None else new
+    if not values.size:  # no streams, or nothing pushed yet
+        return np.full(values.shape[:-1] + (new,), fill)
+    tail = n - new
     lo = max(first - seen, 0)  # first output that is not ``fill``
     full = max(w - 1 - seen, lo)  # first output over a whole window
-    if full < new:
-        # The rows of ``sliding_window_view(values[tail + full - w + 1:], w)``,
-        # built directly: streaming engines call this once per stream per
-        # batch, where that helper's argument handling outweighed the reduce.
-        step = values.itemsize
-        windows = np.ndarray(
-            (new - full, w),
+    per_call = max(_CHUNK // (w * (values.size // n)), 1)
+    step = values.itemsize
+
+    def windows(a: int, b: int) -> np.ndarray:
+        # Positions a..b-1, built directly: ``sliding_window_view``'s
+        # argument handling costs more than a batch's reduction.
+        view = np.ndarray(
+            values.shape[:-1] + (b - a, w),
             dtype=float,
             buffer=values,
-            offset=(tail + full - w + 1) * step,
-            strides=(step, step),
+            offset=(tail + a - w + 1) * step,
+            strides=values.strides[:-1] + (step, step),
         )
-        windows.flags.writeable = False
-        rows = reduce(windows, axis=1)
-        if full == 0:  # the steady state: nothing but full windows
-            return rows
-    out = np.full(new, fill)
+        view.flags.writeable = False
+        return view
+
+    if full == 0 and new <= per_call:  # the steady state: one call
+        return reduce(windows(0, new), axis=-1)
+    out = np.full(values.shape[:-1] + (new,), fill)
     # Head positions exist only while seen < w - 1, when the leading
     # entries are the whole stream: each slice is the offline prefix.
     for j in range(lo, min(full, new)):
-        out[j] = reduce(values[: tail + j + 1])
-    if full < new:
-        out[full:] = rows
+        out[..., j] = reduce(values[..., : tail + j + 1], axis=-1)
+    for a in range(full, new, per_call):
+        b = min(a + per_call, new)
+        out[..., a:b] = reduce(windows(a, b), axis=-1)
     return out
 
 
+def sum_rows(block: np.ndarray, rows: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Rows of a ``(k, m)`` block (all, or those ``rows`` lists, in order)
+    added left to right, as a new array.
+
+    Bit for bit ``((row_0 + row_1) + row_2) + ...`` (a numpy reduce adds
+    pairwise).  ``np.add.accumulate`` loops once per column and wins on
+    short batches; one vector add per row, copying no rows, on long blocks.
+    """
+    order = range(block.shape[0]) if rows is None else rows
+    if block.shape[1] < len(order):
+        return np.add.accumulate(block[order])[-1].copy()
+    total = block[order[0]].copy()
+    for r in order[1:]:
+        total += block[r]
+    return total
+
+
 class Carry:
-    """The last ``keep`` values of each stream, contiguous, in arrival order.
+    """The last ``keep`` values of each stream, one row per stream.
 
     ``names`` labels the streams (one per batch column) in error messages.
     """
@@ -93,18 +121,19 @@ class Carry:
         self._keep = int(keep)
         self._names = list(names)
         self._count = 0
-        self._tails: List[np.ndarray] = [np.empty(0) for _ in self._names]
+        self._tails = np.empty((len(self._names), 0))
 
     @property
     def count(self) -> int:
         """Values pushed per stream so far."""
         return self._count
 
-    def push(self, batch: np.ndarray) -> Tuple[List[np.ndarray], int]:
-        """Append an ``(m, n_streams)`` batch; return ``(exts, seen)``.
+    def push(self, batch: np.ndarray) -> Tuple[np.ndarray, int]:
+        """Append an ``(m, n_streams)`` batch; return ``(ext, seen)``.
 
-        ``exts[j]`` is stream ``j``'s tail followed by its batch column and
-        ``seen`` the count before the batch: :func:`sliding`'s arguments.
+        ``ext`` is the C-contiguous ``(n_streams, held + m)`` block of each
+        stream's tail followed by its batch column, and ``seen`` the count
+        before the batch: :func:`sliding`'s arguments.
         """
         batch = np.asarray(batch, dtype=float)
         if batch.ndim != 2 or batch.shape[1] != len(self._names):
@@ -112,22 +141,20 @@ class Carry:
                 f"expected an (m, {len(self._names)}) sample batch, "
                 f"got {batch.shape}"
             )
-        exts = [
-            np.concatenate((tail, batch[:, j]))
-            for j, tail in enumerate(self._tails)
-        ]
+        # One C-ordered block filled by slice assignment, whatever the
+        # batch layout: the window views read each stream's row in place.
+        held = self._tails.shape[1]
+        ext = np.empty((len(self._names), held + batch.shape[0]))
+        ext[:, :held] = self._tails
+        ext[:, held:] = batch.T
         seen = self._count
         self._count = seen + batch.shape[0]
-        n_keep = min(self._count, self._keep)
-        self._tails = [ext[ext.shape[0] - n_keep :] for ext in exts]
-        return exts, seen
+        self._tails = ext[:, ext.shape[1] - min(self._count, self._keep) :].copy()
+        return ext, seen
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready state: the count and one tail list per stream."""
-        return {
-            "count": self._count,
-            "tails": [tail.tolist() for tail in self._tails],
-        }
+        return {"count": self._count, "tails": self._tails.tolist()}
 
     def restore(self, state: Mapping[str, Any]) -> None:
         """Overwrite the state from a :meth:`snapshot` dict.
@@ -152,4 +179,4 @@ class Carry:
                     f" = {expected}"
                 )
         self._count = count
-        self._tails = tails
+        self._tails = np.array(tails, dtype=float).reshape(len(tails), expected)

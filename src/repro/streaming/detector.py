@@ -3,7 +3,7 @@
 :class:`OnlineDetector` composes bounded-state pieces:
 
 * :class:`OnlineStdSum` — the rolling ``s_t`` series.  Keeps only the last
-  ``window_samples - 1`` samples per stream as carry between batches, so
+  ``window_samples - 1`` samples per stream (one carry row each), so
   per-sample work is constant in the stream length, while reproducing the
   offline :func:`~repro.core.movement.online_std_sum_series` (and hence
   the per-sample :class:`~repro.core.movement.StdSumTracker`) **bit for
@@ -18,10 +18,12 @@
   :func:`~repro.core.movement.window_duration_series`.
 
 Bit-exactness of ``s_t`` under any batch split comes from
-:mod:`repro.sliding`, which the offline series shares.  Per-sample cost is
-O(``window_samples`` × ``n_streams``) — the reduction itself — and
-independent of how many samples the stream has already delivered; state
-is O(``window_samples`` × ``n_streams`` + profile window).
+:mod:`repro.sliding`, which the offline series shares.  A batch costs one
+``np.std`` call over every stream's windows, not one per stream: at the
+router's 4-sample cadence the dispatch, not the arithmetic, is the cost.
+Per-sample cost is O(``window_samples`` × ``n_streams``) and independent
+of how many samples the stream has already delivered; state is
+O(``window_samples`` × ``n_streams`` + profile window).
 
 Checkpoint/restore
 ------------------
@@ -53,7 +55,7 @@ from ..core.config import MDConfig
 from ..core.windows import VariationWindow
 from ..detectors import DETECTORS, KdeMdDetector
 from ..detectors.kde_md import OnlineProfile
-from ..sliding import Carry, sample_count, sliding
+from ..sliding import Carry, sample_count, sliding, sum_rows
 
 __all__ = [
     "OnlineStdSum",
@@ -80,8 +82,8 @@ class OnlineStdSum:
     points).  Concatenating the outputs over any batching of a stream is
     bit-identical to :func:`~repro.core.movement.online_std_sum_series`
     over the full sample matrix: both run :func:`repro.sliding.sliding`,
-    this one over a :class:`repro.sliding.Carry` of the last
-    ``window_samples - 1`` samples per stream.
+    this one once per batch over the rows of a :class:`repro.sliding.Carry`
+    of the last ``window_samples - 1`` samples per stream.
     """
 
     def __init__(self, n_streams: int, window_samples: int) -> None:
@@ -120,12 +122,10 @@ class OnlineStdSum:
     def extend(self, matrix: np.ndarray) -> np.ndarray:
         """Consume one ``(m, n_streams)`` batch; return its ``s_t`` values."""
         matrix = np.asarray(matrix, dtype=float)
-        exts, seen = self._carry.push(matrix)
-        m = matrix.shape[0]
-        total = sliding(exts[0], self._w, np.std, new=m, seen=seen, first=1)
-        for ext in exts[1:]:
-            total += sliding(ext, self._w, np.std, new=m, seen=seen, first=1)
-        return total
+        ext, seen = self._carry.push(matrix)
+        return sum_rows(
+            sliding(ext, self._w, np.std, new=matrix.shape[0], seen=seen, first=1)
+        )
 
 
 class WindowTracker:

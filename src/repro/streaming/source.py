@@ -32,6 +32,8 @@ __all__ = [
     "merge_by_time",
 ]
 
+_CHUNK_ROWS = 1024  # rows per gathered block (see DayRecordingSource)
+
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -114,6 +116,9 @@ class DayRecordingSource(StreamSource):
     batch_samples:
         Samples per batch (the last batch may be shorter).  ``1`` replays
         the day sample by sample, the way a live collector at 4 Hz would.
+        Batches are C-contiguous views of a block of whole batches
+        (about 1,024 rows) gathered as the iteration reaches it, so a
+        source never holds a copy of the whole day.
     faults:
         Optional :class:`~repro.reliability.FaultPlan` /
         :class:`~repro.reliability.FaultInjector` — enables the
@@ -152,23 +157,24 @@ class DayRecordingSource(StreamSource):
 
     def __iter__(self) -> Iterator[SampleBatch]:
         trace = self._trace
-        n = trace.n_samples
-        matrix = np.column_stack(
-            [trace.streams[sid] for sid in self.stream_ids]
-        )
         step = self._batch_samples
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
+        span = max(_CHUNK_ROWS // step, 1) * step
+        for lo in range(0, trace.n_samples, step):
+            if lo % span == 0:
+                block = np.column_stack(
+                    [trace.streams[sid][lo : lo + span] for sid in self.stream_ids]
+                )
             if (
                 self._faults is not None
                 and self._faults.fired(SOURCE_DROP_BATCH) is not None
             ):
                 self.dropped_batches += 1
                 continue
+            at = lo % span
             yield SampleBatch(
                 tenant=self.tenant,
-                times=trace.times[lo:hi],
-                samples=matrix[lo:hi],
+                times=trace.times[lo : lo + step],
+                samples=block[at : at + step],
             )
 
 

@@ -29,13 +29,18 @@ window: scores are NaN and occupancy is ``-1`` for the first
 ``calibration_samples`` instants on *both* paths (the offline grid is
 causal by construction, so the streaming twin can match it bitwise).
 
-Both paths smooth through :func:`repro.sliding.sliding`, the engine over
-a :class:`repro.sliding.Carry` of the last ``w - 1`` attenuation samples
-per link, which is what makes them bitwise equal under any batch split.
-The calibration median is an order statistic — value-deterministic, so
-the engine computes it from its own buffered copy of the first smoothed
-values.  Per-zone averaging accumulates link columns in the zone's
-declared stream order with identical scalar weights on both paths.
+Both paths smooth through :func:`repro.sliding.sliding`, which is what
+makes them bitwise equal under any batch split: the offline grid one
+whole column at a time, the engine every link of a batch in one
+``np.mean`` call over the ``(L, w - 1)`` rows of a
+:class:`repro.sliding.Carry` of attenuation samples.  The engine keeps
+the rest of its state as ``(L, ·)`` arrays too, one row per link: the
+calibration buffer and the frozen medians.  The calibration median is an
+order statistic — value-deterministic, so the engine computes it from
+its own buffered copy of the first smoothed values.  Both paths score
+the same ``(L, m)`` excess with one function, which adds each zone's
+link rows in the zone's declared stream order with identical weights; a
+zone that no present link crosses scores 0.0.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ import numpy as np
 
 from ..radio.geometry import Point
 from ..radio.office import OfficeLayout
-from ..sliding import Carry, sliding
+from ..sliding import Carry, sliding, sum_rows
 from .attenuation import AttenuationExtractor
 from .map import ZoneMap
 
@@ -129,29 +134,49 @@ class ZoneAccuracy:
         }
 
 
-def _score_matrix(
-    excess: Mapping[str, np.ndarray],
-    zone_streams: Sequence[Sequence[str]],
-    weights: Mapping[str, float],
-    n: int,
-) -> np.ndarray:
-    """``(n, n_zones)`` weighted-mean zone scores from per-link excess.
+class _Links:
+    """The crossing links a stream subset scores zones with.
 
-    Shared verbatim by the offline grid and the streaming engine so the
-    accumulation order (zone stream order, left to right) and the scalar
-    weights are identical.
+    ``needed`` lists every present crossing link once, in first-crossing
+    order: the row order of the excess block.  ``weights`` holds each
+    link's ``1 / zones crossed`` (a wall-to-wall link says little about
+    *where*).  Per zone, ``rows`` indexes its present links in the zone's
+    declared stream order and ``denoms`` adds their weights left to right.
     """
-    scores = np.zeros((n, len(zone_streams)))
-    for z, sids in enumerate(zone_streams):
-        if not sids:
-            continue
-        acc: Optional[np.ndarray] = None
-        denom = 0.0
-        for sid in sids:
-            term = excess[sid] * weights[sid]
-            acc = term if acc is None else acc + term
-            denom += weights[sid]
-        scores[:, z] = acc / denom
+
+    def __init__(self, zone_map: ZoneMap, available: Sequence[str]) -> None:
+        present = set(available)
+        crossed: Dict[str, int] = {}
+        for zone in zone_map.zones:
+            for sid in zone.stream_ids:
+                crossed[sid] = crossed.get(sid, 0) + 1
+        row_of: Dict[str, int] = {}
+        self.rows: List[np.ndarray] = []
+        self.denoms: List[float] = []
+        for zone in zone_map.zones:
+            sids = [sid for sid in zone.stream_ids if sid in present]
+            denom = 0.0
+            for sid in sids:
+                row_of.setdefault(sid, len(row_of))
+                denom += 1.0 / crossed[sid]
+            self.rows.append(np.array([row_of[sid] for sid in sids], dtype=np.intp))
+            self.denoms.append(denom)
+        self.needed = list(row_of)
+        self.weights = np.array([1.0 / crossed[sid] for sid in self.needed])
+
+
+def _score_matrix(excess: np.ndarray, links: _Links) -> np.ndarray:
+    """``(m, n_zones)`` weighted-mean zone scores from ``(L, m)`` link excess,
+    which it weights in place (on a whole day, a weighted copy costs more
+    than the scoring).  Shared by the offline grid and the streaming engine,
+    so both weight the same rows and add them in zone stream order, left to
+    right.  A zone that no present link crosses scores 0.0.
+    """
+    excess *= links.weights[:, None]
+    scores = np.zeros((excess.shape[1], len(links.rows)))
+    for z, (rows, denom) in enumerate(zip(links.rows, links.denoms)):
+        if rows.size:
+            scores[:, z] = sum_rows(excess, rows) / denom
     return scores
 
 
@@ -163,15 +188,6 @@ def _decide(scores: np.ndarray, threshold_db: float) -> np.ndarray:
     best = np.argmax(scores, axis=1)
     top = scores[np.arange(n), best]
     return np.where(top > threshold_db, best, -1).astype(np.int64)
-
-
-def _crossing_counts(zone_map: ZoneMap) -> Dict[str, int]:
-    """How many zones of the map each declared stream crosses."""
-    counts: Dict[str, int] = {}
-    for zone in zone_map.zones:
-        for sid in zone.stream_ids:
-            counts[sid] = counts.get(sid, 0) + 1
-    return counts
 
 
 @dataclass(frozen=True)
@@ -208,20 +224,6 @@ class ZoneOccupancyEstimator:
         if self.calibration_samples < 1:
             raise ValueError("calibration_samples must be at least 1")
 
-    def _zone_streams(self, available: Sequence[str]) -> List[List[str]]:
-        """Per-zone crossing streams restricted to the available ones."""
-        present = set(available)
-        return [
-            [sid for sid in zone.stream_ids if sid in present]
-            for zone in self.zone_map.zones
-        ]
-
-    def _weights(self) -> Dict[str, float]:
-        """Per-link exclusivity weight: ``1 / zones crossed`` (static)."""
-        return {
-            sid: 1.0 / c for sid, c in _crossing_counts(self.zone_map).items()
-        }
-
     def offline_grid(
         self, matrix: np.ndarray, columns: Mapping[str, int]
     ) -> ZoneGrid:
@@ -229,21 +231,17 @@ class ZoneOccupancyEstimator:
         w = self.smoothing_samples
         k = self.calibration_samples
         n = matrix.shape[0]
-        n_zones = self.zone_map.n_zones
-        zone_streams = self._zone_streams(list(columns))
-        scores = np.full((n, n_zones), np.nan)
+        scores = np.full((n, self.zone_map.n_zones), np.nan)
         occupied = np.full(n, -1, dtype=np.int64)
         if n <= k:
             return ZoneGrid(scores=scores, occupied=occupied)
-        weights = self._weights()
-        excess: Dict[str, np.ndarray] = {}
-        for sids in zone_streams:
-            for sid in sids:
-                if sid not in excess:
-                    smoothed = sliding(matrix[:, columns[sid]], w, np.mean)
-                    calib = float(np.median(smoothed[:k]))
-                    excess[sid] = np.maximum(smoothed[k:] - calib, 0.0)
-        scores[k:] = _score_matrix(excess, zone_streams, weights, n - k)
+        links = _Links(self.zone_map, list(columns))
+        excess = np.empty((len(links.needed), n - k))
+        for row, sid in zip(excess, links.needed):
+            smoothed = sliding(matrix[:, columns[sid]], w, np.mean)
+            np.subtract(smoothed[k:], np.median(smoothed[:k]), out=row)
+        np.maximum(excess, 0.0, out=excess)
+        scores[k:] = _score_matrix(excess, links)
         occupied[k:] = _decide(scores[k:], self.threshold_db)
         return ZoneGrid(scores=scores, occupied=occupied)
 
@@ -264,12 +262,7 @@ class ZoneOccupancyEstimator:
         self, stream_ids: Sequence[str], layout: OfficeLayout
     ) -> "ZoneEngine":
         """A fresh bounded-state twin for the given stream order."""
-        zone_streams = self._zone_streams(stream_ids)
-        needed: List[str] = []
-        for sids in zone_streams:
-            for sid in sids:
-                if sid not in needed:
-                    needed.append(sid)
+        needed = _Links(self.zone_map, stream_ids).needed
         expected = self.attenuation.baseline(layout, needed)
         baselines = {sid: float(expected[j]) for j, sid in enumerate(needed)}
         return ZoneEngine(
@@ -285,11 +278,11 @@ class ZoneOccupancyEstimator:
 class ZoneEngine:
     """Streaming zone-occupancy engine, bitwise-identical to offline.
 
-    Bounded state: a :class:`~repro.sliding.Carry` of the last
-    ``smoothing_samples - 1`` attenuation values per needed link, up to
-    ``calibration_samples`` smoothed values per link while calibrating, and
-    the per-link calibration medians once frozen.  Hosted per-tenant by
-    :class:`~repro.streaming.detector.OnlineDetector`.
+    Bounded state, one row per needed link: a
+    :class:`~repro.sliding.Carry` of the last ``smoothing_samples - 1``
+    attenuation values, up to ``calibration_samples`` smoothed values
+    while calibrating, and the calibration medians once frozen.  Hosted
+    per-tenant by :class:`~repro.streaming.detector.OnlineDetector`.
     """
 
     def __init__(
@@ -310,30 +303,16 @@ class ZoneEngine:
         self.smoothing_samples = int(smoothing_samples)
         self.calibration_samples = int(calibration_samples)
         self.threshold_db = float(threshold_db)
-        present = set(self.stream_ids)
-        self._zone_streams = [
-            [sid for sid in zone.stream_ids if sid in present]
-            for zone in zone_map.zones
-        ]
-        self._weights = {
-            sid: 1.0 / c for sid, c in _crossing_counts(zone_map).items()
-        }
-        self._needed: List[str] = []
-        for sids in self._zone_streams:
-            for sid in sids:
-                if sid not in self._needed:
-                    self._needed.append(sid)
-        missing = [sid for sid in self._needed if sid not in baselines]
+        self._links = _Links(zone_map, self.stream_ids)
+        needed = self._links.needed
+        missing = [sid for sid in needed if sid not in baselines]
         if missing:
             raise ValueError(f"missing baselines for streams {missing!r}")
-        self._baseline_row = np.array([float(baselines[sid]) for sid in self._needed])
-        col_of = {sid: j for j, sid in enumerate(self.stream_ids)}
-        self._cols = [col_of[sid] for sid in self._needed]
-        self._carry = Carry(self.smoothing_samples - 1, self._needed)
-        self._calib_buf: Dict[str, np.ndarray] = {
-            sid: np.empty(0) for sid in self._needed
-        }
-        self._calib: Optional[Dict[str, float]] = None
+        self._baseline_row = np.array([float(baselines[sid]) for sid in needed])
+        self._cols = np.array([self.stream_ids.index(s) for s in needed], dtype=np.intp)
+        self._carry = Carry(self.smoothing_samples - 1, needed)
+        self._calib_buf = np.empty((len(needed), 0))
+        self._calib: Optional[np.ndarray] = None
 
     def extend(self, matrix: np.ndarray) -> ZoneGrid:
         """Consume an ``(m, n_streams)`` RSSI batch, return its grid."""
@@ -344,44 +323,28 @@ class ZoneEngine:
                 f"got shape {matrix.shape}"
             )
         m = matrix.shape[0]
-        w = self.smoothing_samples
         k = self.calibration_samples
-        n_zones = self.zone_map.n_zones
-        exts, c0 = self._carry.push(self._baseline_row - matrix[:, self._cols])
-        smoothed = {
-            sid: sliding(ext, w, np.mean, new=m, seen=c0)
-            for sid, ext in zip(self._needed, exts)
-        }
+        ext, c0 = self._carry.push(self._baseline_row - matrix[:, self._cols])
+        smoothed = sliding(ext, self.smoothing_samples, np.mean, new=m, seen=c0)
         if self._calib is None:
             take = min(m, k - c0)
             if take > 0:
-                for sid in self._needed:
-                    self._calib_buf[sid] = np.concatenate(
-                        (self._calib_buf[sid], smoothed[sid][:take])
-                    )
+                self._calib_buf = np.concatenate(
+                    (self._calib_buf, smoothed[:, :take]), axis=1
+                )
             if c0 + m >= k:
                 # The calibration median is an order statistic of each
                 # link's first k smoothed values — value-deterministic,
                 # so computing it from this buffered copy matches the
                 # offline ``np.median(smoothed[:k])`` bitwise.
-                self._calib = {
-                    sid: float(np.median(self._calib_buf[sid]))
-                    for sid in self._needed
-                }
-                self._calib_buf = {
-                    sid: np.empty(0) for sid in self._needed
-                }
-        scores = np.full((m, n_zones), np.nan)
+                self._calib = np.median(self._calib_buf, axis=1)
+                self._calib_buf = np.empty((self._calib.size, 0))
+        scores = np.full((m, self.zone_map.n_zones), np.nan)
         occupied = np.full(m, -1, dtype=np.int64)
         j0 = max(0, k - c0)
         if self._calib is not None and j0 < m:
-            excess = {
-                sid: np.maximum(smoothed[sid][j0:] - self._calib[sid], 0.0)
-                for sid in self._needed
-            }
-            scores[j0:] = _score_matrix(
-                excess, self._zone_streams, self._weights, m - j0
-            )
+            excess = np.maximum(smoothed[:, j0:] - self._calib[:, None], 0.0)
+            scores[j0:] = _score_matrix(excess, self._links)
             occupied[j0:] = _decide(scores[j0:], self.threshold_db)
         return ZoneGrid(scores=scores, occupied=occupied)
 
@@ -389,6 +352,7 @@ class ZoneEngine:
     def snapshot(self) -> Dict[str, object]:
         """Plain-JSON state: config, baselines, tails and calibration."""
         carry = self._carry.snapshot()
+        needed = self._links.needed
         return {
             "count": carry["count"],
             "stream_ids": list(self.stream_ids),
@@ -396,12 +360,13 @@ class ZoneEngine:
             "calibration_samples": int(self.calibration_samples),
             "threshold_db": float(self.threshold_db),
             "zones": self.zone_map.to_jsonable(),
-            "baselines": dict(zip(self._needed, self._baseline_row.tolist())),
-            "tails": dict(zip(self._needed, carry["tails"])),
-            "calib_buf": {
-                sid: buf.tolist() for sid, buf in self._calib_buf.items()
-            },
-            "calib": dict(self._calib) if self._calib is not None else None,
+            "baselines": dict(zip(needed, self._baseline_row.tolist())),
+            "tails": dict(zip(needed, carry["tails"])),
+            "calib_buf": dict(zip(needed, self._calib_buf.tolist())),
+            "calib": (
+                None if self._calib is None
+                else dict(zip(needed, self._calib.tolist()))
+            ),
         }
 
     @classmethod
@@ -421,7 +386,7 @@ class ZoneEngine:
             calibration_samples=int(state["calibration_samples"]),
             threshold_db=float(state["threshold_db"]),
         )
-        needed = engine._needed
+        needed = engine._links.needed
         calib = state.get("calib")
         for key in ("tails", "calib_buf") + (() if calib is None else ("calib",)):
             got, want = set(state[key]), set(needed)
@@ -434,6 +399,7 @@ class ZoneEngine:
         tails = state["tails"]
         engine._carry.restore({"count": count, "tails": [tails[sid] for sid in needed]})
         buffered = 0 if calib is not None else min(count, engine.calibration_samples)
+        bufs = []
         for sid in needed:
             buf = np.asarray(state["calib_buf"][sid], dtype=float)
             if buf.shape != (buffered,):
@@ -441,9 +407,10 @@ class ZoneEngine:
                     f"snapshot calib_buf of stream {sid!r} holds {buf.size} "
                     f"values, expected {buffered}"
                 )
-            engine._calib_buf[sid] = buf
+            bufs.append(buf)
+        engine._calib_buf = np.array(bufs).reshape(len(needed), buffered)
         engine._calib = (
-            None if calib is None else {s: float(v) for s, v in calib.items()}
+            None if calib is None else np.array([float(calib[s]) for s in needed])
         )
         return engine
 

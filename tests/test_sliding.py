@@ -24,7 +24,7 @@ from repro.core.config import MDConfig
 from repro.detectors import EmaMadDetector, VarianceThresholdDetector
 from repro.radio.links import enumerate_stream_ids
 from repro.radio.office import paper_office
-from repro.sliding import Carry, sliding
+from repro.sliding import _CHUNK, Carry, sliding, sum_rows
 from repro.streaming import IngestRouter, OnlineDetector, OnlineStdSum
 from repro.zones import ZoneEngine, ZoneMap, ZoneOccupancyEstimator
 
@@ -141,6 +141,117 @@ class TestSlidingOracle:
             np.concatenate([got_head, got_tail]),
             naive(values, w, reduce, 1, np.nan),
         )
+
+
+# --------------------------------------------------------------------------- #
+# The row-per-stream form: one reduction per batch over every stream
+# --------------------------------------------------------------------------- #
+def _block(runs, n_streams, seed, decimals):
+    """``(n, n_streams)`` samples: the run-length series in column 0 (ties,
+    constant runs), rounded noise in the rest."""
+    first = _series(runs)
+    rng = np.random.default_rng(seed)
+    rest = rng.normal(-60.0, 4.0, (first.size, n_streams - 1))
+    return np.column_stack([first, np.round(rest, decimals)])
+
+
+def _layout(matrix, how):
+    """The same values in a C-contiguous or a strided batch layout."""
+    if how == "columns":  # fancy-indexed columns come back in F order
+        return matrix[:, list(range(matrix.shape[1]))]
+    if how == "transposed":
+        return np.ascontiguousarray(matrix.T).T
+    if how == "fortran":
+        return np.asfortranarray(matrix)
+    return matrix
+
+
+def left_to_right(rows):
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total = total + row
+    return total
+
+
+class TestRowPerStream:
+    @given(
+        runs=_runs,
+        n_streams=st.integers(min_value=1, max_value=79),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        decimals=st.integers(min_value=0, max_value=2),
+        how=st.sampled_from(["c", "columns", "transposed", "fortran"]),
+        data=st.data(),
+        **_config,
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_split_matches_naive_per_stream(
+        self, runs, n_streams, seed, decimals, how, data, w, reduce, first, fill
+    ):
+        matrix = _block(runs, n_streams, seed, decimals)
+        n = matrix.shape[0]
+        batches = _layout(matrix, how)
+        sizes = data.draw(st.lists(st.integers(0, 25), max_size=30))
+        sizes.append(max(n - sum(sizes), 0))
+        carry = Carry(w - 1, range(n_streams))
+        rows, sums, pos = [], [], 0
+        for size in sizes:
+            batch = batches[pos : pos + size]
+            ext, seen = carry.push(batch)
+            assert ext.flags.c_contiguous and seen == pos
+            got = sliding(
+                ext, w, reduce, new=batch.shape[0], seen=seen, first=first, fill=fill
+            )
+            assert got.shape == (n_streams, batch.shape[0])
+            rows.append(got)
+            sums.append(sum_rows(got))
+            pos += batch.shape[0]
+        want = [naive(matrix[:, j].copy(), w, reduce, first, fill) for j in range(n_streams)]
+        streamed = np.concatenate(rows, axis=1)
+        whole = sliding(batches.T, w, reduce, first=first, fill=fill)
+        for j in range(n_streams):
+            assert_bits_equal(streamed[j], want[j])
+            assert_bits_equal(whole[j], want[j])
+        assert_bits_equal(np.concatenate(sums), left_to_right(want))
+        # Picked rows, in any order, add left to right in that order.
+        order = data.draw(st.permutations(range(n_streams)), label="order")
+        order = order[: data.draw(st.integers(1, n_streams), label="picked")]
+        assert_bits_equal(
+            sum_rows(streamed, np.array(order)),
+            left_to_right([want[j] for j in order]),
+        )
+
+    @pytest.mark.parametrize("k, m", [(40, 1), (40, 3), (3, 40), (72, 4), (4, 72)])
+    def test_sum_rows_adds_left_to_right(self, k, m):
+        # Magnitudes over ten decades make any other addition order (numpy's
+        # pairwise reduce over a single column, say) round differently.
+        rng = np.random.default_rng(k * m)
+        block = rng.normal(size=(k, m)) * 10.0 ** rng.integers(-5, 5, size=(k, 1))
+        order = rng.permutation(k)[: max(k // 2, 1)]
+        assert_bits_equal(sum_rows(block), left_to_right(list(block)))
+        assert_bits_equal(
+            sum_rows(block, order), left_to_right([block[r] for r in order])
+        )
+
+    @pytest.mark.parametrize("n_streams, w", [(1, 60), (9, 300), (72, 8), (79, 3)])
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    @pytest.mark.parametrize("reduce", REDUCERS)
+    def test_blocks_at_the_chunk_limit(self, n_streams, w, delta, reduce):
+        # Full windows are reduced at most _CHUNK values per call: a block
+        # of limit + 1 positions takes a second call, limit or fewer one.
+        limit = max(_CHUNK // (w * n_streams), 1)
+        n = w - 1 + limit + delta
+        matrix = np.round(
+            np.random.default_rng(n).normal(-60.0, 4.0, (n, n_streams)), 1
+        )
+        carry = Carry(w - 1, range(n_streams))
+        carry.push(matrix[: w - 1])
+        ext, seen = carry.push(matrix[w - 1 :])
+        steady = sliding(ext, w, reduce, new=limit + delta, seen=seen)
+        whole = sliding(matrix.T, w, reduce)
+        for j in range(n_streams):
+            want = naive(matrix[:, j].copy(), w, reduce, 0, np.nan)
+            assert_bits_equal(whole[j], want)
+            assert_bits_equal(steady[j], want[w - 1 :])
 
 
 class TestCarry:

@@ -11,6 +11,7 @@ trajectories is pinned as goldens at seed 42, and a noise-free synthetic
 channel must be recovered exactly.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -467,6 +468,121 @@ class TestNoiseFreeRecovery:
         np.testing.assert_array_equal(
             np.concatenate([g.occupied for g in grids]), reference.occupied
         )
+
+
+def zone_oracle(zone_map, att, columns, w, k, threshold_db):
+    """Per-instant zone scores and occupancy, written out loop by loop.
+
+    Each link's attenuation is smoothed by the mean of its last ``w``
+    values (fewer at the start), calibrated by the median of its first
+    ``k`` smoothed values and rectified.  Zone ``z`` scores the mean of its
+    present links' excess, each weighted by ``1 / zones it crosses``,
+    added in the zone's stream order; a zone no present link crosses
+    scores 0.0.  The highest score (the lowest zone on ties) is occupied
+    when it clears the threshold.
+    """
+    n = att.shape[0]
+    crossed = {}
+    for zone in zone_map.zones:
+        for sid in zone.stream_ids:
+            crossed[sid] = crossed.get(sid, 0) + 1
+    present = [
+        [sid for sid in zone.stream_ids if sid in columns]
+        for zone in zone_map.zones
+    ]
+    excess = {}
+    for sid in {sid for sids in present for sid in sids}:
+        col = np.ascontiguousarray(att[:, columns[sid]])
+        smoothed = np.array(
+            [np.mean(col[max(0, i - w + 1) : i + 1]) for i in range(n)]
+        )
+        calib = np.median(smoothed[:k])
+        excess[sid] = [max(smoothed[i] - calib, 0.0) for i in range(n)]
+    scores = np.full((n, zone_map.n_zones), np.nan)
+    occupied = np.full(n, -1, dtype=np.int64)
+    for i in range(k, n):
+        for z, sids in enumerate(present):
+            num, den = None, 0.0
+            for sid in sids:
+                term = excess[sid][i] * (1.0 / crossed[sid])
+                num = term if num is None else num + term
+                den += 1.0 / crossed[sid]
+            scores[i, z] = 0.0 if num is None else num / den
+        best = 0
+        for z in range(1, zone_map.n_zones):
+            if scores[i, z] > scores[i, best]:
+                best = z
+        if scores[i, best] > threshold_db:
+            occupied[i] = best
+    return scores, occupied
+
+
+@pytest.fixture(scope="module")
+def sensor_subsets(layout, zone_map):
+    """Every subset of 2+ sensors, keyed by whether it leaves a zone with
+    no crossing link."""
+    split = {True: [], False: []}
+    for r in range(2, len(layout.sensor_ids) + 1):
+        for subset in itertools.combinations(layout.sensor_ids, r):
+            ids = set(enumerate_stream_ids(list(subset)))
+            empty = any(not ids & set(z.stream_ids) for z in zone_map.zones)
+            split[empty].append(list(subset))
+    return split
+
+
+class TestPerInstantOracle:
+    """Offline grid and engine against :func:`zone_oracle`, sensor subsets
+    that leave a zone with no crossing link included."""
+
+    @pytest.mark.parametrize("empty_zone", [True, False])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_offline_and_streaming_match_the_loop(
+        self, layout, zone_map, sensor_subsets, empty_zone, data
+    ):
+        sensors = data.draw(
+            st.sampled_from(sensor_subsets[empty_zone]), label="sensors"
+        )
+        w = data.draw(st.integers(1, 5), label="w")
+        k = data.draw(st.integers(1, 30), label="k")
+        n = k + data.draw(st.integers(1, 60), label="decided")
+        threshold = data.draw(st.sampled_from([0.0, 0.25, 1.0]), label="th")
+        decimals = data.draw(st.integers(0, 2), label="decimals")
+        ids = enumerate_stream_ids(sensors)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rssi = np.round(-60.0 + 3.0 * rng.standard_normal((n, len(ids))), decimals)
+        est = ZoneOccupancyEstimator(
+            zone_map=zone_map,
+            smoothing_samples=w,
+            calibration_samples=k,
+            threshold_db=threshold,
+        )
+        engine = est.streaming_engine(ids, layout)
+        baselines = engine.snapshot()["baselines"]
+        att = np.column_stack(
+            [baselines.get(sid, 0.0) - rssi[:, j] for j, sid in enumerate(ids)]
+        )
+        columns = {sid: j for j, sid in enumerate(ids)}
+        want_scores, want_occupied = zone_oracle(
+            zone_map, att, columns, w, k, threshold
+        )
+
+        offline = est.offline_grid(att, columns)
+        sizes = data.draw(st.lists(st.integers(0, 9), max_size=n), label="splits")
+        sizes.append(max(n - sum(sizes), 0))
+        grids, pos = [], 0
+        for size in sizes:
+            grids.append(engine.extend(rssi[pos : pos + size]))
+            pos = min(pos + size, n)
+        streamed = (
+            np.concatenate([g.scores for g in grids]),
+            np.concatenate([g.occupied for g in grids]),
+        )
+        for scores, occupied in ((offline.scores, offline.occupied), streamed):
+            np.testing.assert_array_equal(
+                scores.view(np.uint64), want_scores.view(np.uint64)
+            )
+            np.testing.assert_array_equal(occupied, want_occupied)
 
 
 class TestGoldenAccuracy:
