@@ -15,7 +15,9 @@ loudly if a fast path loses its edge:
   active-row evaluation) cut that shared floor ~6x, and what remains of
   the scalar path is dominated by its per-observation Python loop and
   per-profile solver calls — which the lockstep grid amortises across
-  all (day, sensor-count) columns at once.
+  all (day, sensor-count) columns at once.  Both sides compute ``s_t``
+  with the live detector's per-stream sliding std (``repro.sliding``),
+  a cost the grid pays once per day and the scalar path once per count.
 * ``FadewichSystem.replay_day`` (array replay: columnar std-sums,
   lockstep profile, precomputed idle/input arrays) vs.
   ``replay_day_scalar`` (dict-per-step ``process_sample`` loop) — the

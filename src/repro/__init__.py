@@ -152,7 +152,14 @@ from .streaming import IngestRouter, OnlineDetector
 # (zone_estimator=, zone_accuracy payloads, zone_summary, feature/zone
 # store-key fingerprints); EmaMadDetector long-window median/MAD
 # dispatches to an indexable sorted window past the measured crossover.
-__version__ = "2.9.0"
+# 2.10.0: one s_t from recording to router — the sweep, detect_offline and
+# Figure 2 take each stream's partial-head sliding std from the second
+# sample and add streams left to right, bit-identical to OnlineDetector
+# (the cumsum rolling_std_matrix, rolling_std_sum and detect_offline's
+# precomputed= are gone; Table III / Figures 7-8 / golden replay
+# re-pinned; sweep stores recompute); zones scored once per simulation
+# per ScenarioSweepRunner.run.
+__version__ = "2.10.0"
 
 __all__ = [
     "AttenuationExtractor",

@@ -2,7 +2,9 @@
 
 The figure contrasts the ``s_t`` values observed while the office is quiet
 ("normal") with those observed while a user is walking, together with the
-Gaussian-KDE density of the normal profile and its 99th percentile.
+Gaussian-KDE density of the normal profile and its 99th percentile.  The
+``s_t`` values are the detector's own: each stream's rolling std from the
+second sample on (partial windows first), streams added left to right.
 
 The percentile line is produced by the shared safeguarded-Newton quantile
 engine (:func:`repro.ml.kde.mixture_quantiles`) — the same threshold rule
@@ -24,7 +26,7 @@ from ..core.windows import true_window_for_event
 from ..ml.kde import GaussianKDE
 from ..mobility.events import EventKind
 from ..simulation.collector import CampaignRecording
-from ..sliding import sample_count
+from ..sliding import sample_count, sum_rows
 
 __all__ = ["StdProfileResult", "compute_std_profile", "render_std_profile"]
 
@@ -73,9 +75,10 @@ def compute_std_profile(
     rate = 1.0 / trace.sample_interval
     window_samples = sample_count(cfg.md.std_window_s, rate)
     # The per-stream rolling matrix is the same shared feature matrix the
-    # evaluation pipeline slices; summing its columns gives the s_t series.
+    # evaluation pipeline slices; its columns added left to right give the
+    # s_t series the detector thresholds.
     times, std_matrix = rolling_std_matrix(trace, window_samples)
-    std_sums = std_matrix.sum(axis=1)
+    std_sums = sum_rows(std_matrix.T)
 
     # "Walking" samples are those inside the actual movement interval (from
     # the moment the user starts moving to the moment they reach the door or

@@ -990,6 +990,9 @@ class ScenarioSweepRunner:
         )
         self._keep_recordings = keep_recordings
         self._zone_estimator = zone_estimator
+        # Zone scores per simulation key while :meth:`run` analyses: they
+        # read neither the detector nor the FADEWICH config.
+        self._zone_memo: Optional[Dict[Tuple, Dict[str, float]]] = None
         self.last_run_stats: Optional[SweepRunStats] = None
         self._last_collect_task_count = 0
         # Explicit spec lists bypass ScenarioGrid's validation, so enforce
@@ -1205,7 +1208,13 @@ class ScenarioSweepRunner:
         radio.  When ``features`` is given, its
         :class:`~repro.features.store.FeatureStore` is shared, so the
         attenuation matrices are cached next to the detection features.
+        Inside :meth:`run`, each simulation is scored once and every
+        variant gets its own copy of the dict.
         """
+        memo = {} if self._zone_memo is None else self._zone_memo
+        key = spec.simulation_key()
+        if key in memo:
+            return dict(memo[key])
         estimator = self._zone_estimator
         assert estimator is not None
         _, collector, schedule, base = self._plan(spec)
@@ -1222,7 +1231,8 @@ class ScenarioSweepRunner:
             total = total + score_walks(
                 estimator.zone_map, times, grid.occupied, trajectories
             )
-        return total.to_dict()
+        memo[key] = total.to_dict()
+        return dict(memo[key])
 
     def store_key(self, spec: ScenarioSpec) -> Dict[str, object]:
         """The staleness fingerprint of one scenario's store record.
@@ -1388,27 +1398,31 @@ class ScenarioSweepRunner:
         # FADEWICH config — detectors consume the same std sums), so the
         # detector axis only pays for the decision engines.
         features_cache: Dict[Tuple[int, FadewichConfig], CampaignStdFeatures] = {}
-        for spec, recording in pairs:
-            if spec.name in results:
-                continue  # cached config-variant sharing a missing simulation
-            features_key = (id(recording), spec.config)
-            features = features_cache.get(features_key)
-            if features is None:
-                features = CampaignStdFeatures(recording, spec.config)
-                features_cache[features_key] = features
-            result = self.analyze(spec, recording, features=features)
-            n_analyzed += 1
-            if store is not None:
-                sim_key = spec.simulation_key()
-                if claims is not None and not claims.may_put(sim_key):
-                    # Lost the claim mid-collect: the thief will produce
-                    # this record; persisting ours would race its put.
-                    n_discarded += 1
-                    continue
-                store.put(spec.name, store_keys[spec.name], result.to_dict())
-                if claims is not None:
-                    claims.put_done(sim_key)
-            results[spec.name] = result
+        self._zone_memo = {}
+        try:
+            for spec, recording in pairs:
+                if spec.name in results:
+                    continue  # cached config-variant sharing a missing simulation
+                features_key = (id(recording), spec.config)
+                features = features_cache.get(features_key)
+                if features is None:
+                    features = CampaignStdFeatures(recording, spec.config)
+                    features_cache[features_key] = features
+                result = self.analyze(spec, recording, features=features)
+                n_analyzed += 1
+                if store is not None:
+                    sim_key = spec.simulation_key()
+                    if claims is not None and not claims.may_put(sim_key):
+                        # Lost the claim mid-collect: the thief will produce
+                        # this record; persisting ours would race its put.
+                        n_discarded += 1
+                        continue
+                    store.put(spec.name, store_keys[spec.name], result.to_dict())
+                    if claims is not None:
+                        claims.put_done(sim_key)
+                results[spec.name] = result
+        finally:
+            self._zone_memo = None
         self.last_run_stats = SweepRunStats(
             n_scenarios=len(self._specs),
             n_cached=len(results) - (n_analyzed - n_discarded),

@@ -24,10 +24,15 @@ Every hot step of the pipeline exists twice, under a strict contract:
   (:class:`CampaignStdFeatures`), sliced per sensor subset and pushed
   through the detector's ``offline_grid`` (for the KDE detector the
   lockstep profile engine, :class:`~repro.detectors.kde_md.OnlineProfile`),
-  all sensor counts and days advancing together.  :func:`evaluate_md_scalar` is the retained
-  per-observation reference: it restricts the trace, recomputes the
-  rolling statistics and drives
+  all sensor counts and days advancing together.  :func:`evaluate_md_scalar`
+  is the retained per-observation reference: it restricts the trace,
+  recomputes the rolling statistics and drives
   :func:`~repro.core.movement.detect_offline_scalar` per sensor count.
+  Both take ``s_t`` the way the live
+  :class:`~repro.streaming.detector.OnlineDetector` does — from the second
+  sample, partial windows first, streams added left to right — so the
+  per-day ``std_sums``, thresholds and windows they report equal the
+  router's for the same recording.
 * :func:`cross_validated_predictions` builds its folds as arrays
   (:func:`~repro.ml.validation.stratified_fold_assignments`) and fits on
   contiguous index views; :func:`cross_validated_predictions_scalar` is
@@ -57,10 +62,11 @@ from ..radio.links import enumerate_stream_ids
 from ..radio.trace import RssiTrace
 from ..simulation.collector import CampaignRecording, DayRecording
 from ..simulation.dataset import LabeledSample, SampleDataset
-from ..sliding import sample_count
+from ..sliding import sum_rows
 from .config import FadewichConfig
 from .movement import (
     OfflineMDResult,
+    _profile_init_samples,
     detect_offline_scalar,
     variation_windows_from_flags,
 )
@@ -168,12 +174,12 @@ class CampaignStdFeatures:
 
     For every day, the per-stream rolling standard deviations over *all*
     recorded streams are computed once
-    (:class:`~repro.features.rolling.RollingStdExtractor` — the identical
-    expression this class historically inlined); any sensor subset's
-    ``s_t`` series is then a column-subset sum — bit-identical to
-    recomputing the rolling statistics on the restricted trace, at a
-    fraction of the cost.  :func:`evaluate_md` and :func:`evaluate_md_grid`
-    share one instance across sensor counts.
+    (:class:`~repro.features.rolling.RollingStdExtractor`); any sensor
+    subset's ``s_t`` series is then its columns added left to right —
+    bit-identical to recomputing the rolling statistics on the restricted
+    trace, and to the live detector's series, at a fraction of the cost.
+    :func:`evaluate_md` and :func:`evaluate_md_grid` share one instance
+    across sensor counts.
 
     Blocks live in a :class:`~repro.features.store.FeatureStore`; pass
     ``store=`` to share one store (and its cache) with other extractors
@@ -205,26 +211,16 @@ class CampaignStdFeatures:
     def std_sums(
         self, day: DayRecording, stream_ids: Sequence[str]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(times, s_t)`` series of one day for a stream subset."""
+        """The ``(times, s_t)`` series of one day for a stream subset,
+        streams added in ``stream_ids`` order."""
         times, matrix, columns = self.day_matrix(day)
-        cols = [columns[sid] for sid in stream_ids]
-        # The contiguous copy makes the row reduction use the same memory
-        # layout (hence the same summation order) as the restricted-trace
-        # computation it replaces.
-        return times, np.ascontiguousarray(matrix[:, cols]).sum(axis=1)
+        return times, sum_rows(matrix.T, [columns[sid] for sid in stream_ids])
 
 
 def _scored_events(day: DayRecording) -> List[GroundTruthEvent]:
     return [
         e for e in day.events if e.kind in (EventKind.DEPARTURE, EventKind.ENTRY)
     ]
-
-
-def _profile_init_samples(times: np.ndarray, config: FadewichConfig) -> int:
-    if times.shape[0] < 2:
-        raise ValueError("not enough samples for offline MD")
-    rate = 1.0 / float(np.median(np.diff(times)))
-    return sample_count(config.md.profile_init_s, rate)
 
 
 def _evaluate_md_sets(
@@ -261,7 +257,7 @@ def _evaluate_md_sets(
             columns.append(sums)
         stacked = np.column_stack(columns)
         day_inputs.append(
-            (day, times, stacked, _profile_init_samples(times, config))
+            (day, times, stacked, _profile_init_samples(times, config.md))
         )
 
     # Group equally-shaped days so their profile chains run in one lockstep

@@ -12,6 +12,11 @@ changes of the radio environment.
 Contiguous anomalous reports form *variation windows*; windows lasting at
 least ``t_delta`` trigger system decisions (handled by the controller).
 
+Every path computes ``s_t`` the way a deployed router sees it: from the
+second sample on, each stream's std over its last ``d`` seconds (the whole
+prefix while fewer exist), streams added left to right — so the sweep that
+produces the paper tables agrees bit for bit with the live detector.
+
 Entry points:
 
 * :class:`MovementDetector` — the online, sample-by-sample detector used by
@@ -49,7 +54,7 @@ import numpy as np
 from ..detectors import DetectionGrid, KdeMdDetector
 from ..ml.kde import GaussianKDE
 from ..radio.trace import RssiTrace, StreamBuffer
-from ..sliding import sample_count, sliding
+from ..sliding import sample_count, sliding, sum_rows
 from .config import MDConfig
 from .windows import VariationWindow
 
@@ -59,7 +64,6 @@ __all__ = [
     "MovementDetector",
     "OfflineMDResult",
     "ProfileGridResult",
-    "rolling_std_sum",
     "rolling_std_matrix",
     "online_std_sum_series",
     "run_profile_grid",
@@ -191,8 +195,8 @@ class OfflineMDResult:
     Attributes
     ----------
     times:
-        Timestamps at which ``s_t`` was defined (the first window's worth of
-        samples has no value).
+        Timestamps at which ``s_t`` is defined: every sample but the first
+        (a standard deviation needs two points).
     std_sums:
         The ``s_t`` series (same length as ``times``).
     windows:
@@ -331,48 +335,20 @@ def rolling_std_matrix(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-stream rolling standard deviations of a recorded trace.
 
-    Returns ``(times, std_matrix)`` where ``std_matrix[i, j]`` is the
-    standard deviation of the last ``window_samples`` samples of stream
-    ``trace.stream_ids[j]`` ending at ``times[i]``.  This is the shared
-    feature matrix of the evaluation pipeline: computed once per recording,
-    any sensor subset's ``s_t`` series is a column-subset sum of it
-    (bit-identical to recomputing on the restricted trace, because each
-    column's rolling statistics are independent of the others).
+    Returns ``(trace.times[1:], std_matrix)`` where ``std_matrix[i, j]`` is
+    the std of the last ``window_samples`` samples (all, while fewer exist)
+    of stream ``trace.stream_ids[j]`` ending at ``times[i]``, as
+    :class:`~repro.streaming.detector.OnlineStdSum` computes it.  Computed
+    once per recording, it is the evaluation pipeline's shared feature
+    matrix: a sensor subset's ``s_t`` is :func:`~repro.sliding.sum_rows` of
+    its columns, which ``std_matrix.T`` holds as contiguous rows.
     """
     if window_samples < 2:
         raise ValueError("window_samples must be >= 2")
-    n = trace.n_samples
-    if n < window_samples:
-        raise ValueError("trace shorter than the std window")
-    matrix = np.column_stack([trace.streams[sid] for sid in trace.stream_ids])
-    # Rolling mean/variance via cumulative sums.  All combining steps run
-    # in place on the fresh temporaries (bit-identical values, roughly
-    # half the large allocations of the naive expression chain).
-    csum = np.cumsum(matrix, axis=0)
-    np.multiply(matrix, matrix, out=matrix)
-    csum2 = np.cumsum(matrix, axis=0)
-    w = window_samples
-    sum_w = csum[w - 1 :].copy()
-    sum_w[1:] -= csum[: n - w]
-    sum2_w = csum2[w - 1 :].copy()
-    sum2_w[1:] -= csum2[: n - w]
-    sum_w /= w          # rolling mean
-    sum2_w /= w
-    np.multiply(sum_w, sum_w, out=sum_w)
-    np.subtract(sum2_w, sum_w, out=sum2_w)
-    np.maximum(sum2_w, 0.0, out=sum2_w)
-    np.sqrt(sum2_w, out=sum2_w)
-    return trace.times[w - 1 :], sum2_w
-
-
-def rolling_std_sum(trace: RssiTrace, window_samples: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised ``s_t`` series of a recorded trace.
-
-    Returns ``(times, std_sums)`` where the series starts at the first index
-    with a full window.
-    """
-    times, std_matrix = rolling_std_matrix(trace, window_samples)
-    return times, std_matrix.sum(axis=1)
+    if not trace.streams:
+        raise ValueError("trace has no streams")
+    block = np.array([trace.streams[sid] for sid in trace.stream_ids], dtype=float)
+    return trace.times[1:], sliding(block, window_samples, np.std, first=1)[:, 1:].T
 
 
 def online_std_sum_series(
@@ -381,21 +357,13 @@ def online_std_sum_series(
     """The ``s_t`` series an online :class:`StdSumTracker` would emit.
 
     ``matrix`` is the ``(n_steps, n_streams)`` sample matrix in stream
-    order.  Unlike :func:`rolling_std_sum` (which starts at the first full
-    window), the online tracker emits values as soon as two samples are
-    buffered, computing the std over the *partial* window; this helper
-    replicates that exactly.  Returns an array of length ``n_steps`` whose
-    first element is NaN (no std of a single sample).
+    order.  Returns an array of length ``n_steps`` whose first element is
+    NaN (no std of a single sample); the rest is :func:`rolling_std_matrix`'s
+    convention, streams added left to right.
     """
     if window_samples < 2:
         raise ValueError("window_samples must be >= 2")
-    # The same per-stream sliding std and left-to-right stream sum as the
-    # online tracker and OnlineStdSum.
-    total = np.full(matrix.shape[0], np.nan)
-    for j in range(matrix.shape[1]):
-        stds = sliding(matrix[:, j], window_samples, np.std, first=1)
-        total = stds if j == 0 else total + stds
-    return total
+    return sum_rows(sliding(np.transpose(matrix), window_samples, np.std, first=1))
 
 
 #: :func:`run_profile_grid`'s result: the zoo's :class:`DetectionGrid`.
@@ -468,16 +436,16 @@ def window_duration_series(
         return out
     gap_exceeded = times[idx[1:] - 1] - times[idx[:-1]] > merge_gap_s
     split = (idx[1:] > idx[:-1] + 1) & gap_exceeded
-    group = np.concatenate([[0], np.cumsum(split)])
-    first_of_group = idx[np.concatenate([[0], np.flatnonzero(split) + 1])]
-    group_start_t = times[first_of_group]
+    # Positions in ``idx`` where a window starts.
+    starts = np.concatenate([[0], np.flatnonzero(split) + 1])
     # Most recent anomalous index at or before each step.
     prev = np.searchsorted(idx, np.arange(n), side="right") - 1
     has_prev = prev >= 0
     prev_clipped = np.clip(prev, 0, None)
     last_anom_t = times[idx[prev_clipped]]
     is_open = has_prev & (times - last_anom_t <= merge_gap_s)
-    out[is_open] = times[is_open] - group_start_t[group[prev_clipped[is_open]]]
+    group = np.searchsorted(starts, prev_clipped[is_open], side="right") - 1
+    out[is_open] = times[is_open] - times[idx[starts[group]]]
     return out
 
 
@@ -485,7 +453,6 @@ def detect_offline(
     trace: RssiTrace,
     config: Optional[MDConfig] = None,
     *,
-    precomputed: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     detector: object = KdeMdDetector(),
 ) -> OfflineMDResult:
     """Run Algorithm 1 over a recorded trace (columnar fast path).
@@ -499,17 +466,13 @@ def detect_offline(
         The recorded multi-stream RSSI trace.
     config:
         MD parameters.
-    precomputed:
-        Optionally, a ``(times, std_sums)`` pair already computed with
-        :func:`rolling_std_sum` — the per-sensor-count sweeps reuse it to
-        avoid recomputing the rolling statistics.
     detector:
         The detector-zoo member (``repro.detectors``) whose
         ``offline_grid`` decides; the paper's KDE detector by default,
         bit-identical to the scalar reference.
     """
     cfg = config if config is not None else MDConfig()
-    times, std_sums, init_samples = _offline_series(trace, cfg, precomputed)
+    times, std_sums, init_samples = _offline_series(trace, cfg)
     grid = detector.offline_grid(std_sums[:, np.newaxis], cfg, init_samples)
     return OfflineMDResult(
         times=times,
@@ -522,27 +485,25 @@ def detect_offline(
 
 
 def _offline_series(
-    trace: RssiTrace,
-    cfg: MDConfig,
-    precomputed: Optional[Tuple[np.ndarray, np.ndarray]],
+    trace: RssiTrace, cfg: MDConfig
 ) -> Tuple[np.ndarray, np.ndarray, int]:
     """Shared preamble of the offline detectors: ``s_t`` series + init size."""
-    if precomputed is not None:
-        times, std_sums = precomputed
-    else:
-        rate = 1.0 / trace.sample_interval
-        times, std_sums = rolling_std_sum(trace, sample_count(cfg.std_window_s, rate))
+    rate = 1.0 / trace.sample_interval
+    times, matrix = rolling_std_matrix(trace, sample_count(cfg.std_window_s, rate))
+    return times, sum_rows(matrix.T), _profile_init_samples(times, cfg)
+
+
+def _profile_init_samples(times: np.ndarray, cfg: MDConfig) -> int:
+    """Profile installation length of an ``s_t`` series (two values at least)."""
     if times.shape[0] < 2:
         raise ValueError("not enough samples for offline MD")
     rate = 1.0 / float(np.median(np.diff(times)))
-    return times, std_sums, sample_count(cfg.profile_init_s, rate)
+    return sample_count(cfg.profile_init_s, rate)
 
 
 def detect_offline_scalar(
     trace: RssiTrace,
     config: Optional[MDConfig] = None,
-    *,
-    precomputed: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> OfflineMDResult:
     """Per-observation reference implementation of :func:`detect_offline`.
 
@@ -551,7 +512,7 @@ def detect_offline_scalar(
     against it.
     """
     cfg = config if config is not None else MDConfig()
-    times, std_sums, init_samples = _offline_series(trace, cfg, precomputed)
+    times, std_sums, init_samples = _offline_series(trace, cfg)
     profile = NormalProfile(cfg, init_samples)
 
     thresholds = np.full(times.shape[0], np.nan)

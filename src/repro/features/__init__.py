@@ -13,10 +13,10 @@ package turns the derivation into a first-class seam:
   per-recording cache of extractor blocks keyed by (extractor digest,
   day).  It validates day membership, so a ``DayRecording``
   from a different campaign can never alias another recording's cache.
-- :mod:`repro.features.rolling` re-expresses the historical
-  ``CampaignStdFeatures`` rolling-std derivation as
-  :class:`RollingStdExtractor` — bit-identical to the original code
-  path, so every pinned golden stays green.
+- :mod:`repro.features.rolling` provides :class:`RollingStdExtractor`,
+  the per-stream rolling std behind ``CampaignStdFeatures``: the live
+  detector's ``s_t`` convention (partial windows from the second sample),
+  so sweep evaluations see the numbers a deployed router sees.
 """
 
 from .base import (

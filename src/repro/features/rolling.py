@@ -1,12 +1,11 @@
-"""Rolling-std feature extraction — the historical ``CampaignStdFeatures``.
+"""Rolling-std feature extraction behind ``CampaignStdFeatures``.
 
-This is the derivation every golden in the tier-1 suite was pinned
-against, lifted verbatim out of ``core/evaluation.py``: window length
-from the configured std window and the trace's median sample interval,
-then :func:`repro.core.movement.rolling_std_matrix` over all streams.
-Keeping the expression identical (:func:`repro.sliding.sample_count`) keeps
-the KDE detection path through the feature store bit-identical to the
-pre-refactor code.
+Window length from the configured std window and the trace's median
+sample interval (:func:`repro.sliding.sample_count`, as the live
+detector derives it), then :func:`repro.core.movement.rolling_std_matrix`
+over all streams: each stream's partial-head sliding std from the second
+sample on, the ``s_t`` convention of
+:class:`~repro.streaming.detector.OnlineStdSum`.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ incremental engine:
   batch-capable detection kernel: constant work per sample (independent of
   stream length), **bit-identical** to the columnar offline kernel
   (``online_std_sum_series`` + ``run_profile_grid`` +
-  ``window_duration_series``) and to the per-sample
-  :class:`~repro.core.movement.MovementDetector`, whatever the arrival
-  batching (``tests/test_streaming_equivalence.py``);
+  ``window_duration_series``), to the per-sample
+  :class:`~repro.core.movement.MovementDetector` and to the sweep's
+  ``evaluate_md_grid`` (per-day ``s_t``, thresholds and windows), whatever
+  the arrival batching (``tests/test_streaming_equivalence.py``);
 * :class:`~repro.streaming.source.DayRecordingSource` /
   :func:`~repro.streaming.source.merge_by_time` — ``stream()``-style
   iterator sources replaying :class:`~repro.simulation.collector.DayRecording`

@@ -8,7 +8,9 @@
   offline :func:`~repro.core.movement.online_std_sum_series` (and hence
   the per-sample :class:`~repro.core.movement.StdSumTracker`) **bit for
   bit** — including the partial-window head at stream start, whatever the
-  arrival batching;
+  arrival batching.  It is also the sweep's ``s_t``: the evaluation
+  pipeline's :func:`~repro.core.movement.rolling_std_matrix` runs the same
+  kernel, so the paper tables threshold the series a router sees;
 * the detector's decision engine — by default
   :class:`~repro.detectors.kde_md.OnlineProfile`, the KDE normal profile
   (re-exported here), the same engine the offline grids run;
@@ -18,12 +20,12 @@
   :func:`~repro.core.movement.window_duration_series`.
 
 Bit-exactness of ``s_t`` under any batch split comes from
-:mod:`repro.sliding`, which the offline series shares.  A batch costs one
-``np.std`` call over every stream's windows, not one per stream: at the
-router's 4-sample cadence the dispatch, not the arithmetic, is the cost.
-Per-sample cost is O(``window_samples`` × ``n_streams``) and independent
-of how many samples the stream has already delivered; state is
-O(``window_samples`` × ``n_streams`` + profile window).
+:mod:`repro.sliding`, which every offline series (replay, sweep, Figure 2)
+shares.  A batch costs one ``np.std`` call over every stream's windows,
+not one per stream: at the router's 4-sample cadence the dispatch, not the
+arithmetic, is the cost.  Per-sample cost is O(``window_samples`` ×
+``n_streams``) and independent of how many samples the stream has already
+delivered; state is O(``window_samples`` × ``n_streams`` + profile window).
 
 Checkpoint/restore
 ------------------

@@ -36,12 +36,14 @@ from repro.core.evaluation import (
 from repro.core.movement import (
     detect_offline,
     detect_offline_scalar,
+    online_std_sum_series,
     rolling_std_matrix,
-    rolling_std_sum,
     window_duration_series,
 )
 from repro.core.system import FadewichSystem
+from repro.detectors import KdeMdDetector
 from repro.radio.office import paper_office
+from repro.sliding import sample_count, sum_rows
 
 SEEDS = (0, 7, 1234)
 
@@ -103,6 +105,9 @@ def assert_md_identical(batch, scalar):
 class TestSharedFeatureMatrix:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_column_slices_match_restricted_recompute(self, seed):
+        # A subset's s_t is its columns of the full matrix added left to
+        # right: equal to recomputing on the restricted trace and to the
+        # online series past its undefined first sample.
         recording = collect(seed, n_days=1)
         trace = recording.days[0].trace
         times_full, matrix = rolling_std_matrix(trace, 8)
@@ -111,12 +116,15 @@ class TestSharedFeatureMatrix:
             stream_ids = streams_for_sensors(
                 sensor_subset(recording.layout.sensor_ids, k)
             )
-            times, sums = rolling_std_sum(trace.restricted_to(stream_ids), 8)
-            sliced = np.ascontiguousarray(
-                matrix[:, [columns[s] for s in stream_ids]]
-            ).sum(axis=1)
+            restricted = trace.restricted_to(stream_ids)
+            times, own = rolling_std_matrix(restricted, 8)
+            sliced = sum_rows(matrix.T, [columns[s] for s in stream_ids])
+            online = online_std_sum_series(
+                np.column_stack([restricted.streams[s] for s in stream_ids]), 8
+            )
             np.testing.assert_array_equal(times, times_full)
-            np.testing.assert_array_equal(sums, sliced)
+            np.testing.assert_array_equal(sum_rows(own.T), sliced)
+            np.testing.assert_array_equal(online[1:], sliced)
 
     def test_campaign_features_are_cached_per_day(self):
         recording = collect(0, n_days=2)
@@ -165,10 +173,14 @@ class TestDetectOfflineEquivalence:
             sensor_subset(recording.layout.sensor_ids, 3)
         )
         trace = recording.days[0].trace.restricted_to(stream_ids)
-        times, std_sums = rolling_std_sum(trace, 8)
+        config = FadewichConfig().md
+        result = detect_offline(trace, config)
+        std_sums = result.std_sums.copy()
         original = std_sums.copy()
-        detect_offline(trace, FadewichConfig().md, precomputed=(times, std_sums))
+        init = sample_count(config.profile_init_s, 1.0 / trace.sample_interval)
+        grid = KdeMdDetector().offline_grid(std_sums[:, np.newaxis], config, init)
         np.testing.assert_array_equal(std_sums, original)
+        np.testing.assert_array_equal(grid.thresholds[:, 0], result.threshold_trace)
 
 
 class TestEvaluateMDGridEquivalence:

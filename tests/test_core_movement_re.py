@@ -9,12 +9,13 @@ from repro.core.movement import (
     NormalProfile,
     StdSumTracker,
     detect_offline,
-    rolling_std_sum,
+    rolling_std_matrix,
 )
 from repro.core.radio_env import RadioEnvironment, RENotTrainedError
 from repro.core.windows import VariationWindow
 from repro.radio.trace import RssiTrace
 from repro.simulation.dataset import LabeledSample
+from repro.streaming import OnlineDetector
 
 
 def synthetic_trace(
@@ -104,16 +105,45 @@ class TestNormalProfile:
 
 
 class TestOfflineMD:
-    def test_rolling_std_sum_detects_burst(self):
+    def test_rolling_std_matrix_detects_burst(self):
         trace = synthetic_trace()
-        times, sums = rolling_std_sum(trace, window_samples=8)
+        times, matrix = rolling_std_matrix(trace, window_samples=8)
+        sums = matrix.sum(axis=1)
         burst_mask = (times >= 102.0) & (times <= 110.0)
         assert sums[burst_mask].mean() > sums[~burst_mask].mean() * 1.5
 
-    def test_rolling_std_sum_too_short_trace_raises(self):
-        trace = synthetic_trace(duration_s=1.0)
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    @pytest.mark.parametrize(
+        "config", [MDConfig(), MDConfig(profile_init_s=0.5, batch_size=2)]
+    )
+    def test_short_trace_offline_md_matches_online_detector(self, n, config):
+        # A day shorter than the std window (w = 8) is partial windows
+        # only: offline MD still runs, and equals the live detector.
+        trace = synthetic_trace(duration_s=n / 4.0)
+        result = detect_offline(trace, config)
+        detector = OnlineDetector(trace.stream_ids, config, sample_rate_hz=4.0)
+        block = detector.process_block(
+            trace.times,
+            np.column_stack([trace.streams[s] for s in trace.stream_ids]),
+        )
+        detector.finalize()
+        np.testing.assert_array_equal(result.times, trace.times[1:])
+        np.testing.assert_array_equal(result.std_sums, block.std_sums[1:])
+        np.testing.assert_array_equal(
+            result.threshold_trace, block.thresholds[1:]
+        )
+        assert list(result.windows) == detector.completed_windows
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_offline_md_below_three_samples_raises(self, n):
+        trace = synthetic_trace(duration_s=n / 4.0)
         with pytest.raises(ValueError):
-            rolling_std_sum(trace, window_samples=1000)
+            detect_offline(trace, MDConfig())
+
+    def test_offline_md_of_streamless_trace_raises(self):
+        trace = RssiTrace(times=np.arange(20) / 4.0, streams={})
+        with pytest.raises(ValueError, match="no streams"):
+            detect_offline(trace, MDConfig())
 
     def test_detect_offline_finds_burst_window(self):
         trace = synthetic_trace()

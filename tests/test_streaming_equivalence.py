@@ -11,6 +11,10 @@ to the streaming engine of :mod:`repro.streaming`:
 * :class:`OnlineDetector` matches both the columnar offline kernel and the
   per-sample :class:`MovementDetector` on the same trace: every ``s_t``,
   anomaly decision, threshold and window duration equal;
+* the sweep's ``evaluate_md_grid`` reports, per day and sensor subset, the
+  ``s_t``, thresholds and windows that :class:`OnlineDetector` (standalone
+  under random batch splits, or hosted by :class:`IngestRouter`) emits from
+  the recording's second sample on, for every registered detector;
 * merge-gap boundary cases (a run ending exactly ``merge_gap_s`` before
   the next, an anomalous final sample leaving a window open at EOF)
   produce the same durations in the scalar, columnar and streaming paths;
@@ -26,7 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import MDConfig
+from repro.analysis.campaign import CampaignScale, collect_campaign
+from repro.core.config import FadewichConfig, MDConfig
+from repro.core.evaluation import (
+    evaluate_md_grid,
+    sensor_subset,
+    streams_for_sensors,
+)
 from repro.core.movement import (
     MovementDetector,
     NormalProfile,
@@ -36,6 +46,7 @@ from repro.core.movement import (
     variation_windows_from_flags,
     window_duration_series,
 )
+from repro.detectors import detector_names, get_detector
 from repro.radio.trace import StreamBuffer
 from repro.streaming import (
     DayRecordingSource,
@@ -354,6 +365,129 @@ class TestOnlineDetector:
                 np.testing.assert_array_equal(
                     online_windows[sid], array_windows[sid]
                 )
+
+
+@pytest.fixture(scope="module")
+def sweep_recording():
+    """One 600-s recorded day of the paper office (72 streams)."""
+    scale = CampaignScale.compact().derive(
+        "sweep-vs-live", n_days=1, day_duration_s=600.0
+    )
+    return collect_campaign(seed=3, scale=scale)
+
+
+@st.composite
+def md_configs(draw):
+    """MD configs with ``batch_size`` on either side of ``init_samples``."""
+    init = draw(st.integers(8, 160))
+    if draw(st.booleans()):
+        batch_size = draw(st.integers(init + 1, 2 * init))
+    else:
+        batch_size = draw(st.integers(1, init))
+    return MDConfig(
+        std_window_s=draw(st.sampled_from([0.5, 1.0, 2.0, 3.25, 5.0])),
+        profile_init_s=init / RATE,
+        batch_size=batch_size,
+    )
+
+
+def random_sizes(n, seed):
+    """A random split of ``n`` samples into batches of 1 to 300 samples."""
+    rng = np.random.default_rng(seed)
+    sizes, left = [], n
+    while left:
+        sizes.append(int(min(rng.integers(1, 301), left)))
+        left -= sizes[-1]
+    return sizes
+
+
+def assert_sweep_day_matches_live(day_eval, blocks, windows):
+    """A sweep day equals a live detector's blocks from sample 1 on."""
+    result = day_eval.md_result
+    for field, got in (
+        ("times", result.times),
+        ("std_sums", result.std_sums),
+        ("thresholds", result.threshold_trace),
+    ):
+        live = np.concatenate([getattr(b, field) for b in blocks])
+        np.testing.assert_array_equal(got, live[1:])
+    assert list(result.windows) == windows
+
+
+class TestSweepMatchesLiveDetector:
+    """One ``s_t`` from recording to router: the sweep reports what the
+    live detector decides on the same recording, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        name=st.sampled_from(detector_names()),
+        config=md_configs(),
+        counts=st.lists(
+            st.integers(3, 9), min_size=2, max_size=3, unique=True
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_grid_matches_online_detector(
+        self, sweep_recording, name, config, counts, seed
+    ):
+        detector = get_detector(name)
+        fadewich = FadewichConfig(md=config)
+        grid = evaluate_md_grid(
+            sweep_recording, fadewich, counts, detector=detector
+        )
+        all_ids = sweep_recording.layout.sensor_ids
+        for n in counts:
+            ids = streams_for_sensors(sensor_subset(all_ids, n))
+            for day, day_eval in zip(sweep_recording.days, grid[n].days):
+                trace = day.trace.restricted_view(ids)
+                matrix = np.column_stack([trace.streams[s] for s in ids])
+                sizes = random_sizes(trace.n_samples, seed)
+                live = OnlineDetector(
+                    ids, config, sample_rate_hz=RATE, detector=detector
+                )
+                blocks = [
+                    live.process_block(times, batch)
+                    for times, batch in zip(
+                        split_matrix(trace.times, sizes),
+                        split_matrix(matrix, sizes),
+                    )
+                ]
+                live.finalize()
+                assert_sweep_day_matches_live(
+                    day_eval, blocks, live.completed_windows
+                )
+
+    @pytest.mark.parametrize("name", detector_names())
+    def test_grid_matches_ingest_router(self, sweep_recording, name):
+        detector = get_detector(name)
+        config = MDConfig(profile_init_s=30.0, batch_size=160)
+        counts = (3, 6, 9)
+        grid = evaluate_md_grid(
+            sweep_recording, FadewichConfig(md=config), counts,
+            detector=detector,
+        )
+        day = sweep_recording.days[0]
+        all_ids = sweep_recording.layout.sensor_ids
+        subsets = {
+            f"office-{n}": streams_for_sensors(sensor_subset(all_ids, n))
+            for n in counts
+        }
+        with IngestRouter(
+            n_workers=2, config=config, sample_rate_hz=RATE, detector=detector
+        ) as router:
+            for tenant, ids in subsets.items():
+                router.register(tenant, ids)
+            sources = [
+                DayRecordingSource(tenant, day, stream_ids=ids, batch_samples=4)
+                for tenant, ids in subsets.items()
+            ]
+            for batch in merge_by_time(sources):
+                router.submit(batch)
+        for n in counts:
+            state = router.tenant_state(f"office-{n}")
+            assert_sweep_day_matches_live(
+                grid[n].days[0], state.blocks, state.detector.completed_windows
+            )
 
 
 class TestMergeGapBoundaries:

@@ -690,6 +690,60 @@ class TestSweepIntegration:
         assert report.zone_summary() == []
         assert "zone accuracy:" not in report.render()
 
+    def test_zones_scored_once_per_recording(
+        self, layout, zone_map, monkeypatch
+    ):
+        # Zone accuracy reads neither the detector nor the FADEWICH
+        # config: a 3-detector grid scores each recording's days once.
+        scale = CampaignScale.compact().derive(
+            "zone-once", n_days=2, day_duration_s=300.0
+        )
+        grid = ScenarioGrid(
+            layouts=[layout],
+            scales=[scale],
+            detectors=["kde_md", "ema_mad", "variance"],
+            n_replicates=2,
+            sensor_counts=(3,),
+        )
+        runner = ScenarioSweepRunner(
+            grid,
+            seed=11,
+            mode="serial",
+            re_sensor_counts=(),
+            zone_estimator=ZoneOccupancyEstimator(zone_map=zone_map),
+        )
+        day_grid = ZoneOccupancyEstimator.day_grid
+        calls = []
+
+        def counting_day_grid(self, *args, **kwargs):
+            calls.append(1)
+            return day_grid(self, *args, **kwargs)
+
+        monkeypatch.setattr(
+            ZoneOccupancyEstimator, "day_grid", counting_day_grid
+        )
+        report = runner.run()
+        n_recordings, n_days = 2, 2
+        assert len(report.results) == 3 * n_recordings
+        assert len(calls) == n_recordings * n_days
+        # Every variant carries its own dict, equal to scoring it alone.
+        variants = {}
+        for result in report.results:
+            key = result.spec.simulation_key()
+            variants.setdefault(key, []).append(id(result.zone_accuracy))
+        assert [len(set(ids)) for ids in variants.values()] == [3, 3]
+        per_spec = SweepReport(
+            results=[
+                runner.analyze(result.spec, result.recording)
+                for result in report.results
+            ],
+            seed_entropy=report.seed_entropy,
+        )
+        assert len(calls) == (1 + 3) * n_recordings * n_days
+        assert json.dumps(per_spec.to_dict(), sort_keys=True) == json.dumps(
+            report.to_dict(), sort_keys=True
+        )
+
     def test_store_key_fingerprints(self, layout, zone_map):
         scale = CampaignScale.compact().derive(
             "zone-key", n_days=1, day_duration_s=600.0
