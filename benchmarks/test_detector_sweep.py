@@ -30,6 +30,7 @@ run as the best of ``--bench-repeats``.
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.analysis.campaign import CampaignScale
 from repro.analysis.scenarios import ScenarioGrid, ScenarioSweepRunner
@@ -40,17 +41,14 @@ from repro.detectors import (
     KdeMdDetector,
     VarianceThresholdDetector,
 )
-from repro.detectors.ema_mad import (
-    _dense_window_median_mad,
-    _sorted_window_median_mad,
-)
 from repro.radio.office import paper_office, wide_office
 
 #: Maximum tolerated ratio of the 3-detector sweep to the KDE-only sweep.
 MAX_DETECTOR_OVERHEAD = 1.5
 
-#: Minimum speedup of the sorted-window rolling median/MAD over the dense
-#: ``np.median`` path at a large long window (measured ~2.5-4x at 481).
+#: Minimum speedup of EMA-MAD's rolling median/MAD (sorted windows on
+#: ``repro.sliding``) over dense ``np.median`` windows at a large long
+#: window (measured ~3-4x at 481 on a 2-vCPU host).
 MIN_SORTED_MEDIAN_SPEEDUP = 1.5
 
 SWEEP_SEED = 23
@@ -126,35 +124,47 @@ def test_detector_sweep_overhead(request, best_of, speedup_gate):
     )
 
 
-def test_sorted_window_median_gate(best_of, speedup_gate):
-    """The sorted-window rolling median/MAD must beat dense at large windows.
+def _dense_window_median_mad(arr, w):
+    """``(median, MAD)`` of every full window: ``np.median`` over the rows
+    of ``sliding_window_view`` — the reference the gate times against."""
+    rows = sliding_window_view(arr, w)
+    med = np.median(rows, axis=1)
+    mad = np.median(np.abs(rows - med[:, None]), axis=1)
+    return med, mad
 
-    ``EmaMadDetector`` dispatches its full-window median/MAD to an
-    indexable sorted list once ``long_window`` reaches the measured
-    crossover; this gate locks the large-window win in — and asserts the
-    two paths are bitwise identical on the benchmarked series, so the
-    timing can never pass on divergent numbers.  (At the default
-    ``long_window=120`` the dense path is kept — that regime is covered
-    by the detector-overhead gate above.)
+
+def test_rolling_median_mad_gate(best_of, speedup_gate):
+    """EMA-MAD's rolling median/MAD must beat dense windows at large ones.
+
+    ``EmaMadDetector._median_mad`` reduces its long window on
+    :func:`repro.sliding.sliding`, sorting each window for the median and
+    its deviations for the MAD; this gate locks its large-window win over
+    ``np.median`` on a ``sliding_window_view`` in — and asserts the two
+    are bitwise identical on the benchmarked series, so the timing can
+    never pass on divergent numbers.  (The default ``long_window=120``
+    is covered by the detector-overhead gate above.)
     """
     w = 481
     rng = np.random.default_rng(SWEEP_SEED)
     # Rounded values force heavy ties — the adversarial case for order
-    # statistics on a sorted window.
+    # statistics.
     series = np.round(rng.normal(2.0, 1.0, 20_000), 1)
+    detector = EmaMadDetector(long_window=w)
+    # The w - 1 leading values are history, so every output is a window.
+    full = series.size - w + 1
 
     t_dense, dense = best_of(lambda: _dense_window_median_mad(series, w))
-    t_sorted, fast = best_of(lambda: _sorted_window_median_mad(series, w))
+    t_sorted, fast = best_of(lambda: detector._median_mad(series, full, w - 1))
     assert np.array_equal(dense[0], fast[0])
     assert np.array_equal(dense[1], fast[1])
 
     speedup_gate(
-        "sorted-window rolling median/MAD",
+        "rolling median/MAD",
         t_dense,
         t_sorted,
         MIN_SORTED_MEDIAN_SPEEDUP,
         reference_name="dense np.median windows",
-        fast_name="indexable sorted window",
+        fast_name="sorted windows on repro.sliding",
         detail=f"window {w}, {series.size} samples, bitwise-identical",
     )
 

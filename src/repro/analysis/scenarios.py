@@ -72,6 +72,7 @@ from ..core.config import FadewichConfig
 from ..core.evaluation import CampaignStdFeatures
 from ..detectors import KdeMdDetector, get_detector
 from ..features.rolling import RollingStdExtractor
+from ..features.store import FeatureStore
 from ..identity import decode, digest, encode
 from ..mobility.scheduler import CampaignSchedule
 from ..radio.channel import ChannelConfig
@@ -1155,11 +1156,13 @@ class ScenarioSweepRunner:
     ) -> ScenarioResult:
         """Run the batch MD / RE analysis of one scenario recording.
 
-        ``features`` optionally shares a pre-built rolling feature matrix
-        across calls — :meth:`run` passes one per ``(recording, config)``
-        so the detector axis amortises the feature computation (the
-        columnar std matrices dominate a sweep's analysis cost; detectors
-        only differ downstream of them).
+        ``features`` optionally shares pre-built rolling feature matrices
+        across calls — :meth:`run` builds every variant's on one
+        :class:`~repro.features.store.FeatureStore` per recording, so the
+        detector and config axes compute each day's std matrix once per
+        std window (the columnar std matrices dominate a sweep's analysis
+        cost; detectors and the other config fields only act downstream
+        of them).
         """
         context = AnalysisContext(
             recording,
@@ -1394,20 +1397,20 @@ class ScenarioSweepRunner:
         n_analyzed = 0
         n_discarded = 0
         # Detector/config variants of one simulation share the recording;
-        # share the rolling feature matrices too (keyed per recording and
-        # FADEWICH config — detectors consume the same std sums), so the
-        # detector axis only pays for the decision engines.
-        features_cache: Dict[Tuple[int, FadewichConfig], CampaignStdFeatures] = {}
+        # share its feature blocks too, through one FeatureStore per
+        # recording: the extractor digest keys std windows apart, so each
+        # day's std matrix is computed once per std window and the other
+        # axes only pay for what they change downstream.
+        feature_stores: Dict[int, FeatureStore] = {}
         self._zone_memo = {}
         try:
             for spec, recording in pairs:
                 if spec.name in results:
                     continue  # cached config-variant sharing a missing simulation
-                features_key = (id(recording), spec.config)
-                features = features_cache.get(features_key)
-                if features is None:
-                    features = CampaignStdFeatures(recording, spec.config)
-                    features_cache[features_key] = features
+                shared = feature_stores.get(id(recording))
+                if shared is None:
+                    shared = feature_stores[id(recording)] = FeatureStore(recording)
+                features = CampaignStdFeatures(recording, spec.config, store=shared)
                 result = self.analyze(spec, recording, features=features)
                 n_analyzed += 1
                 if store is not None:

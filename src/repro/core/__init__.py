@@ -43,12 +43,10 @@ from .movement import (
     MovementDetector,
     NormalProfile,
     OfflineMDResult,
-    ProfileGridResult,
     StdSumTracker,
     detect_offline,
     detect_offline_scalar,
     rolling_std_matrix,
-    run_profile_grid,
     variation_windows_from_flags,
     window_duration_series,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "MovementDetector",
     "NormalProfile",
     "OfflineMDResult",
-    "ProfileGridResult",
     "REConfig",
     "RENotTrainedError",
     "RadioEnvironment",
@@ -121,7 +118,6 @@ __all__ = [
     "match_windows",
     "median_deauthentication_time",
     "rolling_std_matrix",
-    "run_profile_grid",
     "sensor_subset",
     "streams_for_sensors",
     "true_window_for_event",

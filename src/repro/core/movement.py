@@ -24,9 +24,10 @@ Entry points:
 * :func:`detect_offline` — a columnar offline run over a recorded
   :class:`~repro.radio.trace.RssiTrace`, used by the evaluation harness,
 * :func:`detect_offline_scalar` — the retained per-observation reference
-  implementation of exactly the same contract,
-* :func:`run_profile_grid` — many independent ``s_t`` columns (sensor
-  subsets, days) at once.
+  implementation of exactly the same contract.
+
+``KdeMdDetector().offline_grid`` runs many independent ``s_t`` columns
+(sensor subsets, days) at once.
 
 The per-observation reference
 -----------------------------
@@ -34,7 +35,7 @@ The per-observation reference
 :class:`NormalProfile` (driven one observation at a time) is the semantics
 reference for Algorithm 1's profile.  Everywhere else the profile runs
 on one engine, :class:`~repro.detectors.kde_md.OnlineProfile`:
-:func:`detect_offline`, :func:`run_profile_grid` and the streaming
+:func:`detect_offline`, ``KdeMdDetector.offline_grid`` and the streaming
 service all drive it.  Both build identical KDE data windows with identical
 Scott bandwidths and solve thresholds with the same warm-started
 safeguarded-Newton engine (:func:`~repro.ml.kde.mixture_quantiles`), whose
@@ -51,7 +52,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..detectors import DetectionGrid, KdeMdDetector
+from ..detectors import KdeMdDetector
 from ..ml.kde import GaussianKDE
 from ..radio.trace import RssiTrace, StreamBuffer
 from ..sliding import sample_count, sliding, sum_rows
@@ -63,10 +64,8 @@ __all__ = [
     "NormalProfile",
     "MovementDetector",
     "OfflineMDResult",
-    "ProfileGridResult",
     "rolling_std_matrix",
     "online_std_sum_series",
-    "run_profile_grid",
     "variation_windows_from_flags",
     "window_duration_series",
     "detect_offline",
@@ -364,32 +363,6 @@ def online_std_sum_series(
     if window_samples < 2:
         raise ValueError("window_samples must be >= 2")
     return sum_rows(sliding(np.transpose(matrix), window_samples, np.std, first=1))
-
-
-#: :func:`run_profile_grid`'s result: the zoo's :class:`DetectionGrid`.
-ProfileGridResult = DetectionGrid
-
-
-def run_profile_grid(
-    std_sums: np.ndarray, config: Optional[MDConfig] = None, init_samples: int = 2
-) -> ProfileGridResult:
-    """Advance Algorithm 1's normal profile over many ``s_t`` columns at once.
-
-    ``std_sums`` is an ``(n_obs, n_columns)`` matrix whose columns are
-    independent profile chains (sensor subsets, days...), or one plain
-    series; ``init_samples`` is the installation phase of
-    ``NormalProfile(config, init_samples)``.  This is
-    :meth:`KdeMdDetector.offline_grid <repro.detectors.KdeMdDetector>`:
-    per column, bit for bit the decisions and thresholds of feeding the
-    values one by one to :meth:`NormalProfile.observe`.
-    """
-    std_sums = np.asarray(std_sums, dtype=float)
-    if std_sums.ndim == 1:
-        # A plain s_t series is one profile chain, not n one-observation
-        # columns.
-        std_sums = std_sums[:, np.newaxis]
-    cfg = config if config is not None else MDConfig()
-    return KdeMdDetector().offline_grid(std_sums, cfg, init_samples)
 
 
 def variation_windows_from_flags(

@@ -67,7 +67,6 @@ class DetectionGrid:
     ``decisions`` is int8 with ``-1`` while the detector initialises and
     ``0``/``1`` (no movement / movement) afterwards; ``thresholds`` holds
     the effective threshold trace, NaN wherever it is not yet defined.
-    :class:`~repro.core.movement.ProfileGridResult` is another name for it.
     """
 
     decisions: np.ndarray

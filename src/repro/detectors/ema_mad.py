@@ -20,9 +20,10 @@ grid's convention.
 
 The detector has one engine, :class:`EmaMadEngine`: bounded state over a
 :class:`~repro.sliding.Carry` of the last ``long_window - 1`` smoothed
-values, the short-window std through :func:`repro.sliding.sliding` and
-the long-window median/MAD through :meth:`EmaMadDetector._median_mad`, so
-its output does not depend on how the series is split into batches.
+values, and both windows reduced by :func:`repro.sliding.sliding` — the
+short one by ``np.std``, the long one by sorting each window for the
+median and its absolute deviations for the MAD — so its output does not
+depend on how the series is split into batches.
 :meth:`EmaMadDetector.offline_grid` runs it once over each whole column.
 ``tests/test_detector_oracles.py`` checks it bitwise against naive
 per-instant loops (``np.median`` windows and the hysteresis walk).
@@ -30,12 +31,10 @@ per-instant loops (``np.median`` windows and the hysteresis walk).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..sliding import Carry, sliding
 from .base import (
@@ -48,14 +47,6 @@ from .base import (
 )
 
 __all__ = ["EmaMadDetector"]
-
-# Full-window median/MAD dispatch: below this window size the dense
-# ``np.median``-over-``sliding_window_view`` reference is faster (numpy's
-# C introselect beats per-step python bookkeeping); from here up the
-# indexable sorted window wins — O(log w) per step against the dense
-# path's O(w) — crossing ~1x at 160 and reaching ~2x at 400, ~4x at 600
-# (measured; the detector bench gate locks the large-window ratio in).
-_SORTED_MEDIAN_MIN_W = 160
 
 # Floor for calibrated thresholds: a perfectly quiet init window (all-zero
 # stds) must not produce a zero threshold that the hysteresis exit
@@ -80,153 +71,41 @@ def _ema_series(
     return out, e
 
 
-def _sorted_mid(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Medians of pre-sorted rows whose first ``lengths`` entries are data.
+def _sorted_median(ordered: np.ndarray) -> np.ndarray:
+    """``np.median`` of rows already sorted along the last axis, bit for bit.
 
-    ``(lo + hi) / 2`` over the two middle order statistics — for odd
-    lengths both indices coincide and the halving is exact, so the result
-    is bitwise what ``np.median`` computes from the same multiset.
+    numpy takes ``np.mean`` of the middle one or two order statistics — a
+    sum from ``+0.0``, so a ``-0.0`` median comes out ``+0.0`` — and
+    returns a row's NaN wherever one sorts last.
     """
-    r = np.arange(lengths.size)
-    lo = rows[r, (lengths - 1) // 2]
-    hi = rows[r, lengths // 2]
-    return (lo + hi) / 2.0
+    n = ordered.shape[-1]
+    hi = ordered[..., n // 2]
+    if n % 2:
+        med = hi + 0.0
+    else:
+        med = (ordered[..., n // 2 - 1] + hi + 0.0) / 2.0
+    last = ordered[..., -1]
+    return np.where(np.isnan(last), last, med)
 
 
-def _prefix_median_mad(
-    arr: np.ndarray, ends: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(median, MAD)`` of every prefix ``arr[:end + 1]``, vectorised.
+def _median(rows: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``np.median`` of each row; ``axis`` is the ``-1`` that
+    :func:`repro.sliding.sliding` passes."""
+    return _sorted_median(np.sort(rows, axis=-1))
 
-    Equivalent to ``np.median(arr[:e + 1])`` / ``np.median(np.abs(arr[:e
-    + 1] - med))`` per end index — same order statistics, same midpoint
-    arithmetic, hence bitwise-identical for the finite series the engine
-    feeds it — but with two padded sorts instead of O(window)
-    separate numpy reductions (the growing-prefix head of the long
-    window made ``offline_grid`` median-dispatch-bound).  Padding is
-    ``+inf``, which sorts after every finite value.
+
+def _mad(rows: np.ndarray, axis: int = -1) -> np.ndarray:
+    """``np.median(|row - np.median(row)|)`` of each row, bit for bit.
+
+    The sorted row's deviations are the same multiset, so they are
+    computed and sorted in place in its buffer: a fresh window-sized
+    temporary per call would cost more than the sort itself.
     """
-    if ends.size == 0:
-        return np.empty(0), np.empty(0)
-    lengths = ends + 1
-    width = int(lengths[-1])
-    pad = np.arange(width)[None, :] >= lengths[:, None]
-    values = np.where(pad, np.inf, arr[None, :width])
-    med = _sorted_mid(np.sort(values, axis=1), lengths)
-    deviations = np.abs(arr[None, :width] - med[:, None])
-    deviations[pad] = np.inf
-    mad = _sorted_mid(np.sort(deviations, axis=1), lengths)
-    return med, mad
-
-
-def _dense_window_median_mad(
-    arr: np.ndarray, w: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(median, MAD)`` of every full window — the dense reference.
-
-    The historical ``np.median`` over ``sliding_window_view`` rows; kept
-    both as the small-window fast path and as the bitwise reference the
-    sorted-window path is tested against.
-    """
-    rows = sliding_window_view(arr, w)
-    med = np.median(rows, axis=1)
-    mad = np.median(np.abs(rows - med[:, None]), axis=1)
-    return med, mad
-
-
-def _kth_dev(win: list, mid: float, lo_i: int, w: int, k: int) -> float:
-    """``k``-th smallest absolute deviation ``|x - mid|`` over a sorted window.
-
-    The deviations of an ascending window around its median form two
-    virtual ascending arrays — ``L[i] = mid - win[lo_i - i]`` for the
-    lower half (non-negative because ``mid >= win[lo_i]``) and ``R[j] =
-    win[lo_i + 1 + j] - mid`` for the upper — so the k-th smallest
-    deviation comes from the classic two-sorted-arrays selection in
-    O(log k) probes, no materialised deviation array.  IEEE gives
-    ``mid - x == abs(x - mid)`` exactly for ``x <= mid`` (negation of a
-    correctly-rounded difference is exact), so each probed value is
-    bit-for-bit the one the dense path sorts.
-    """
-    nl = lo_i + 1
-    nr = w - 1 - lo_i
-    i = j = 0
-    while True:
-        if i == nl:
-            return win[lo_i + 1 + j + k] - mid
-        if j == nr:
-            return mid - win[lo_i - (i + k)]
-        if k == 0:
-            a = mid - win[lo_i - i]
-            b = win[lo_i + 1 + j] - mid
-            return a if a <= b else b
-        half = (k + 1) // 2
-        ia = min(i + half, nl) - 1
-        ib = min(j + half, nr) - 1
-        a = mid - win[lo_i - ia]
-        b = win[lo_i + 1 + ib] - mid
-        if a <= b:
-            k -= ia - i + 1
-            i = ia + 1
-        else:
-            k -= ib - j + 1
-            j = ib + 1
-
-
-def _sorted_window_median_mad(
-    arr: np.ndarray, w: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(median, MAD)`` of every full window via an indexable sorted list.
-
-    Maintains the current window as an ascending python list updated by
-    ``bisect``/``insort`` (O(w) C-level memmove per step, no re-sort) and
-    reads medians as direct order statistics: ``win[(w - 1) // 2]`` for
-    odd ``w`` — exactly the element ``np.median`` selects — and the
-    correctly-rounded midpoint ``(lo + hi) / 2.0`` of the two middle
-    elements for even ``w``, which is bitwise ``np.mean`` of that pair.
-    MADs come from :func:`_kth_dev` without materialising deviations.
-    Output is bit-for-bit :func:`_dense_window_median_mad` for finite
-    input (the per-instant ``np.median`` oracle in
-    ``tests/test_detector_oracles.py`` enforces it on tied values, odd and
-    even ``w``); callers gate non-finite input to the dense path.
-    """
-    vals = arr.tolist()
-    n = len(vals)
-    m = n - w + 1
-    med = np.empty(m)
-    mad = np.empty(m)
-    win = sorted(vals[:w])
-    lo_i = (w - 1) // 2
-    hi_i = w // 2
-    odd = lo_i == hi_i
-    for i in range(m):
-        if i:
-            del win[bisect_left(win, vals[i - 1])]
-            insort(win, vals[i + w - 1])
-        lo = win[lo_i]
-        mid = lo if odd else (lo + win[hi_i]) / 2.0
-        med[i] = mid
-        if odd:
-            mad[i] = _kth_dev(win, mid, lo_i, w, lo_i)
-        else:
-            d0 = _kth_dev(win, mid, lo_i, w, lo_i)
-            d1 = _kth_dev(win, mid, lo_i, w, hi_i)
-            mad[i] = (d0 + d1) / 2.0
-    return med, mad
-
-
-def _window_median_mad(
-    arr: np.ndarray, w: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Full-window rolling ``(median, MAD)``, dispatched by window size.
-
-    Both paths are bitwise-identical on finite data; non-finite values
-    (which would break sorted-list ordering) always take the dense path.
-    """
-    if arr.size - w + 1 <= 0:
-        return np.empty(0), np.empty(0)
-    if w >= _SORTED_MEDIAN_MIN_W and np.isfinite(arr).all():
-        return _sorted_window_median_mad(arr, w)
-    return _dense_window_median_mad(arr, w)
+    dev = np.sort(rows, axis=-1)
+    dev -= _sorted_median(dev)[..., None]
+    np.abs(dev, out=dev)
+    dev.sort(axis=-1)
+    return _sorted_median(dev)
 
 
 @register_detector
@@ -275,26 +154,15 @@ class EmaMadDetector:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Long-window ``(median, MAD)`` at the last ``new`` entries of ``ema``.
 
-        Laid out like :func:`repro.sliding.sliding` with ``first =
-        min_long - 1``: NaN until ``min_long`` values exist, then prefix
-        statistics in one vectorised pass, then full windows.
+        :func:`repro.sliding.sliding`'s layout with ``first = min_long -
+        1``: NaN until ``min_long`` values exist, then the statistics of
+        the prefix, then of full windows.
         """
-        long_w = self.long_window
-        tail = ema.size - new
-        med = np.full(new, np.nan)
-        mad = np.full(new, np.nan)
-        lo = max(self.min_long - 1 - seen, 0)
-        full = max(long_w - 1 - seen, 0)
-        hi = min(full, new)
-        if lo < hi:
-            med[lo:hi], mad[lo:hi] = _prefix_median_mad(
-                ema, tail + np.arange(lo, hi)
-            )
-        if full < new:
-            med[full:], mad[full:] = _window_median_mad(
-                ema[tail + full - long_w + 1 :], long_w
-            )
-        return med, mad
+        w, first = self.long_window, self.min_long - 1
+        return (
+            sliding(ema, w, _median, new=new, seen=seen, first=first),
+            sliding(ema, w, _mad, new=new, seen=seen, first=first),
+        )
 
     def _hysteresis(self, j, stds, ema, med, mad, eff, down, active):
         """``(decisions, active)`` of the walk over instants ``j`` onwards.

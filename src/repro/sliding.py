@@ -3,7 +3,10 @@
 FADEWICH's ``s_t`` (Algorithm 1) sums per-stream standard deviations over
 the last ``d`` seconds; the detector zoo and the zone estimator reduce
 rolling windows of the same kind.  Each runs offline over a whole column
-and streaming over batches, and the two must agree bitwise:
+and streaming over batches, and the two must agree bitwise.  Every such
+reduction in :mod:`repro` runs here, EMA-MAD's long-window median and MAD
+included, so no other module builds a window view (only the per-sample
+scalar references, such as ``StdSumTracker``, keep their own buffers):
 
 * :func:`sliding` reduces each position's window — the last ``w`` values,
   or the whole prefix while fewer exist (the *partial head*) — over every
@@ -69,8 +72,8 @@ def sliding(
     step = values.itemsize
 
     def windows(a: int, b: int) -> np.ndarray:
-        # Positions a..b-1, built directly: ``sliding_window_view``'s
-        # argument handling costs more than a batch's reduction.
+        # Positions a..b-1, built directly: numpy's window-view helper
+        # costs more in argument handling than a batch's reduction.
         view = np.ndarray(
             values.shape[:-1] + (b - a, w),
             dtype=float,

@@ -10,7 +10,7 @@ incremental engine:
 * :class:`~repro.streaming.detector.OnlineDetector` — bounded-state,
   batch-capable detection kernel: constant work per sample (independent of
   stream length), **bit-identical** to the columnar offline kernel
-  (``online_std_sum_series`` + ``run_profile_grid`` +
+  (``online_std_sum_series`` + ``KdeMdDetector.offline_grid`` +
   ``window_duration_series``), to the per-sample
   :class:`~repro.core.movement.MovementDetector` and to the sweep's
   ``evaluate_md_grid`` (per-day ``s_t``, thresholds and windows), whatever

@@ -8,8 +8,9 @@ itself.  These tests compare it with code that shares nothing with it:
   ``values[max(0, i - w + 1) : i + 1]`` and the calibrated threshold;
 * the EMA-MAD detector with the EMA recursion, ``np.std`` and per-window
   ``np.median`` for median and MAD, and a per-instant hysteresis walk —
-  long windows (>= 160, odd and even) on rounded, tied values, which the
-  sorted-window median/MAD path serves;
+  odd and even long windows up to 241 on rounded, tied values; the
+  median and MAD alone also with NaN, +inf and -inf in the smoothed
+  series, partial head included, and with signed zeros;
 * the KDE detector's multi-column grid with ``batch_size > init_samples``
   with one per-observation ``NormalProfile`` per column.
 
@@ -74,16 +75,21 @@ def naive_ema_mad_stats(values, det):
         e = v if e is None else det.ema_alpha * v + (1.0 - det.ema_alpha) * e
         ema[i] = e
     stds = np.full(n, np.nan)
+    for i in range(1, n):
+        stds[i] = np.std(ema[max(0, i - det.short_window + 1) : i + 1])
+    return (ema, stds) + naive_median_mad(ema, det)
+
+
+def naive_median_mad(ema, det):
+    """Per-window ``np.median`` median and MAD of the long window."""
+    n = len(ema)
     med = np.full(n, np.nan)
     mad = np.full(n, np.nan)
-    for i in range(n):
-        if i >= 1:
-            stds[i] = np.std(ema[max(0, i - det.short_window + 1) : i + 1])
-        if i >= det.min_long - 1:
-            window = ema[max(0, i - det.long_window + 1) : i + 1]
-            med[i] = np.median(window)
-            mad[i] = np.median(np.abs(window - med[i]))
-    return ema, stds, med, mad
+    for i in range(det.min_long - 1, n):
+        window = ema[max(0, i - det.long_window + 1) : i + 1]
+        med[i] = np.median(window)
+        mad[i] = np.median(np.abs(window - med[i]))
+    return med, mad
 
 
 def naive_ema_mad(values, det, init):
@@ -157,11 +163,17 @@ def test_variance_matches_naive_oracle(
     dev_factor=st.sampled_from([0.5, 1.0, 3.0]),
     init=st.integers(2, 80),
     decimals=st.sampled_from([0, 1]),
+    non_finite=st.lists(
+        st.tuples(
+            st.integers(0, 2**16), st.sampled_from([np.nan, np.inf, -np.inf])
+        ),
+        max_size=4,
+    ),
     data=st.data(),
 )
 def test_ema_mad_matches_naive_oracle(
     seed, long_window, short_window, min_long, extra, alpha, dev_factor,
-    init, decimals, data,
+    init, decimals, non_finite, data,
 ):
     det = EmaMadDetector(
         ema_alpha=alpha,
@@ -175,12 +187,33 @@ def test_ema_mad_matches_naive_oracle(
     )
     values = series(seed, max(long_window + extra, 0), decimals)
     # The long-window statistics themselves: the prefix head, then full
-    # windows (the sorted-window path from a window of 160 on).
+    # windows, each sorted for the median and its deviations for the MAD.
     ema, _, want_med, want_mad = naive_ema_mad_stats(values, det)
     med, mad = det._median_mad(ema, len(values), 0)
     assert_bits_equal(med, want_med)
     assert_bits_equal(mad, want_mad)
+    # Non-finite smoothed values, in the head as in full windows: a NaN
+    # makes its windows' statistics NaN, and ±inf sorts like numpy's.
+    if len(ema):
+        for pos, value in non_finite:
+            ema[pos % len(ema)] = value
+        with np.errstate(invalid="ignore"):  # inf - inf in the MAD
+            want_med, want_mad = naive_median_mad(ema, det)
+            med, mad = det._median_mad(ema, len(ema), 0)
+        assert_bits_equal(med, want_med)
+        assert_bits_equal(mad, want_mad)
     check_grid_and_splits(naive_ema_mad, det, values, init, data)
+
+
+def test_median_mad_signed_zeros_match_np_median():
+    # np.median averages the middle values from +0.0, so a -0.0 median
+    # reads +0.0, in odd prefixes and even full windows alike.
+    det = EmaMadDetector(short_window=2, long_window=4, min_long=2)
+    ema = np.array([-0.0, -0.0, 1.0, -0.0, -0.0, -0.0, 0.0, -0.0])
+    med, mad = det._median_mad(ema, ema.size, 0)
+    want_med, want_mad = naive_median_mad(ema, det)
+    assert_bits_equal(med, want_med)
+    assert_bits_equal(mad, want_mad)
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,9 +6,6 @@ Extends the repo's equivalence discipline to :mod:`repro.detectors`:
   engine bitwise-identical to its offline reference grid under
   hypothesis-generated random batch splits — partial-window head
   included — the same contract ``OnlineStdSum``/``OnlineProfile`` set;
-* ``KdeMdDetector`` is a pure port: its grids equal
-  :func:`repro.core.movement.run_profile_grid` exactly, so the golden
-  numbers cannot move;
 * detector configs round-trip through the :mod:`repro.identity` codec;
 * *detector* works as a first-class :class:`ScenarioGrid` axis: shared
   recordings, per-detector store records (warm resume of one detector
@@ -34,7 +31,7 @@ from repro.analysis.scenarios import (
 )
 from repro.analysis.sweep_store import SweepStore
 from repro.core.config import FadewichConfig, MDConfig
-from repro.core.movement import online_std_sum_series, run_profile_grid
+from repro.core.movement import online_std_sum_series
 from repro.detectors import (
     DetectionGrid,
     EmaMadDetector,
@@ -227,17 +224,6 @@ class TestOfflineStreamingIdentity:
         np.testing.assert_array_equal(
             np.concatenate([t1, t2]), ref.thresholds[:, 0]
         )
-
-    def test_kde_offline_is_a_pure_port_of_run_profile_grid(self, rng):
-        # The zoo wrapper must not perturb a single bit of the paper's
-        # engine — this is what keeps the golden numbers pinned.
-        matrix = np.abs(rng.normal(2.0, 0.8, size=(160, 3)))
-        matrix[60::7, :] += 5.0
-        ref = run_profile_grid(matrix, self.CFG, 20)
-        got = KdeMdDetector().offline_grid(matrix, self.CFG, 20)
-        assert isinstance(got, DetectionGrid)
-        np.testing.assert_array_equal(got.decisions, ref.decisions)
-        np.testing.assert_array_equal(got.thresholds, ref.thresholds)
 
     @pytest.mark.parametrize(
         "det",

@@ -6,7 +6,8 @@ Locks the contracts of :mod:`repro.analysis.scenarios`:
 * every scenario's recording is bit-identical to a serial
   ``collect_generated`` with the scenario's derived child seed (so the
   sweep is exactly "many reproduction campaigns", not a new engine);
-* config-only variants share one simulated recording;
+* config-only variants share one simulated recording, and its rolling-std
+  blocks wherever their std windows agree;
 * the whole sweep is reproducible from a single root seed across
   execution modes;
 * the aggregate report renders and round-trips through JSON.
@@ -24,6 +25,7 @@ from repro.analysis.scenarios import (
     SweepReport,
 )
 from repro.core.config import FadewichConfig
+from repro.features.rolling import RollingStdExtractor
 from repro.radio.channel import ChannelConfig
 from repro.radio.office import paper_office, wide_office
 from repro.simulation.collector import CampaignCollector
@@ -188,6 +190,43 @@ class TestScenarioSweepRunner:
         # 'default' and 't6' differ only in analysis config.
         assert all(len(ids) == 1 for ids in by_sim.values())
         assert len(by_sim) == len(grid) // 2
+
+    def test_config_variants_share_feature_blocks(self, monkeypatch):
+        # One FeatureStore per recording: configs with the same std window
+        # share its day blocks, and another std window computes its own.
+        grid = ScenarioGrid(
+            layouts=[paper_office()],
+            scales=[tiny_scale("tiny-short", day_duration_s=300.0)],
+            configs={
+                "default": FadewichConfig(),
+                "alpha2": FadewichConfig().derive(md={"alpha": 2.0}),
+                "std6": FadewichConfig().derive(md={"std_window_s": 6.0}),
+            },
+            sensor_counts=(3,),
+        )
+        runner = ScenarioSweepRunner(
+            grid, seed=11, mode="serial", re_sensor_counts=()
+        )
+        day_block = RollingStdExtractor.day_block
+        windows = []
+
+        def counting_day_block(self, *args, **kwargs):
+            windows.append(self.std_window_s)
+            return day_block(self, *args, **kwargs)
+
+        monkeypatch.setattr(RollingStdExtractor, "day_block", counting_day_block)
+        report = runner.run()
+        n_days = 2
+        assert sorted(windows) == [2.0] * n_days + [6.0] * n_days
+        # Every variant reads what analysing it alone computes.
+        alone = SweepReport(
+            results=[
+                runner.analyze(result.spec, result.recording)
+                for result in report.results
+            ],
+            seed_entropy=report.seed_entropy,
+        )
+        assert alone.to_json() == report.to_json()
 
     def test_distinct_scenarios_get_distinct_noise(self, report):
         day_a = report.results[0].recording.days[0]

@@ -42,11 +42,10 @@ from repro.core.movement import (
     NormalProfile,
     StdSumTracker,
     online_std_sum_series,
-    run_profile_grid,
     variation_windows_from_flags,
     window_duration_series,
 )
-from repro.detectors import detector_names, get_detector
+from repro.detectors import KdeMdDetector, detector_names, get_detector
 from repro.radio.trace import StreamBuffer
 from repro.streaming import (
     DayRecordingSource,
@@ -198,7 +197,9 @@ class TestOnlineProfile:
     def test_threshold_trace_matches_profile_grid(self, rng):
         values = self.profile_series(rng, 300)
         init_samples = max(int(round(self.CFG.profile_init_s * RATE)), 2)
-        grid = run_profile_grid(values[:, np.newaxis], self.CFG, init_samples)
+        grid = KdeMdDetector().offline_grid(
+            values[:, np.newaxis], self.CFG, init_samples
+        )
 
         online = OnlineProfile(self.CFG, init_samples)
         decisions, thresholds = online.extend(values)
@@ -254,7 +255,7 @@ class TestOnlineDetector:
         ini = max(int(round(cfg.profile_init_s * RATE)), 2)
         std_sums = online_std_sum_series(matrix, w)
         anomalous = np.zeros(n, dtype=bool)
-        grid = run_profile_grid(std_sums[1:, np.newaxis], cfg, ini)
+        grid = KdeMdDetector().offline_grid(std_sums[1:, np.newaxis], cfg, ini)
         anomalous[1:] = grid.decisions[:, 0] == 1
         durations = window_duration_series(times, anomalous, cfg.merge_gap_s)
         return std_sums, anomalous, grid.thresholds[:, 0], durations
