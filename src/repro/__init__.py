@@ -50,7 +50,7 @@ from .detectors import (
 )
 from .features import FeatureStore, RollingStdExtractor
 from .radio.office import OfficeLayout, paper_office, wide_office
-from .reliability import CheckpointStore, FaultInjector, FaultPlan, FaultSpec
+from .reliability import FaultInjector, FaultPlan, FaultSpec
 from .zones import (
     AttenuationExtractor,
     ZoneEngine,
@@ -166,7 +166,6 @@ __all__ = [
     "CampaignCollector",
     "CampaignRecording",
     "CampaignRunner",
-    "CheckpointStore",
     "DayTask",
     "EmaMadDetector",
     "FadewichConfig",

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import socket
@@ -775,10 +776,6 @@ def _normalise_jobs(
 #: against a worker slot's failure budget.
 _NO_RESPAWN_EXITS = frozenset({0, 143, -int(signal.SIGTERM)})
 
-#: Supervisor poll cadence while a fleet is running.
-_SUPERVISE_POLL_S = 0.05
-
-
 @dataclass
 class _Slot:
     """One supervised worker slot of a :func:`run_prioritized` fleet."""
@@ -985,7 +982,19 @@ def run_prioritized(
                             slot.proc = None
                         slot.done = True
                     break
-                time.sleep(_SUPERVISE_POLL_S)
+                # Sleep until a live worker exits, a backoff ends or the
+                # deadline passes, whichever comes first.
+                wake_at = [
+                    slot.restart_at
+                    for slot in slots
+                    if slot.proc is None and slot.restart_at is not None
+                ]
+                if deadline is not None:
+                    wake_at.append(deadline)
+                multiprocessing.connection.wait(
+                    [slot.proc.sentinel for slot in slots if slot.proc is not None],
+                    max(min(wake_at) - time.monotonic(), 0.0) if wake_at else None,
+                )
             exit_codes = [c for slot in slots for c in slot.exit_codes]
         # Final pass — also the single-process mode.  On a store the fleet
         # completed this is a pure warm read (zero claims, zero day

@@ -57,7 +57,6 @@ from .security import (
     case_counts,
     classify_outcome,
     deauthentication_curve,
-    median_deauthentication_time,
     vulnerable_time_seconds,
 )
 from .system import FadewichSystem, ReplayReport
@@ -116,7 +115,6 @@ __all__ = [
     "evaluate_md_grid",
     "evaluate_md_scalar",
     "match_windows",
-    "median_deauthentication_time",
     "rolling_std_matrix",
     "sensor_subset",
     "streams_for_sensors",

@@ -150,10 +150,6 @@ class FadewichConfig:
         if self.true_window_slack_s <= 0:
             raise ValueError("true_window_slack_s must be positive")
 
-    def with_t_delta(self, t_delta_s: float) -> "FadewichConfig":
-        """A copy with a different ``t_delta`` (used by the Figure 7 sweep)."""
-        return replace(self, t_delta_s=t_delta_s)
-
     def derive(
         self,
         *,

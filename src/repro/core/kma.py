@@ -5,9 +5,10 @@ workstation reports its input idle time to the central station, and the
 system asks "which workstations have been idle for the last ``s`` seconds?"
 — the set ``S_t^(s)``.
 
-The module is a thin policy layer over an idle-time provider, which can be
-either the online :class:`~repro.workstation.idle.IdleTracker` or the
-trace-backed :class:`~repro.workstation.idle.TraceIdleProvider`.
+The module is a thin policy layer over an idle-time provider: the
+trace-backed :class:`~repro.workstation.idle.TraceIdleProvider` that
+``FadewichSystem.replay_day`` attaches, or the in-memory
+:class:`~repro.workstation.idle.IdleTracker` fed one input at a time.
 """
 
 from __future__ import annotations
@@ -68,12 +69,3 @@ class KeyboardMouseActivity:
             for wid in self._provider.workstation_ids
             if self._provider.idle_time(wid, t) >= s
         }
-
-    def most_idle(self, t: float) -> str:
-        """The workstation with the largest idle time at ``t``.
-
-        Used by the training phase to auto-label samples when exactly one
-        workstation has been idle throughout a variation window.
-        """
-        ids = self._provider.workstation_ids
-        return max(ids, key=lambda wid: self._provider.idle_time(wid, t))

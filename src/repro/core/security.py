@@ -168,13 +168,6 @@ def case_counts(outcomes: Sequence[DeauthOutcome]) -> dict:
     return counts
 
 
-def median_deauthentication_time(outcomes: Sequence[DeauthOutcome]) -> float:
-    """Median elapsed deauthentication time across departures."""
-    if not outcomes:
-        raise ValueError("no outcomes provided")
-    return float(np.median([o.elapsed_s for o in outcomes]))
-
-
 def vulnerable_time_seconds(
     outcomes: Sequence[DeauthOutcome],
     absence_lookup=None,

@@ -175,10 +175,6 @@ class FadewichSystem:
     def sessions(self) -> Dict[str, WorkstationSession]:
         return dict(self._sessions)
 
-    @property
-    def controller_state(self) -> Optional[ControllerState]:
-        return self._controller.state if self._controller else None
-
     # ------------------------------------------------------------------ #
     def train(self, dataset: SampleDataset) -> "FadewichSystem":
         """Train the RE classifier from a labelled sample dataset."""

@@ -12,15 +12,15 @@ Public API
 - :class:`~repro.ml.svm.BinarySVC`, :class:`~repro.ml.multiclass.OneVsOneSVC`
 - :class:`~repro.ml.kernels.LinearKernel`, :class:`~repro.ml.kernels.RBFKernel`,
   :class:`~repro.ml.kernels.PolynomialKernel`
-- :class:`~repro.ml.scaling.StandardScaler`, :class:`~repro.ml.scaling.MinMaxScaler`
+- :class:`~repro.ml.scaling.StandardScaler`
 - :class:`~repro.ml.features.FeatureExtractor` and the window feature functions
-- :class:`~repro.ml.metrics.DetectionCounts`, ``accuracy``, ``confusion_matrix``
-- ``kfold_indices``, ``stratified_kfold_indices``, ``learning_curve``
+- :class:`~repro.ml.metrics.DetectionCounts`, ``accuracy``
+- ``stratified_kfold_indices``, ``learning_curve``
 - ``relative_mutual_information``, ``rank_features_by_rmi``
 - ``correlation_matrix``
 """
 
-from .correlation import CorrelationResult, correlation_matrix, most_correlated_pairs
+from .correlation import CorrelationResult, correlation_matrix
 from .features import (
     FeatureExtractor,
     stream_features,
@@ -46,7 +46,6 @@ from .kernels import (
 from .metrics import (
     DetectionCounts,
     accuracy,
-    confusion_matrix,
     f_measure,
     precision,
     recall,
@@ -61,17 +60,14 @@ from .mutual_info import (
     relative_mutual_information,
     stream_importance,
 )
-from .scaling import MinMaxScaler, StandardScaler
+from .scaling import StandardScaler
 from .svm import BinarySVC, SVMNotFittedError
 from .validation import (
     LearningCurveResult,
     SVCFoldFitter,
-    cross_val_scores,
-    kfold_indices,
     learning_curve,
     stratified_fold_assignments,
     stratified_kfold_indices,
-    train_test_split,
 )
 
 __all__ = [
@@ -84,7 +80,6 @@ __all__ = [
     "Kernel",
     "LearningCurveResult",
     "LinearKernel",
-    "MinMaxScaler",
     "OneVsOneSVC",
     "PolynomialKernel",
     "RBFKernel",
@@ -94,17 +89,13 @@ __all__ = [
     "accuracy",
     "bisect_quantiles",
     "conditional_entropy",
-    "confusion_matrix",
     "correlation_matrix",
-    "cross_val_scores",
     "f_measure",
-    "kfold_indices",
     "learning_curve",
     "make_kernel",
     "marginal_entropy",
     "mixture_quantiles",
     "scale_gamma",
-    "most_correlated_pairs",
     "precision",
     "quantize",
     "rank_features_by_rmi",
@@ -116,7 +107,6 @@ __all__ = [
     "stratified_kfold_indices",
     "stream_features",
     "stream_importance",
-    "train_test_split",
     "window_autocorrelation",
     "window_entropy",
     "window_variance",

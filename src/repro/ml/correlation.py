@@ -3,17 +3,17 @@
 The paper's appendix (Figure 11) shows the Pearson correlation between the
 per-stream variance features over the labelled samples: streams between
 physically close devices react similarly to a moving body.  This module
-computes that matrix and related summaries.
+computes that matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["correlation_matrix", "CorrelationResult", "most_correlated_pairs"]
+__all__ = ["correlation_matrix", "CorrelationResult"]
 
 
 @dataclass(frozen=True)
@@ -61,21 +61,3 @@ def correlation_matrix(X: np.ndarray, names: Sequence[str]) -> CorrelationResult
     np.fill_diagonal(corr, 1.0)
     return CorrelationResult(names=tuple(names), matrix=corr)
 
-
-def most_correlated_pairs(
-    result: CorrelationResult, top_k: int = 10
-) -> List[Tuple[str, str, float]]:
-    """Return the ``top_k`` most correlated distinct column pairs.
-
-    Useful for checking the paper's qualitative claim that streams between
-    nearby devices co-vary.
-    """
-    n = len(result.names)
-    pairs: List[Tuple[str, str, float]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pairs.append(
-                (result.names[i], result.names[j], float(result.matrix[i, j]))
-            )
-    pairs.sort(key=lambda t: abs(t[2]), reverse=True)
-    return pairs[:top_k]

@@ -158,11 +158,3 @@ class FeatureExtractor:
             )
             values.extend([var, ent, ac])
         return np.asarray(values, dtype=float)
-
-    def extract_many(
-        self, samples: Sequence[Dict[str, Sequence[float]]]
-    ) -> np.ndarray:
-        """Vectorise :meth:`extract` over a sequence of samples."""
-        if len(samples) == 0:
-            return np.empty((0, self.n_features))
-        return np.vstack([self.extract(s) for s in samples])

@@ -90,11 +90,6 @@ class Kernel:
             )
         return self.gram(X, Y)
 
-    def diagonal(self, X: np.ndarray) -> np.ndarray:
-        """Return ``k(x_i, x_i)`` for each row of ``X`` (used by SMO)."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.diag(self(X, X))
-
 
 @dataclass
 class LinearKernel(Kernel):
@@ -104,10 +99,6 @@ class LinearKernel(Kernel):
 
     def gram(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return _cross_dot(X, Y)
-
-    def diagonal(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.einsum("ij,ij->i", X, X)
 
 
 @dataclass
@@ -132,10 +123,6 @@ class RBFKernel(Kernel):
         sq_dist = np.maximum(sq_x + sq_y - 2.0 * _cross_dot(X, Y), 0.0)
         return np.exp(-self.gamma * sq_dist)
 
-    def diagonal(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return np.ones(X.shape[0])
-
 
 @dataclass
 class PolynomialKernel(Kernel):
@@ -148,11 +135,6 @@ class PolynomialKernel(Kernel):
 
     def gram(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return (self.gamma * _cross_dot(X, Y) + self.coef0) ** self.degree
-
-    def diagonal(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        dot = np.einsum("ij,ij->i", X, X)
-        return (self.gamma * dot + self.coef0) ** self.degree
 
 
 def make_kernel(name: str, **params) -> Kernel:

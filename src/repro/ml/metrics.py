@@ -4,8 +4,7 @@ Provides the metrics the paper reports:
 
 * precision / recall / F-measure for the Movement Detection module
   (Figure 7, Table III),
-* classification accuracy and confusion matrices for the Radio Environment
-  classifier (Figure 8),
+* classification accuracy for the Radio Environment classifier (Figure 8),
 * a small container for TP/FP/FN counts of a detector.
 """
 
@@ -22,7 +21,6 @@ __all__ = [
     "recall",
     "f_measure",
     "accuracy",
-    "confusion_matrix",
 ]
 
 
@@ -61,11 +59,6 @@ class DetectionCounts:
         """Harmonic mean of precision and recall."""
         p, r = self.precision, self.recall
         return 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
-
-    @property
-    def total_events(self) -> int:
-        """Number of ground-truth events (TP + FN)."""
-        return self.tp + self.fn
 
     def rates(self) -> Dict[str, float]:
         """TP/FP/FN as fractions of the total decisions, as in Table III.
@@ -113,28 +106,3 @@ def accuracy(y_true: Sequence, y_pred: Sequence) -> float:
         raise ValueError("accuracy of an empty prediction set is undefined")
     return float(np.mean(y_true == y_pred))
 
-
-def confusion_matrix(
-    y_true: Sequence, y_pred: Sequence, labels: Sequence = None
-) -> np.ndarray:
-    """Confusion matrix ``M[i, j]`` = count of true label ``i`` predicted ``j``.
-
-    Parameters
-    ----------
-    labels:
-        Label ordering for the matrix axes.  Defaults to the sorted union of
-        labels appearing in either vector.
-    """
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape[0] != y_pred.shape[0]:
-        raise ValueError("y_true and y_pred have different lengths")
-    if labels is None:
-        labels = np.unique(np.concatenate([y_true, y_pred]))
-    else:
-        labels = np.asarray(labels)
-    index = {lab: i for i, lab in enumerate(labels.tolist())}
-    mat = np.zeros((len(labels), len(labels)), dtype=int)
-    for t, p in zip(y_true.tolist(), y_pred.tolist()):
-        mat[index[t], index[p]] += 1
-    return mat

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["StandardScaler", "MinMaxScaler"]
+__all__ = ["StandardScaler"]
 
 
 @dataclass
@@ -42,39 +42,3 @@ class StandardScaler:
             raise RuntimeError("scaler is not fitted")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return (X - self.mean_) / self.scale_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None:
-            raise RuntimeError("scaler is not fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return X * self.scale_ + self.mean_
-
-
-@dataclass
-class MinMaxScaler:
-    """Per-feature rescaling to ``[0, 1]`` (constant features map to 0)."""
-
-    min_: Optional[np.ndarray] = field(default=None, repr=False)
-    range_: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[0] == 0:
-            raise ValueError("cannot fit scaler on empty data")
-        self.min_ = X.min(axis=0)
-        rng = X.max(axis=0) - self.min_
-        rng[rng <= 1e-15] = 1.0
-        self.range_ = rng
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.min_ is None:
-            raise RuntimeError("scaler is not fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return (X - self.min_) / self.range_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)

@@ -3,7 +3,7 @@
 The paper evaluates the RE classifier with 5-fold cross-validation repeated
 10 times to smooth out the randomness of the split (Section VII-B), and
 plots a learning curve over increasing training-set sizes.  This module
-provides plain and stratified k-fold splitters plus the repeated
+provides stratified k-fold splitters plus the repeated
 learning-curve machinery, without any external ML dependency.
 
 Shared-Gram learning curves
@@ -37,33 +37,12 @@ from .multiclass import OneVsOneSVC
 from .scaling import StandardScaler
 
 __all__ = [
-    "kfold_indices",
     "stratified_fold_assignments",
     "stratified_kfold_indices",
-    "train_test_split",
-    "cross_val_scores",
     "learning_curve",
     "LearningCurveResult",
     "SVCFoldFitter",
 ]
-
-
-def kfold_indices(
-    n_samples: int, n_folds: int, rng: Optional[np.random.Generator] = None
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(train_idx, test_idx)`` pairs for a shuffled k-fold split."""
-    if n_folds < 2:
-        raise ValueError("n_folds must be >= 2")
-    if n_samples < n_folds:
-        raise ValueError("more folds than samples")
-    if rng is None:
-        rng = np.random.default_rng()
-    perm = rng.permutation(n_samples)
-    folds = np.array_split(perm, n_folds)
-    for i in range(n_folds):
-        test_idx = folds[i]
-        train_idx = np.concatenate([folds[j] for j in range(n_folds) if j != i])
-        yield train_idx, test_idx
 
 
 def stratified_fold_assignments(
@@ -111,51 +90,6 @@ def stratified_kfold_indices(
             np.flatnonzero(~test_mask).astype(int),
             np.flatnonzero(test_mask).astype(int),
         )
-
-
-def train_test_split(
-    n_samples: int,
-    test_fraction: float = 0.2,
-    rng: Optional[np.random.Generator] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Return ``(train_idx, test_idx)`` for a single shuffled split."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    if rng is None:
-        rng = np.random.default_rng()
-    perm = rng.permutation(n_samples)
-    n_test = max(1, int(round(test_fraction * n_samples)))
-    n_test = min(n_test, n_samples - 1)
-    return perm[n_test:], perm[:n_test]
-
-
-def cross_val_scores(
-    make_estimator: Callable[[], object],
-    X: np.ndarray,
-    y: Sequence,
-    n_folds: int = 5,
-    *,
-    stratified: bool = True,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Accuracy of a freshly constructed estimator on each CV fold.
-
-    ``make_estimator`` must return an unfitted object exposing ``fit`` and
-    ``predict`` (e.g. a lambda constructing :class:`~repro.ml.multiclass.OneVsOneSVC`).
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y)
-    splitter = (
-        stratified_kfold_indices(y, n_folds, rng)
-        if stratified
-        else kfold_indices(X.shape[0], n_folds, rng)
-    )
-    scores = []
-    for train_idx, test_idx in splitter:
-        est = make_estimator()
-        est.fit(X[train_idx], y[train_idx])
-        scores.append(accuracy(y[test_idx], est.predict(X[test_idx])))
-    return np.asarray(scores)
 
 
 @dataclass

@@ -84,9 +84,3 @@ class AbsenceSampler:
         """One absence duration in seconds (>= the profile's minimum)."""
         value = float(self._rng.lognormal(self._mu, self._sigma))
         return max(value, self._profile.min_absence_s)
-
-    def sample_many(self, n: int) -> np.ndarray:
-        """Draw ``n`` absence durations."""
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        return np.asarray([self.sample() for _ in range(n)])

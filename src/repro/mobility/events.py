@@ -125,9 +125,3 @@ class EventLog:
         for e in self.labelled():
             counts[e.label] = counts.get(e.label, 0) + 1
         return counts
-
-    def in_interval(self, t_start: float, t_end: float) -> List[GroundTruthEvent]:
-        """Events whose time lies in ``[t_start, t_end]``."""
-        if t_end < t_start:
-            raise ValueError("t_end must be >= t_start")
-        return [e for e in self._events if t_start <= e.time <= t_end]

@@ -250,19 +250,3 @@ class Person:
                 floor_idx = draw_idx + 1
             k = stop
         return xy, present, walking
-
-    def is_present(self) -> bool:
-        """Whether the person is currently inside the office."""
-        return self._state is not PresenceState.ABSENT
-
-    def mark_absent(self) -> None:
-        """Force the person out of the office (e.g. campaign initialisation)."""
-        self._state = PresenceState.ABSENT
-        self._trajectory = None
-
-    def mark_seated(self, seat: Optional[Point] = None) -> None:
-        """Force the person to a seat (e.g. campaign initialisation)."""
-        if seat is not None:
-            self.seat = seat
-        self._state = PresenceState.SEATED
-        self._trajectory = None

@@ -85,10 +85,6 @@ class CampaignSchedule:
     def n_days(self) -> int:
         return len(self.days)
 
-    @property
-    def total_movements(self) -> int:
-        return sum(len(d.movements) for d in self.days)
-
     def label_counts(self) -> Dict[str, int]:
         """Expected Table-II-style label histogram of the planned campaign."""
         counts: Dict[str, int] = {}

@@ -59,10 +59,6 @@ class Trajectory:
     def end_time(self) -> float:
         return self.start_time + self.duration
 
-    def active_at(self, t: float) -> bool:
-        """Whether the walker is en route at time ``t``."""
-        return self.start_time <= t <= self.end_time
-
     def _interp_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(cums, durs, wx, wy)`` arrays, built once and cached.
 

@@ -9,7 +9,8 @@ simulator (see DESIGN.md, substitution table):
   workstations w1..w3, the single door), including :func:`paper_office`,
 * :mod:`~repro.radio.pathloss` — log-distance / free-space path loss,
 * :mod:`~repro.radio.fading` — quiescent noise and per-link fade levels,
-* :mod:`~repro.radio.shadowing` — the human-body obstruction model,
+* :mod:`~repro.radio.shadowing` — the human-body obstruction model's
+  parameters (the channel evaluates it),
 * :mod:`~repro.radio.links` — the m*(m-1) directed stream enumeration,
 * :mod:`~repro.radio.channel` — the composite channel producing RSSI samples,
 * :mod:`~repro.radio.trace` — stream buffers and full trace containers.
@@ -17,19 +18,11 @@ simulator (see DESIGN.md, substitution table):
 
 from .channel import ChannelConfig, RadioChannel
 from .fading import LinkFadeLevel, QuiescentNoise, SkewLaplace
-from .geometry import (
-    Point,
-    Segment,
-    distance,
-    excess_path_length,
-    interpolate,
-    path_length,
-    point_segment_distance,
-)
+from .geometry import Point, interpolate
 from .links import LinkSet, Stream, enumerate_stream_ids, stream_id
 from .office import OfficeLayout, Sensor, Workstation, paper_office
 from .pathloss import FreeSpacePathLoss, LogDistancePathLoss
-from .shadowing import BodyShadowingModel, ShadowingEffect
+from .shadowing import BodyShadowingModel
 from .trace import RssiTrace, StreamBuffer
 
 __all__ = [
@@ -44,19 +37,13 @@ __all__ = [
     "QuiescentNoise",
     "RadioChannel",
     "RssiTrace",
-    "Segment",
     "Sensor",
-    "ShadowingEffect",
     "SkewLaplace",
     "Stream",
     "StreamBuffer",
     "Workstation",
-    "distance",
     "enumerate_stream_ids",
-    "excess_path_length",
     "interpolate",
     "paper_office",
-    "path_length",
-    "point_segment_distance",
     "stream_id",
 ]

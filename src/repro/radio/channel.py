@@ -148,13 +148,6 @@ class RadioChannel:
         else:
             self._rng = rng if rng is not None else np.random.default_rng()
             self._split = False
-        # Pre-compute the static mean RSSI of every stream.
-        self._mean_rssi: Dict[str, float] = {
-            s.id: self._config.pathloss.mean_rssi_dbm(
-                s.length, tx_power_dbm=self._config.tx_power_dbm
-            )
-            for s in links
-        }
         # Vectorised per-stream arrays used by the fast sampling paths.
         self._stream_order = links.stream_ids
         self._tx_xy = np.asarray(
@@ -167,8 +160,15 @@ class RadioChannel:
         self._sensitivity = np.asarray(
             [s.fade.sensitivity for s in links], dtype=float
         )
+        # The static (undisturbed) mean RSSI of every stream.
         self._mean_vec = np.asarray(
-            [self._mean_rssi[sid] for sid in self._stream_order], dtype=float
+            [
+                self._config.pathloss.mean_rssi_dbm(
+                    s.length, tx_power_dbm=self._config.tx_power_dbm
+                )
+                for s in links
+            ],
+            dtype=float,
         )
 
     # ------------------------------------------------------------------ #
@@ -184,10 +184,6 @@ class RadioChannel:
     def stream_ids(self):
         """Stream ids in the channel's enumeration order."""
         return self._links.stream_ids
-
-    def mean_rssi(self, sid: str) -> float:
-        """The undisturbed mean RSSI of a stream (dBm)."""
-        return self._mean_rssi[sid]
 
     # ------------------------------------------------------------------ #
     def _drift_theta(self) -> float:
@@ -255,9 +251,10 @@ class RadioChannel:
         Returns
         -------
         (attenuation, extra_sigma):
-            Two ``(n_steps, n_streams)`` arrays, applying the same
-            attenuation / static-sigma / motion-sigma profile as
-            :class:`~repro.radio.shadowing.BodyShadowingModel`.
+            Two ``(n_steps, n_streams)`` arrays: the attenuation /
+            static-sigma / motion-sigma profile that
+            :class:`~repro.radio.shadowing.BodyShadowingModel`
+            parameterises.  This is the model's only implementation.
         """
         n_steps = body_xy.shape[0]
         n_streams = self._tx_xy.shape[0]

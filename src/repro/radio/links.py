@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from .fading import LinkFadeLevel
-from .geometry import Point, Segment
+from .geometry import Point
 from .office import OfficeLayout
 
 __all__ = ["Stream", "LinkSet", "stream_id", "enumerate_stream_ids"]
@@ -68,10 +68,6 @@ class Stream:
     @property
     def id(self) -> str:
         return stream_id(self.tx_id, self.rx_id)
-
-    @property
-    def segment(self) -> Segment:
-        return Segment(self.tx_position, self.rx_position)
 
     @property
     def length(self) -> float:

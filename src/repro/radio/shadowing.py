@@ -8,7 +8,7 @@ transmitter -> body -> receiver is at most ``lambda`` metres longer than the
 direct path — i.e. when the body is inside a thin ellipse whose foci are
 the two sensors.
 
-The model here produces, for one link and one set of body positions:
+The model produces, for one link and one set of body positions:
 
 * a deterministic mean attenuation (dB), strongest when the body is exactly
   on the line of sight and decaying with excess path length, and
@@ -17,41 +17,18 @@ The model here produces, for one link and one set of body positions:
   when the mean barely changes.
 
 Both effects scale with the link's fade-level sensitivity.
+
+:class:`BodyShadowingModel` holds the parameters only.  The model has one
+implementation, :meth:`repro.radio.channel.RadioChannel._shadowing_block`,
+which evaluates it for every step, body and stream at once; the scalar and
+batch sampling paths both run it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
 
-from .geometry import Point, excess_path_length
-
-__all__ = ["BodyShadowingModel", "ShadowingEffect"]
-
-
-@dataclass(frozen=True)
-class ShadowingEffect:
-    """The aggregate effect of all bodies on one link at one instant.
-
-    Attributes
-    ----------
-    attenuation_db:
-        Mean RSSI drop (positive number of dB to subtract).
-    extra_sigma_db:
-        Additional standard deviation of the RSSI fluctuation.
-    obstructed:
-        Whether at least one body lies within the link's sensitive ellipse.
-    """
-
-    attenuation_db: float
-    extra_sigma_db: float
-    obstructed: bool
-
-    @staticmethod
-    def none() -> "ShadowingEffect":
-        """The null effect (no bodies near the link)."""
-        return ShadowingEffect(0.0, 0.0, False)
+__all__ = ["BodyShadowingModel"]
 
 
 @dataclass(frozen=True)
@@ -115,101 +92,3 @@ class BodyShadowingModel:
             raise ValueError("motion_sigma_db must be non-negative")
         if self.motion_range_m <= 0 or self.motion_reference_speed <= 0:
             raise ValueError("motion range and reference speed must be positive")
-
-    # ------------------------------------------------------------------ #
-    def single_body_effect(
-        self, body: Point, tx: Point, rx: Point, fade_sensitivity: float = 1.0
-    ) -> ShadowingEffect:
-        """Effect of a single body at ``body`` on the link ``tx -> rx``."""
-        delta = excess_path_length(body, tx, rx)
-        if delta < 0:
-            delta = 0.0
-        reach = self.lambda_m * self.sigma_reach_multiplier
-        if delta > reach:
-            return ShadowingEffect.none()
-
-        obstructed = delta <= self.lambda_m
-        # Mean attenuation decays exponentially with normalised excess path.
-        atten = (
-            self.max_attenuation_db
-            * math.exp(-self.attenuation_decay * delta / self.lambda_m)
-            * fade_sensitivity
-        )
-        # Extra fluctuation decays more slowly (scattering has longer reach).
-        sigma = (
-            self.max_extra_sigma_db
-            * math.exp(-delta / self.lambda_m)
-            * fade_sensitivity
-        )
-        return ShadowingEffect(
-            attenuation_db=atten, extra_sigma_db=sigma, obstructed=obstructed
-        )
-
-    def motion_effect(
-        self,
-        body: Point,
-        speed_mps: float,
-        tx: Point,
-        rx: Point,
-        fade_sensitivity: float = 1.0,
-    ) -> float:
-        """Extra fluctuation (std-dev, dB) caused by a *moving* body.
-
-        The effect decays exponentially with the distance from the body to
-        the link segment and scales with the body speed up to
-        ``motion_reference_speed``.
-        """
-        if speed_mps < 0:
-            raise ValueError("speed must be non-negative")
-        if speed_mps == 0 or self.motion_sigma_db == 0:
-            return 0.0
-        from .geometry import point_segment_distance
-
-        dist = point_segment_distance(body, tx, rx)
-        speed_factor = min(speed_mps / self.motion_reference_speed, 1.5)
-        return (
-            self.motion_sigma_db
-            * speed_factor
-            * math.exp(-dist / self.motion_range_m)
-            * fade_sensitivity
-        )
-
-    def combined_effect(
-        self,
-        bodies: Iterable[Point],
-        tx: Point,
-        rx: Point,
-        fade_sensitivity: float = 1.0,
-    ) -> ShadowingEffect:
-        """Aggregate effect of several bodies on one link.
-
-        Mean attenuations add in dB (each body removes signal energy along
-        the path); extra fluctuation variances add (independent scattering),
-        so the standard deviations combine in quadrature.
-        """
-        total_atten = 0.0
-        total_var = 0.0
-        obstructed = False
-        for body in bodies:
-            eff = self.single_body_effect(body, tx, rx, fade_sensitivity)
-            total_atten += eff.attenuation_db
-            total_var += eff.extra_sigma_db ** 2
-            obstructed = obstructed or eff.obstructed
-        return ShadowingEffect(
-            attenuation_db=total_atten,
-            extra_sigma_db=math.sqrt(total_var),
-            obstructed=obstructed,
-        )
-
-    def sensitive_region_width(self, link_length: float) -> float:
-        """Approximate half-width (metres) of the ellipse at its centre.
-
-        For a thin ellipse with foci separated by ``d`` and excess path
-        ``lambda``, the semi-minor axis is roughly ``sqrt(lambda * d / 2 +
-        lambda^2 / 4)``; useful for sanity checks and documentation plots.
-        """
-        if link_length < 0:
-            raise ValueError("link length must be non-negative")
-        return math.sqrt(
-            self.lambda_m * link_length / 2.0 + self.lambda_m ** 2 / 4.0
-        )

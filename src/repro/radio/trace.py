@@ -169,20 +169,3 @@ class RssiTrace:
         trace.times = self.times
         trace.streams = {sid: self.streams[sid] for sid in wanted}
         return trace
-
-    @staticmethod
-    def from_samples(
-        times: Sequence[float], samples: Sequence[Mapping[str, float]]
-    ) -> "RssiTrace":
-        """Build a trace from a list of per-instant sample dictionaries."""
-        times = np.asarray(times, dtype=float)
-        if len(samples) != times.shape[0]:
-            raise ValueError("times and samples must have equal length")
-        if len(samples) == 0:
-            raise ValueError("cannot build an empty trace")
-        stream_ids = list(samples[0].keys())
-        streams = {
-            sid: np.asarray([s[sid] for s in samples], dtype=float)
-            for sid in stream_ids
-        }
-        return RssiTrace(times=times, streams=streams)

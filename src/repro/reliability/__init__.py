@@ -8,8 +8,7 @@ Two halves, one discipline:
   the lease protocol, the sweep workers and the streaming stack (no
   monkeypatching), so every chaos run is replayable bit for bit;
 * :mod:`repro.reliability.checkpoint` — bit-preserving JSON snapshot
-  serialisation plus an atomic per-key :class:`CheckpointStore`, the
-  durability companion of the streaming kernel's ``snapshot()`` /
+  serialisation, the companion of the streaming kernel's ``snapshot()`` /
   ``restore()`` methods.
 
 The recovery paths themselves live with the components they protect:
@@ -19,7 +18,7 @@ restart / tenant quarantine policies in
 :class:`repro.streaming.IngestRouter`.
 """
 
-from .checkpoint import CheckpointStore, dumps_snapshot, loads_snapshot
+from .checkpoint import dumps_snapshot, loads_snapshot
 from .faults import (
     HARD_CRASH_EXIT_CODE,
     KNOWN_POINTS,
@@ -43,7 +42,6 @@ from .faults import (
 )
 
 __all__ = [
-    "CheckpointStore",
     "dumps_snapshot",
     "loads_snapshot",
     "FaultInjector",

@@ -8,27 +8,14 @@ back to the identical bit pattern.  :func:`dumps_snapshot` /
 restored from the decoded dict continues its stream exactly as the
 original would have — the property the reliability test suite locks with
 hypothesis-random cut points.
-
-:class:`CheckpointStore` adds the durability half: one atomic JSON file
-per checkpoint key (temp file + ``fsync`` + ``os.replace``, the same
-recipe as :class:`~repro.analysis.sweep_store.SweepStore` records), so a
-process killed mid-write can never leave a torn checkpoint — readers see
-either the previous complete snapshot or the new one.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
-from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict
 
-__all__ = [
-    "dumps_snapshot",
-    "loads_snapshot",
-    "CheckpointStore",
-]
+__all__ = ["dumps_snapshot", "loads_snapshot"]
 
 
 def dumps_snapshot(state: Dict[str, Any]) -> str:
@@ -45,83 +32,3 @@ def loads_snapshot(text: str) -> Dict[str, Any]:
         )
     return state
 
-
-def _key_filename(key: str) -> str:
-    """A filesystem-safe, collision-free filename for a checkpoint key."""
-    import hashlib
-
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in key)[:60]
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:10]
-    return f"{safe}.{digest}.ckpt.json"
-
-
-class CheckpointStore:
-    """Atomic per-key JSON snapshot files under one directory.
-
-    Keys are arbitrary strings (tenant ids, worker names); each maps to
-    one file written atomically, so concurrent readers and a crashing
-    writer can never observe a torn snapshot.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        self._path = Path(path)
-        self._path.mkdir(parents=True, exist_ok=True)
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    def file_for(self, key: str) -> Path:
-        return self._path / _key_filename(key)
-
-    def save(self, key: str, state: Dict[str, Any]) -> Path:
-        """Atomically persist one snapshot; returns the file written."""
-        target = self.file_for(key)
-        text = dumps_snapshot(dict(state, checkpoint_key=key))
-        fd, tmp = tempfile.mkstemp(
-            dir=self._path, prefix=target.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(text)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return target
-
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored snapshot for ``key``, or ``None`` if absent."""
-        target = self.file_for(key)
-        try:
-            text = target.read_text()
-        except OSError:
-            return None
-        state = loads_snapshot(text)
-        state.pop("checkpoint_key", None)
-        return state
-
-    def keys(self) -> List[str]:
-        """Checkpoint keys present on disk (sorted)."""
-        found = []
-        for file in self._path.glob("*.ckpt.json"):
-            try:
-                state = loads_snapshot(file.read_text())
-            except (OSError, ValueError):
-                continue
-            key = state.get("checkpoint_key")
-            if isinstance(key, str):
-                found.append(key)
-        return sorted(found)
-
-    def delete(self, key: str) -> bool:
-        try:
-            self.file_for(key).unlink()
-            return True
-        except OSError:
-            return False

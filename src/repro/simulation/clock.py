@@ -51,13 +51,3 @@ class SimulationClock:
         """The timestamp grid covering ``duration_s`` seconds."""
         n = self.n_samples(duration_s)
         return self.start_time + np.arange(n) / self.sample_rate_hz
-
-    def index_of(self, t: float) -> int:
-        """Sample index of the instant ``t`` (clamped below at 0)."""
-        return max(int(round((t - self.start_time) * self.sample_rate_hz)), 0)
-
-    def seconds_to_samples(self, seconds: float) -> int:
-        """Convert a duration to a whole number of samples (at least 1)."""
-        if seconds < 0:
-            raise ValueError("seconds must be non-negative")
-        return max(int(round(seconds * self.sample_rate_hz)), 1)

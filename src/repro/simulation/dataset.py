@@ -11,7 +11,7 @@ analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,47 +117,3 @@ class SampleDataset:
             y = np.asarray([s.label for s in self.samples], dtype=object)
             self._arrays = (X, y)
         return self._arrays
-
-    def filter_labels(self, labels: Sequence[str]) -> "SampleDataset":
-        """A new dataset containing only samples with the given labels."""
-        wanted = set(labels)
-        return SampleDataset(
-            feature_names=self.feature_names,
-            samples=[s for s in self.samples if s.label in wanted],
-        )
-
-    def column(self, feature_name: str) -> np.ndarray:
-        """All samples' values of one named feature."""
-        try:
-            idx = self.feature_names.index(feature_name)
-        except ValueError as exc:
-            raise KeyError(f"unknown feature {feature_name!r}") from exc
-        X, _ = self.to_arrays()
-        return X[:, idx]
-
-    def subset_features(self, keep: Sequence[str]) -> "SampleDataset":
-        """A new dataset with only the named feature columns."""
-        indices = []
-        for name in keep:
-            if name not in self.feature_names:
-                raise KeyError(f"unknown feature {name!r}")
-            indices.append(self.feature_names.index(name))
-        new_samples = [
-            LabeledSample(
-                features=s.features[indices],
-                label=s.label,
-                time=s.time,
-                day_index=s.day_index,
-            )
-            for s in self.samples
-        ]
-        return SampleDataset(feature_names=tuple(keep), samples=new_samples)
-
-    def merged_with(self, other: "SampleDataset") -> "SampleDataset":
-        """Concatenate two datasets with identical feature layouts."""
-        if tuple(other.feature_names) != tuple(self.feature_names):
-            raise ValueError("datasets have different feature layouts")
-        return SampleDataset(
-            feature_names=self.feature_names,
-            samples=list(self.samples) + list(other.samples),
-        )

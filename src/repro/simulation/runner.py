@@ -391,13 +391,3 @@ class CampaignRunner:
     def campaign_seed(self, index: int) -> np.random.SeedSequence:
         """The derived root seed of campaign ``index`` in :meth:`run_many`."""
         return derive_seed_sequence(self._root, CAMPAIGN_DOMAIN, index)
-
-    def collector_for(self, index: Optional[int] = None) -> CampaignCollector:
-        """A serial collector matching this runner (or one of its campaigns).
-
-        Useful to cross-check runner output against the serial engine, or
-        to continue working (e.g. ``collect_generated``) with the same
-        stream state conventions.
-        """
-        seed_seq = self._root if index is None else self.campaign_seed(index)
-        return self._make_collector(seed_seq)

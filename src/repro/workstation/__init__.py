@@ -2,8 +2,8 @@
 
 * :mod:`~repro.workstation.activity` — the Mikkelsen-style keyboard/mouse
   input generator the paper itself uses,
-* :mod:`~repro.workstation.idle` — idle-time tracking and the KMA-style
-  "idle for s seconds" query,
+* :mod:`~repro.workstation.idle` — per-workstation idle-time providers,
+  which the KMA module's "idle for s seconds" query reads,
 * :mod:`~repro.workstation.session` — the workstation session state machine
   (authenticated / alert / screensaver / deauthenticated).
 """

@@ -224,9 +224,3 @@ class InputActivityModel:
             active_bins=active & presence_mask,
             start_time=start_time,
         )
-
-    def generate_always_present(
-        self, duration_s: float, start_time: float = 0.0
-    ) -> ActivityTrace:
-        """Convenience: a trace where the user never leaves the workstation."""
-        return self.generate(duration_s, [(0.0, duration_s)], start_time=start_time)

@@ -54,15 +54,6 @@ class IdleTracker:
             return max(t - self._start, 0.0)
         return max(t - last, 0.0)
 
-    def idle_for(self, t: float, s: float) -> List[str]:
-        """Workstations idle for at least ``s`` seconds at time ``t``.
-
-        This is exactly the KMA query ``S_t^(s)`` of the paper.
-        """
-        if s < 0:
-            raise ValueError("s must be non-negative")
-        return [wid for wid in self._last_input if self.idle_time(wid, t) >= s]
-
 
 class TraceIdleProvider:
     """Idle-time answers backed by pre-generated activity traces.
@@ -86,12 +77,6 @@ class TraceIdleProvider:
         if workstation_id not in self._traces:
             raise KeyError(f"unknown workstation {workstation_id!r}")
         return self._traces[workstation_id].idle_time_at(t)
-
-    def idle_for(self, t: float, s: float) -> List[str]:
-        """Workstations idle for at least ``s`` seconds at time ``t``."""
-        if s < 0:
-            raise ValueError("s must be non-negative")
-        return [wid for wid in self._traces if self.idle_time(wid, t) >= s]
 
     def has_input_in(self, workstation_id: str, t_start: float, t_end: float) -> bool:
         """Whether the workstation saw input during ``[t_start, t_end]``."""

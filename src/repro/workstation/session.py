@@ -73,11 +73,6 @@ class WorkstationSession:
     def state(self) -> SessionState:
         return self._state
 
-    @property
-    def history(self) -> List[SessionEvent]:
-        """All state transitions, in order."""
-        return list(self._history)
-
     def _transition(self, t: float, to_state: SessionState, reason: str) -> None:
         if to_state is self._state:
             return
@@ -150,12 +145,3 @@ class WorkstationSession:
     def deauthentications(self) -> int:
         """Number of times the session was deauthenticated."""
         return self.count_transitions_to(SessionState.DEAUTHENTICATED)
-
-    def is_accessible(self) -> bool:
-        """Whether an adversary walking up now could use the session.
-
-        Screen-saver and alert states keep the session authenticated (the
-        paper's screen saver is a usability device, not a lock), so only
-        DEAUTHENTICATED denies access.
-        """
-        return self._state is not SessionState.DEAUTHENTICATED

@@ -153,10 +153,6 @@ class ZoneMap:
     def n_zones(self) -> int:
         return len(self.zones)
 
-    @property
-    def zone_names(self) -> List[str]:
-        return [z.name for z in self.zones]
-
     def zone_of(self, p: Point) -> int:
         """Index of the first zone containing ``p``; ``-1`` if none.
 

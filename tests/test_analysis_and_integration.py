@@ -250,7 +250,7 @@ class TestFullSystemReplay:
         assert report.deauthentications <= n_departures + len(
             recording.days[0].events.entries()
         ) + 5
-        assert system.controller_state in (ControllerState.QUIET, ControllerState.NOISY)
+        assert system._controller.state in (ControllerState.QUIET, ControllerState.NOISY)
 
     def test_process_sample_requires_idle_provider(self, analysis_context):
         re_module, _ = analysis_context.sample_dataset(9)

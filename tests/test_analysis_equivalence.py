@@ -43,6 +43,7 @@ from repro.core.movement import (
 from repro.core.system import FadewichSystem
 from repro.detectors import KdeMdDetector
 from repro.radio.office import paper_office
+from repro.simulation.dataset import SampleDataset
 from repro.sliding import sample_count, sum_rows
 
 SEEDS = (0, 7, 1234)
@@ -257,7 +258,10 @@ class TestCrossValidationEquivalence:
     def test_small_dataset_in_sample_path_matches(self):
         re_module, dataset = self._dataset(0)
         # Trim below n_folds to hit the in-sample fallback on both paths.
-        small = dataset.filter_labels(dataset.labels[:1])
+        small = SampleDataset(
+            feature_names=dataset.feature_names,
+            samples=[s for s in dataset.samples if s.label == dataset.labels[0]],
+        )
         while len(small) > 3:
             small.samples.pop()
         vectorized = cross_validated_predictions(

@@ -27,11 +27,6 @@ class TestConfig:
     def test_misclassification_delay_is_tid_plus_tss(self, config):
         assert config.misclassification_delay_s == pytest.approx(8.0)
 
-    def test_with_t_delta_returns_modified_copy(self, config):
-        other = config.with_t_delta(6.0)
-        assert other.t_delta_s == 6.0
-        assert config.t_delta_s == 4.5
-
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
             FadewichConfig(t_delta_s=0.0)
@@ -45,6 +40,24 @@ class TestConfig:
             REConfig(svm_c=0.0)
         with pytest.raises(ValueError):
             REConfig(entropy_bins=0)
+
+    def test_derive_returns_modified_copy(self, config):
+        other = config.derive(t_delta_s=6.0)
+        assert other.t_delta_s == 6.0
+        assert config.t_delta_s == 4.5
+        assert other.md is config.md and other.re is config.re
+
+    def test_derive_patches_nested_configs_and_revalidates(self, config):
+        other = config.derive(md={"alpha": 2.0}, re={"svm_c": 3.0})
+        assert (other.md.alpha, other.re.svm_c) == (2.0, 3.0)
+        assert (config.md.alpha, config.re.svm_c) != (2.0, 3.0)
+        assert other.md.tau == config.md.tau
+        with pytest.raises(ValueError):
+            config.derive(t_delta_s=0.0)
+        with pytest.raises(ValueError):
+            config.derive(md={"alpha": 0.0})
+        with pytest.raises(TypeError):
+            config.derive(md={"no_such_field": 1.0})
 
 
 class TestVariationWindows:
@@ -128,12 +141,14 @@ class TestKMA:
         kma = KeyboardMouseActivity(tracker)
         assert kma.idle_time("w1", 100.0) == pytest.approx(10.0)
 
-    def test_most_idle(self):
+    def test_idle_set_threshold_is_inclusive(self):
         tracker = IdleTracker(["w1", "w2"])
         tracker.record_input("w1", 99.0)
         tracker.record_input("w2", 10.0)
         kma = KeyboardMouseActivity(tracker)
-        assert kma.most_idle(100.0) == "w2"
+        assert kma.idle_set(t=100.0, s=1.0) == {"w1", "w2"}
+        assert kma.idle_set(t=100.0, s=90.0) == {"w2"}
+        assert kma.idle_set(t=100.0, s=90.5) == set()
 
     def test_negative_threshold_rejected(self):
         kma = KeyboardMouseActivity(IdleTracker(["w1"]))

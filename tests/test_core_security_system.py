@@ -22,7 +22,6 @@ from repro.core.security import (
     case_counts,
     classify_outcome,
     deauthentication_curve,
-    median_deauthentication_time,
     vulnerable_time_seconds,
 )
 from repro.core.usability import UsabilityDayInput, UsabilitySimulator
@@ -65,7 +64,7 @@ class TestSecurityModel:
         assert np.all(np.diff(percent) >= 0)
         assert percent[-1] == pytest.approx(50.0)
 
-    def test_case_counts_and_median(self, config):
+    def test_case_counts(self, config):
         outcomes = [
             classify_outcome(departure(), VariationWindow(100.0, 108.0), "w1", config),
             classify_outcome(departure(), VariationWindow(100.0, 108.0), "w2", config),
@@ -75,7 +74,6 @@ class TestSecurityModel:
         assert counts[DeauthCase.CORRECT] == 1
         assert counts[DeauthCase.MISCLASSIFIED] == 1
         assert counts[DeauthCase.MISSED] == 1
-        assert median_deauthentication_time(outcomes) == pytest.approx(8.0)
 
     def test_vulnerable_time_capped_by_absence(self, config):
         outcome = classify_outcome(departure(), None, None, config)
@@ -258,7 +256,7 @@ class TestEvaluationPipeline:
             small_recording, config, small_recording.layout.sensor_ids
         )
         counts = evaluation.counts
-        assert counts.total_events > 0
+        assert counts.tp + counts.fn > 0
         assert counts.recall > 0.5  # 9 sensors detect most movements
 
     def test_rematch_with_larger_t_delta_reduces_recall(self, analysis_context):

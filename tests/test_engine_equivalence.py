@@ -282,7 +282,7 @@ class TestRunnerEquivalence:
         schedule = self._schedule()
         runner = CampaignRunner(layout, seed=8, mode="serial")
         results = runner.run_many([schedule])
-        direct = runner.collector_for(0).collect(schedule)
+        direct = runner._make_collector(runner.campaign_seed(0)).collect(schedule)
         for a, b in zip(direct.days, results[0].days):
             assert_days_identical(a, b)
 

@@ -63,12 +63,6 @@ class TestKernels:
         with pytest.raises(ValueError):
             make_kernel("sigmoid")
 
-    def test_kernel_diagonal_consistency(self):
-        X = np.random.default_rng(3).normal(size=(4, 2))
-        for kernel in (LinearKernel(), RBFKernel(gamma=0.5), PolynomialKernel()):
-            full = np.diag(kernel(X, X))
-            assert np.allclose(kernel.diagonal(X), full)
-
 
 class TestBinarySVC:
     def _separable(self, rng):

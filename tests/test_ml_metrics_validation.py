@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ml.correlation import correlation_matrix, most_correlated_pairs
+from repro.ml.correlation import correlation_matrix
 from repro.ml.metrics import (
     DetectionCounts,
     accuracy,
-    confusion_matrix,
     f_measure,
     precision,
     recall,
@@ -23,11 +22,9 @@ from repro.ml.mutual_info import (
 )
 from repro.ml.validation import (
     SVCFoldFitter,
-    cross_val_scores,
-    kfold_indices,
     learning_curve,
+    stratified_fold_assignments,
     stratified_kfold_indices,
-    train_test_split,
 )
 
 
@@ -63,7 +60,7 @@ class TestDetectionCounts:
         assert f_measure(4, 1, 1) == pytest.approx(0.8)
 
 
-class TestAccuracyConfusion:
+class TestAccuracy:
     def test_accuracy_perfect_and_zero(self):
         assert accuracy([1, 2, 3], [1, 2, 3]) == 1.0
         assert accuracy([1, 2, 3], [3, 1, 2]) == 0.0
@@ -76,39 +73,8 @@ class TestAccuracyConfusion:
         with pytest.raises(ValueError):
             accuracy([1], [1, 2])
 
-    def test_confusion_matrix_diagonal(self):
-        mat = confusion_matrix(["a", "b", "a"], ["a", "b", "a"])
-        assert np.array_equal(mat, np.array([[2, 0], [0, 1]]))
-
-    def test_confusion_matrix_off_diagonal(self):
-        mat = confusion_matrix(["a", "a", "b"], ["b", "a", "b"], labels=["a", "b"])
-        assert mat[0, 1] == 1
-        assert mat[0, 0] == 1
-        assert mat[1, 1] == 1
-
-    def test_confusion_matrix_total_equals_samples(self):
-        y_true = ["x", "y", "z", "x", "y"]
-        y_pred = ["x", "z", "z", "y", "y"]
-        assert confusion_matrix(y_true, y_pred).sum() == 5
-
 
 class TestCrossValidation:
-    def test_kfold_covers_all_samples_exactly_once(self, rng):
-        seen = []
-        for _, test_idx in kfold_indices(20, 5, rng):
-            seen.extend(test_idx.tolist())
-        assert sorted(seen) == list(range(20))
-
-    def test_kfold_train_test_disjoint(self, rng):
-        for train_idx, test_idx in kfold_indices(15, 3, rng):
-            assert set(train_idx).isdisjoint(set(test_idx))
-
-    def test_kfold_invalid_folds_raise(self, rng):
-        with pytest.raises(ValueError):
-            list(kfold_indices(10, 1, rng))
-        with pytest.raises(ValueError):
-            list(kfold_indices(3, 5, rng))
-
     def test_stratified_kfold_preserves_class_presence(self, rng):
         y = np.array([0] * 10 + [1] * 10)
         for train_idx, _ in stratified_kfold_indices(y, 5, rng):
@@ -121,24 +87,33 @@ class TestCrossValidation:
             seen.extend(test_idx.tolist())
         assert sorted(seen) == list(range(10))
 
-    def test_train_test_split_sizes(self, rng):
-        train, test = train_test_split(50, test_fraction=0.2, rng=rng)
-        assert len(test) == 10
-        assert len(train) == 40
-        assert set(train).isdisjoint(set(test))
+    def test_stratified_kfold_train_test_partition(self, rng):
+        y = np.array([0] * 7 + [1] * 5 + [2] * 3)
+        for train_idx, test_idx in stratified_kfold_indices(y, 3, rng):
+            assert set(train_idx).isdisjoint(set(test_idx))
+            assert sorted(np.concatenate([train_idx, test_idx])) == list(range(15))
 
-    def test_train_test_split_invalid_fraction(self, rng):
+    def test_stratified_kfold_invalid_folds_raise(self, rng):
         with pytest.raises(ValueError):
-            train_test_split(10, test_fraction=1.5, rng=rng)
+            list(stratified_kfold_indices([0, 1] * 5, 1, rng))
+        with pytest.raises(ValueError):
+            list(stratified_kfold_indices([0, 1, 0], 5, rng))
 
-    def test_cross_val_scores_on_separable_data(self, rng):
-        X = np.vstack([rng.normal(-3, 0.3, (20, 2)), rng.normal(3, 0.3, (20, 2))])
-        y = np.array([0] * 20 + [1] * 20)
-        scores = cross_val_scores(
-            lambda: OneVsOneSVC(kernel="linear"), X, y, n_folds=4, rng=rng
-        )
-        assert scores.shape == (4,)
-        assert scores.mean() > 0.9
+    def test_fold_assignments_spread_each_class_evenly(self, rng):
+        y = np.array([0] * 11 + [1] * 4 + [2] * 7)
+        assignments = stratified_fold_assignments(y, 5, rng)
+        assert set(assignments.tolist()) == set(range(5))
+        for cls in np.unique(y):
+            per_fold = np.bincount(assignments[y == cls], minlength=5)
+            assert per_fold.max() - per_fold.min() <= 1
+
+    def test_kfold_indices_follow_the_fold_assignments(self):
+        y = np.array([0, 1, 1] * 6)
+        assignments = stratified_fold_assignments(y, 3, np.random.default_rng(5))
+        splits = stratified_kfold_indices(y, 3, np.random.default_rng(5))
+        for k, (train_idx, test_idx) in enumerate(splits):
+            np.testing.assert_array_equal(test_idx, np.flatnonzero(assignments == k))
+            np.testing.assert_array_equal(train_idx, np.flatnonzero(assignments != k))
 
     def test_learning_curve_improves_with_more_data(self, rng):
         X = np.vstack([rng.normal(-2, 1.0, (60, 2)), rng.normal(2, 1.0, (60, 2))])
@@ -318,14 +293,6 @@ class TestCorrelation:
     def test_names_length_mismatch_raises(self, rng):
         with pytest.raises(ValueError):
             correlation_matrix(rng.normal(size=(10, 3)), ["a", "b"])
-
-    def test_most_correlated_pairs_sorted(self, rng):
-        x = rng.normal(size=100)
-        X = np.column_stack([x, x + rng.normal(0, 0.01, 100), rng.normal(size=100)])
-        result = correlation_matrix(X, ["a", "b", "c"])
-        pairs = most_correlated_pairs(result, top_k=3)
-        assert pairs[0][:2] == ("a", "b")
-        assert abs(pairs[0][2]) >= abs(pairs[-1][2])
 
 
 class TestSVCFoldFitter:

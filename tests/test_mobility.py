@@ -36,16 +36,18 @@ class TestTrajectory:
         mid = traj.position_at(1.0)
         assert mid.x == pytest.approx(1.0)
 
+    def test_position_frozen_outside_the_walk(self):
+        traj = walk_through([Point(0, 0), Point(1.4, 0)], start_time=5.0)
+        assert traj.end_time == pytest.approx(5.0 + traj.duration)
+        assert traj.position_at(4.9) == Point(0, 0)
+        assert traj.position_at(traj.end_time) == Point(1.4, 0)
+        assert traj.position_at(20.0) == Point(1.4, 0)
+        assert 0.0 < traj.position_at(5.5).x < 1.4
+
     def test_pauses_extend_duration(self):
         plain = walk_through([Point(0, 0), Point(1, 0)], 0.0)
         paused = walk_through([Point(0, 0), Point(1, 0)], 0.0, pauses=[2.0])
         assert paused.duration == pytest.approx(plain.duration + 2.0)
-
-    def test_active_at(self):
-        traj = walk_through([Point(0, 0), Point(1.4, 0)], start_time=5.0)
-        assert traj.active_at(5.5)
-        assert not traj.active_at(4.9)
-        assert not traj.active_at(20.0)
 
     def test_departure_trajectory_ends_at_door(self):
         door = Point(0.2, 0.4)
@@ -116,14 +118,6 @@ class TestPerson:
         assert resampled == 0
         assert p1.distance_to(Point(1, 1)) < 0.5
 
-    def test_mark_absent_and_seated(self):
-        person = Person("u1", "w1", Point(1, 1))
-        person.mark_absent()
-        assert not person.is_present()
-        person.mark_seated(Point(2, 2))
-        assert person.is_present()
-        assert person.seat == Point(2, 2)
-
     def test_invalid_fidget_parameters_raise(self):
         with pytest.raises(ValueError):
             Person("u1", "w1", Point(0, 0), fidget_sigma_m=-1.0)
@@ -135,12 +129,12 @@ class TestBehavior:
     def test_absence_sampler_respects_minimum(self, rng):
         profile = BehaviorProfile(mean_absence_s=120.0, min_absence_s=60.0)
         sampler = AbsenceSampler(profile, rng)
-        assert np.all(sampler.sample_many(200) >= 60.0)
+        assert np.all(np.asarray([sampler.sample() for _ in range(200)]) >= 60.0)
 
     def test_absence_sampler_mean_roughly_matches(self, rng):
         profile = BehaviorProfile(mean_absence_s=600.0, min_absence_s=1.0)
         sampler = AbsenceSampler(profile, rng)
-        mean = sampler.sample_many(3000).mean()
+        mean = np.mean([sampler.sample() for _ in range(3000)])
         assert 400.0 < mean < 800.0
 
     def test_invalid_profile_raises(self):
@@ -174,16 +168,18 @@ class TestEvents:
         assert len(log.entries()) == 1
         assert log.label_counts() == {"w1": 1, "w0": 1}
 
-    def test_event_log_interval_query(self):
+    def test_event_log_labelled_skips_internal_moves(self):
         log = EventLog(
             [
-                GroundTruthEvent(EventKind.ENTRY, 5.0, "u1", "w1"),
-                GroundTruthEvent(EventKind.ENTRY, 50.0, "u2", "w2"),
+                GroundTruthEvent(EventKind.INTERNAL_MOVE, 30.0, "u2", "w2"),
+                GroundTruthEvent(EventKind.ENTRY, 50.0, "u1", "w1"),
+                GroundTruthEvent(EventKind.DEPARTURE, 5.0, "u1", "w1", exit_time=9.0),
             ]
         )
-        assert len(log.in_interval(0.0, 10.0)) == 1
-        with pytest.raises(ValueError):
-            log.in_interval(10.0, 0.0)
+        assert [e.time for e in log.events] == [5.0, 30.0, 50.0]
+        assert log[1].kind is EventKind.INTERNAL_MOVE
+        assert [e.time for e in log.labelled()] == [5.0, 50.0]
+        assert log.label_counts() == {"w1": 1, ENTRY_LABEL: 1}
 
 
 class TestScheduler:
@@ -251,5 +247,5 @@ class TestScheduler:
             ],
         )
         campaign = CampaignSchedule(days=[day])
-        assert campaign.total_movements == 2
+        assert sum(len(d.movements) for d in campaign.days) == 2
         assert campaign.label_counts() == {"w1": 1, "w0": 1}

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures and invariants."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,11 @@ from repro.mobility.trajectory import (
     entry_trajectory,
     walk_through,
 )
-from repro.radio.geometry import Point, excess_path_length, point_segment_distance
+from repro.radio.channel import ChannelConfig, RadioChannel
+from repro.radio.geometry import Point
+from repro.radio.links import LinkSet
 from repro.radio.office import paper_office
+from repro.radio.shadowing import BodyShadowingModel
 from repro.workstation.activity import InputActivityModel
 
 finite_floats = st.floats(
@@ -29,31 +34,71 @@ finite_floats = st.floats(
 small_floats = st.floats(
     min_value=0.0, max_value=20.0, allow_nan=False, allow_infinity=False
 )
+office_coords = st.floats(
+    min_value=-5.0, max_value=15.0, allow_nan=False, allow_infinity=False
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _office_channel():
+    """The paper office's channel with the static extra fluctuation off, so
+    a moving body's ``extra_sigma_db`` is the motion term alone."""
+    links = LinkSet(paper_office(), np.random.default_rng(0))
+    config = ChannelConfig(shadowing=BodyShadowingModel(max_extra_sigma_db=0.0))
+    return RadioChannel(links, config, np.random.default_rng(0))
+
+
+def _link_geometry(channel, p):
+    """Per stream: distance from ``p`` to the transmitter and to the
+    receiver, the link length and the fade sensitivity."""
+    streams = list(channel.links)
+    d_tx = np.array([p.distance_to(s.tx_position) for s in streams])
+    d_rx = np.array([p.distance_to(s.rx_position) for s in streams])
+    length = np.array([s.length for s in streams])
+    sensitivity = np.array([s.fade.sensitivity for s in streams])
+    return d_tx, d_rx, length, sensitivity
 
 
 class TestGeometryProperties:
-    @given(
-        px=finite_floats, py=finite_floats,
-        ax=finite_floats, ay=finite_floats,
-        bx=finite_floats, by=finite_floats,
-    )
-    def test_excess_path_length_nonnegative(self, px, py, ax, ay, bx, by):
-        value = excess_path_length(Point(px, py), Point(ax, ay), Point(bx, by))
-        assert value >= -1e-9
+    """The link geometry inside ``RadioChannel._shadowing_block``, read back
+    from the per-stream effect of one body."""
 
-    @given(
-        px=finite_floats, py=finite_floats,
-        ax=finite_floats, ay=finite_floats,
-        bx=finite_floats, by=finite_floats,
-    )
-    def test_point_segment_distance_bounded_by_endpoint_distances(
-        self, px, py, ax, ay, bx, by
-    ):
-        p, a, b = Point(px, py), Point(ax, ay), Point(bx, by)
-        dist = point_segment_distance(p, a, b)
-        assert dist <= p.distance_to(a) + 1e-9
-        assert dist <= p.distance_to(b) + 1e-9
-        assert dist >= -1e-12
+    @given(px=office_coords, py=office_coords)
+    def test_excess_path_length_nonnegative(self, px, py):
+        # Attenuation is max_attenuation_db * exp(-decay * excess / lambda)
+        # while the excess path d_tx + d_rx - L is within reach, else 0.
+        channel = _office_channel()
+        sh = channel.config.shadowing
+        p = Point(px, py)
+        atten, _ = channel._shadowing_vectors([p], [0.0])
+        d_tx, d_rx, length, sensitivity = _link_geometry(channel, p)
+        peak = sh.max_attenuation_db * sensitivity
+        assert np.all(atten >= 0.0)
+        assert np.all(atten <= peak * (1.0 + 1e-12))
+        excess = d_tx + d_rx - length
+        reach = sh.lambda_m * sh.sigma_reach_multiplier
+        assert np.all(atten[excess > reach + 1e-9] == 0.0)
+        hit = excess < reach - 1e-9
+        assert np.all(atten[hit] > 0.0)
+        read_back = -sh.lambda_m / sh.attenuation_decay * np.log(atten[hit] / peak[hit])
+        np.testing.assert_allclose(read_back, np.maximum(excess[hit], 0.0), atol=1e-9)
+
+    @given(px=office_coords, py=office_coords)
+    def test_point_segment_distance_bounded_by_endpoint_distances(self, px, py):
+        channel = _office_channel()
+        sh = channel.config.shadowing
+        p = Point(px, py)
+        _, sigma = channel._shadowing_vectors([p], [sh.motion_reference_speed])
+        d_tx, d_rx, length, sensitivity = _link_geometry(channel, p)
+        dist = -sh.motion_range_m * np.log(sigma / (sh.motion_sigma_db * sensitivity))
+        assert np.all(dist >= -1e-9)
+        assert np.all(dist <= np.minimum(d_tx, d_rx) + 1e-9)
+        # ...and never closer than the link's infinite line.
+        tx = np.array([[s.tx_position.x, s.tx_position.y] for s in channel.links])
+        rx = np.array([[s.rx_position.x, s.rx_position.y] for s in channel.links])
+        u = (rx - tx) / length[:, None]
+        off_line = np.abs(u[:, 0] * (p.y - tx[:, 1]) - u[:, 1] * (p.x - tx[:, 0]))
+        assert np.all(dist >= off_line - 1e-9)
 
     @given(
         waypoints=st.lists(
@@ -552,7 +597,7 @@ class TestActivityProperties:
         model = InputActivityModel(
             activity_prob=prob, rng=np.random.default_rng(seed)
         )
-        trace = model.generate_always_present(duration)
+        trace = model.generate(duration, [(0.0, duration)])
         for t in np.linspace(0.0, duration, 13):
             idle = trace.idle_time_at(float(t))
             assert 0.0 <= idle <= t + trace.bin_seconds + 1e-9

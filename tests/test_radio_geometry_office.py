@@ -1,28 +1,14 @@
 """Tests for geometry primitives and the office layout."""
 
-import math
-
 import pytest
 
-from repro.radio.geometry import (
-    Point,
-    Segment,
-    distance,
-    excess_path_length,
-    interpolate,
-    path_length,
-    point_segment_distance,
-)
+from repro.radio.geometry import Point, interpolate
 from repro.radio.office import OfficeLayout, Sensor, Workstation, paper_office
 
 
 class TestGeometry:
     def test_point_distance(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_distance_function_matches_method(self):
-        a, b = Point(1, 1), Point(4, 5)
-        assert distance(a, b) == a.distance_to(b)
 
     def test_point_translation(self):
         p = Point(1.0, 2.0).translated(0.5, -0.5)
@@ -31,35 +17,6 @@ class TestGeometry:
     def test_point_unpacking(self):
         x, y = Point(3.0, 7.0)
         assert (x, y) == (3.0, 7.0)
-
-    def test_segment_length_and_midpoint(self):
-        seg = Segment(Point(0, 0), Point(2, 0))
-        assert seg.length == pytest.approx(2.0)
-        assert seg.midpoint() == Point(1.0, 0.0)
-
-    def test_point_segment_distance_perpendicular(self):
-        assert point_segment_distance(Point(1, 1), Point(0, 0), Point(2, 0)) == pytest.approx(1.0)
-
-    def test_point_segment_distance_beyond_endpoint(self):
-        assert point_segment_distance(Point(5, 0), Point(0, 0), Point(2, 0)) == pytest.approx(3.0)
-
-    def test_point_segment_distance_degenerate_segment(self):
-        assert point_segment_distance(Point(1, 1), Point(0, 0), Point(0, 0)) == pytest.approx(math.sqrt(2))
-
-    def test_excess_path_length_on_the_line_is_zero(self):
-        assert excess_path_length(Point(1, 0), Point(0, 0), Point(2, 0)) == pytest.approx(0.0)
-
-    def test_excess_path_length_grows_off_the_line(self):
-        near = excess_path_length(Point(1, 0.1), Point(0, 0), Point(2, 0))
-        far = excess_path_length(Point(1, 1.0), Point(0, 0), Point(2, 0))
-        assert 0 < near < far
-
-    def test_path_length_of_polyline(self):
-        pts = [Point(0, 0), Point(1, 0), Point(1, 1)]
-        assert path_length(pts) == pytest.approx(2.0)
-
-    def test_path_length_single_point_is_zero(self):
-        assert path_length([Point(0, 0)]) == 0.0
 
     def test_interpolate_endpoints_and_midpoint(self):
         a, b = Point(0, 0), Point(2, 2)

@@ -1,5 +1,7 @@
 """Tests for path loss, fading, shadowing, links, channel and traces."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from repro.radio.geometry import Point
 from repro.radio.links import LinkSet, enumerate_stream_ids, stream_id
 from repro.radio.office import paper_office
 from repro.radio.pathloss import FreeSpacePathLoss, LogDistancePathLoss
-from repro.radio.shadowing import BodyShadowingModel, ShadowingEffect
+from repro.radio.shadowing import BodyShadowingModel
 from repro.radio.trace import RssiTrace, StreamBuffer
 
 
@@ -92,57 +94,186 @@ class TestFading:
 
 
 class TestShadowing:
-    def test_body_on_line_of_sight_attenuates_most(self):
-        model = BodyShadowingModel()
-        on_los = model.single_body_effect(Point(1, 0), Point(0, 0), Point(2, 0))
-        off_los = model.single_body_effect(Point(1, 0.5), Point(0, 0), Point(2, 0))
-        assert on_los.attenuation_db > off_los.attenuation_db
-        assert on_los.obstructed
+    """Body shadowing as the simulator computes it.
 
-    def test_far_body_has_no_effect(self):
-        model = BodyShadowingModel()
-        effect = model.single_body_effect(Point(1, 5.0), Point(0, 0), Point(2, 0))
-        assert effect == ShadowingEffect.none()
+    Each case reads one stream's column of
+    ``RadioChannel._shadowing_vectors``, the one-instant wrapper over
+    ``_shadowing_block`` that ``sample_vector`` and ``sample_block`` share.
+    ``_at(channel, along, across)`` places a body ``along`` metres from the
+    stream's transmitter towards its receiver and ``across`` metres off the
+    line of sight.  A body ``d`` metres past the receiver on that line has
+    excess path length ``2 d`` and lies ``d`` metres from the link.
+    """
 
-    def test_combined_effect_adds_attenuations(self):
-        model = BodyShadowingModel()
-        one = model.single_body_effect(Point(1, 0), Point(0, 0), Point(2, 0))
-        both = model.combined_effect(
-            [Point(0.7, 0), Point(1.3, 0)], Point(0, 0), Point(2, 0)
+    SID = "d2-d4"
+
+    @staticmethod
+    def _channel(layout, **sensitivity):
+        links = LinkSet(layout, np.random.default_rng(0), **sensitivity)
+        return RadioChannel(links, ChannelConfig(), np.random.default_rng(0))
+
+    @pytest.fixture()
+    def channel(self, layout):
+        return self._channel(layout)
+
+    def _length(self, channel):
+        return channel.links.get(self.SID).length
+
+    def _at(self, channel, along, across=0.0):
+        stream = channel.links.get(self.SID)
+        tx, rx = stream.tx_position, stream.rx_position
+        ux = (rx.x - tx.x) / stream.length
+        uy = (rx.y - tx.y) / stream.length
+        return Point(
+            tx.x + along * ux - across * uy, tx.y + along * uy + across * ux
         )
-        assert both.attenuation_db > one.attenuation_db
 
-    def test_fade_sensitivity_scales_attenuation(self):
-        model = BodyShadowingModel()
-        weak = model.single_body_effect(Point(1, 0), Point(0, 0), Point(2, 0), 0.5)
-        strong = model.single_body_effect(Point(1, 0), Point(0, 0), Point(2, 0), 1.5)
-        assert strong.attenuation_db > weak.attenuation_db
+    @staticmethod
+    def _reach(channel):
+        """Excess path length beyond which a body has no static effect."""
+        sh = channel.config.shadowing
+        return sh.lambda_m * sh.sigma_reach_multiplier
 
-    def test_motion_effect_zero_for_static_body(self):
-        model = BodyShadowingModel()
-        assert model.motion_effect(Point(1, 0.5), 0.0, Point(0, 0), Point(2, 0)) == 0.0
+    def _past_receiver(self, channel, d=None):
+        """A body ``d`` metres past the receiver on the link's line; by
+        default ``0.6 * reach``, where the excess path ``2 d`` is out of the
+        static effect's reach but motion still disturbs the link."""
+        if d is None:
+            d = 0.6 * self._reach(channel)
+        return self._at(channel, self._length(channel) + d)
 
-    def test_motion_effect_grows_with_speed_until_saturation(self):
-        model = BodyShadowingModel()
-        slow = model.motion_effect(Point(1, 0.5), 0.3, Point(0, 0), Point(2, 0))
-        walk = model.motion_effect(Point(1, 0.5), 1.4, Point(0, 0), Point(2, 0))
-        sprint = model.motion_effect(Point(1, 0.5), 10.0, Point(0, 0), Point(2, 0))
-        assert slow < walk <= sprint
-        assert sprint <= model.motion_sigma_db * 1.5 + 1e-9
+    def _effect(self, channel, bodies, speeds=None):
+        """``(attenuation_db, extra_sigma_db)`` of the stream ``SID``."""
+        if speeds is None:
+            speeds = [0.0] * len(bodies)
+        column = channel.stream_ids.index(self.SID)
+        atten, sigma = channel._shadowing_vectors(bodies, speeds)[:, column]
+        return float(atten), float(sigma)
 
-    def test_motion_effect_decays_with_distance(self):
-        model = BodyShadowingModel()
-        near = model.motion_effect(Point(1, 0.2), 1.4, Point(0, 0), Point(2, 0))
-        far = model.motion_effect(Point(1, 2.5), 1.4, Point(0, 0), Point(2, 0))
-        assert near > far
+    def test_body_on_line_of_sight_attenuates_most(self, channel):
+        mid = self._length(channel) / 2
+        on_los = self._effect(channel, [self._at(channel, mid)])
+        off_los = self._effect(channel, [self._at(channel, mid, 0.5)])
+        assert on_los[0] > off_los[0] > 0.0
 
-    def test_negative_speed_raises(self):
-        with pytest.raises(ValueError):
-            BodyShadowingModel().motion_effect(Point(0, 0), -1.0, Point(0, 0), Point(1, 0))
+    def test_body_beyond_reach_has_no_effect(self, channel):
+        reach = self._reach(channel)
+        inside = self._effect(channel, [self._past_receiver(channel, 0.4 * reach)])
+        beyond = self._effect(channel, [self._past_receiver(channel, 0.6 * reach)])
+        assert inside[0] > 0.0 and inside[1] > 0.0
+        assert beyond == (0.0, 0.0)
 
-    def test_sensitive_region_width_grows_with_link_length(self):
-        model = BodyShadowingModel()
-        assert model.sensitive_region_width(6.0) > model.sensitive_region_width(1.0)
+    def test_two_bodies_attenuate_more_than_one(self, channel):
+        length = self._length(channel)
+        one = self._effect(channel, [self._at(channel, 0.5 * length)])
+        two = self._effect(
+            channel,
+            [self._at(channel, 0.35 * length), self._at(channel, 0.65 * length)],
+        )
+        # Attenuations add in dB; fluctuation variances add.
+        assert two[0] == pytest.approx(2.0 * one[0])
+        assert two[1] == pytest.approx(math.sqrt(2.0) * one[1])
+
+    def test_fade_sensitivity_scales_the_effect(self, layout):
+        weak = self._channel(layout, min_sensitivity=0.5, max_sensitivity=0.5)
+        strong = self._channel(layout, min_sensitivity=1.5, max_sensitivity=1.5)
+        mid = self._length(weak) / 2
+        w = self._effect(weak, [self._at(weak, mid, 0.2)], [1.0])
+        s = self._effect(strong, [self._at(strong, mid, 0.2)], [1.0])
+        assert w[0] > 0.0 and w[1] > 0.0
+        assert s[0] == pytest.approx(3.0 * w[0])
+        assert s[1] == pytest.approx(3.0 * w[1])
+
+    def test_static_body_adds_no_motion_sigma(self, channel):
+        spot = self._past_receiver(channel)
+        assert self._effect(channel, [spot], [0.0]) == (0.0, 0.0)
+        assert self._effect(channel, [spot], [1.0])[1] > 0.0
+
+    def test_motion_sigma_grows_with_speed_until_saturation(self, channel):
+        ref = channel.config.shadowing.motion_reference_speed
+        spot = self._past_receiver(channel)
+        slow, walk, cap, sprint = (
+            self._effect(channel, [spot], [factor * ref])[1]
+            for factor in (0.3, 1.0, 1.5, 10.0)
+        )
+        assert slow < walk < cap
+        assert cap == pytest.approx(1.5 * walk)
+        assert sprint == cap
+
+    def test_motion_sigma_decays_with_distance(self, channel):
+        near = self._effect(channel, [self._past_receiver(channel)], [1.0])[1]
+        far = self._effect(channel, [self._past_receiver(channel, 2.5)], [1.0])[1]
+        assert near > far > 0.0
+
+    # -- link geometry: excess path length and body-to-link distance -- #
+
+    def _sensitivity(self, channel):
+        return channel.links.get(self.SID).fade.sensitivity
+
+    @staticmethod
+    def _motion_only(layout):
+        """A channel whose only extra fluctuation is the motion term."""
+        links = LinkSet(layout, np.random.default_rng(0))
+        config = ChannelConfig(shadowing=BodyShadowingModel(max_extra_sigma_db=0.0))
+        return RadioChannel(links, config, np.random.default_rng(0))
+
+    def _motion_distance(self, channel, body):
+        """The body-to-link distance the motion term decayed over, read back
+        from ``extra_sigma_db`` of a body moving at the reference speed."""
+        sh = channel.config.shadowing
+        _, sigma = self._effect(channel, [body], [sh.motion_reference_speed])
+        peak = sh.motion_sigma_db * self._sensitivity(channel)
+        return -sh.motion_range_m * math.log(sigma / peak)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5, 1.0])
+    def test_body_on_the_segment_has_zero_excess_path(self, channel, fraction):
+        sh = channel.config.shadowing
+        sensitivity = self._sensitivity(channel)
+        body = self._at(channel, fraction * self._length(channel))
+        atten, sigma = self._effect(channel, [body])
+        assert atten == pytest.approx(sh.max_attenuation_db * sensitivity)
+        assert sigma == pytest.approx(sh.max_extra_sigma_db * sensitivity)
+
+    @pytest.mark.parametrize("across", [0.1, 0.4, 0.8])
+    def test_attenuation_decays_with_the_excess_path(self, channel, across):
+        # A body ``across`` metres off the link's midpoint lengthens the
+        # path by 2 * hypot(L / 2, across) - L.
+        sh = channel.config.shadowing
+        length = self._length(channel)
+        excess = 2.0 * math.hypot(length / 2, across) - length
+        assert 0.0 < excess < self._reach(channel)
+        atten, _ = self._effect(channel, [self._at(channel, length / 2, across)])
+        decay = math.exp(-sh.attenuation_decay * excess / sh.lambda_m)
+        assert atten == pytest.approx(
+            sh.max_attenuation_db * decay * self._sensitivity(channel)
+        )
+
+    @pytest.mark.parametrize("across", [0.0, 0.5, 2.0, -1.0])
+    def test_motion_distance_beside_the_link_is_perpendicular(self, layout, across):
+        channel = self._motion_only(layout)
+        body = self._at(channel, 0.3 * self._length(channel), across)
+        assert self._motion_distance(channel, body) == pytest.approx(
+            abs(across), abs=1e-9
+        )
+
+    @pytest.mark.parametrize("end", ["tx", "rx"])
+    def test_motion_distance_past_an_end_is_to_that_end(self, layout, end):
+        # 3 m beyond the end along the line and 4 m off it: 5 m from the end.
+        channel = self._motion_only(layout)
+        along = -3.0 if end == "tx" else self._length(channel) + 3.0
+        body = self._at(channel, along, 4.0)
+        assert self._motion_distance(channel, body) == pytest.approx(5.0)
+
+    def test_every_stream_column_peaks_on_its_own_link(self, channel):
+        sh = channel.config.shadowing
+        assert channel.stream_ids == [stream.id for stream in channel.links]
+        for column, stream in enumerate(channel.links):
+            tx, rx = stream.tx_position, stream.rx_position
+            mid = Point((tx.x + rx.x) / 2, (tx.y + rx.y) / 2)
+            atten, sigma = channel._shadowing_vectors([mid], [0.0])
+            sensitivity = stream.fade.sensitivity
+            assert atten[column] == pytest.approx(sh.max_attenuation_db * sensitivity)
+            assert sigma[column] == pytest.approx(sh.max_extra_sigma_db * sensitivity)
 
     def test_invalid_parameters_raise(self):
         with pytest.raises(ValueError):
@@ -237,8 +368,8 @@ class TestRadioChannel:
             channel.sample_vector([Point(1, 1)], [1.0, 2.0])
 
     def test_mean_rssi_longer_links_weaker(self, channel, layout):
-        short = channel.mean_rssi("d2-d3")
-        long = channel.mean_rssi("d2-d6")
+        short = channel._mean_vec[channel.stream_ids.index("d2-d3")]
+        long = channel._mean_vec[channel.stream_ids.index("d2-d6")]
         d_short = layout.sensor("d2").position.distance_to(layout.sensor("d3").position)
         d_long = layout.sensor("d2").position.distance_to(layout.sensor("d6").position)
         assert d_short < d_long
@@ -271,14 +402,6 @@ class TestTraces:
         with pytest.raises(ValueError):
             StreamBuffer([], maxlen=3)
 
-    def test_trace_from_samples_roundtrip(self):
-        times = [0.0, 0.25, 0.5]
-        samples = [{"a-b": 1.0, "b-a": 2.0} for _ in times]
-        trace = RssiTrace.from_samples(times, samples)
-        assert trace.n_samples == 3
-        assert trace.stream_ids == ["a-b", "b-a"]
-        assert trace.duration == pytest.approx(0.5)
-
     def test_trace_slice_time(self):
         times = np.arange(0, 10, 0.5)
         trace = RssiTrace(times=times, streams={"s": np.arange(times.shape[0], dtype=float)})
@@ -309,3 +432,39 @@ class TestTraces:
         times = np.arange(0, 2, 0.25)
         trace = RssiTrace(times=times, streams={"s": np.zeros(times.shape[0])})
         assert trace.sample_interval == pytest.approx(0.25)
+
+    def test_trace_shape_properties(self):
+        trace = RssiTrace(
+            times=[0.0, 0.25, 0.5], streams={"a-b": [1.0, 2.0, 3.0], "b-a": [4, 5, 6]}
+        )
+        assert trace.n_samples == 3
+        assert trace.stream_ids == ["a-b", "b-a"]
+        assert trace.duration == pytest.approx(0.5)
+        assert trace.streams["b-a"].dtype == float
+        single = RssiTrace(times=[7.0], streams={"a-b": [1.0]})
+        assert single.duration == 0.0
+        with pytest.raises(ValueError):
+            single.sample_interval
+
+    def test_trace_window_at_is_inclusive(self):
+        times = np.arange(0, 5, 0.5)
+        values = np.arange(times.shape[0], dtype=float)
+        trace = RssiTrace(times=times, streams={"a-b": values, "b-a": -values})
+        window = trace.window_at(1.0, 2.0)
+        assert list(window) == ["a-b", "b-a"]
+        assert list(window["a-b"]) == [2.0, 3.0, 4.0]
+        assert list(window["b-a"]) == [-2.0, -3.0, -4.0]
+        with pytest.raises(ValueError):
+            trace.window_at(2.0, 1.0)
+
+    def test_trace_restricted_view_shares_arrays(self):
+        times = np.arange(4, dtype=float)
+        trace = RssiTrace(times=times, streams={"a-b": np.zeros(4), "b-a": np.ones(4)})
+        view = trace.restricted_view(["b-a"])
+        copy = trace.restricted_to(["b-a"])
+        assert view.stream_ids == copy.stream_ids == ["b-a"]
+        assert view.streams["b-a"] is trace.streams["b-a"]
+        assert copy.streams["b-a"] is not trace.streams["b-a"]
+        np.testing.assert_array_equal(view.streams["b-a"], copy.streams["b-a"])
+        with pytest.raises(KeyError):
+            trace.restricted_view(["missing"])

@@ -61,7 +61,6 @@ from repro.reliability import (
     STORE_READ,
     WORKER_CRASH_AFTER_PUT,
     WORKER_CRASH_BEFORE_PUT,
-    CheckpointStore,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -245,7 +244,7 @@ class TestFaultPlan:
 # --------------------------------------------------------------------------- #
 
 
-class TestCheckpointStore:
+class TestSnapshotJson:
     def test_json_round_trip_preserves_float_bits(self):
         state = {
             "pi": 0.1 + 0.2,
@@ -266,35 +265,15 @@ class TestCheckpointStore:
         with pytest.raises(ValueError, match="decode to a dict"):
             loads_snapshot("[1, 2]")
 
-    def test_save_load_keys_delete(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        assert store.load("absent") is None
-        store.save("tenant/0", {"x": float("nan"), "n": 3})
-        store.save("tenant/1", {"x": 1.5})
-        assert store.keys() == ["tenant/0", "tenant/1"]
-        back = store.load("tenant/0")
-        assert set(back) == {"x", "n"}
-        assert np.isnan(back["x"]) and back["n"] == 3
-        assert store.delete("tenant/0")
-        assert not store.delete("tenant/0")
-        assert store.keys() == ["tenant/1"]
-
-    def test_hostile_keys_stay_inside_the_directory(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        for key in ("../escape", "a/b/c", "x" * 300):
-            path = store.save(key, {"v": 1})
-            assert path.parent == store.path
-            assert store.load(key) == {"v": 1}
-
-    def test_save_overwrites_atomically(self, tmp_path):
-        store = CheckpointStore(tmp_path / "ckpt")
-        store.save("k", {"v": 1})
-        store.save("k", {"v": 2})
-        assert store.load("k") == {"v": 2}
-        leftovers = [
-            p for p in store.path.iterdir() if p.suffix not in (".json",)
-        ]
-        assert leftovers == []
+    def test_nested_state_round_trips(self):
+        state = {
+            "count": 3,
+            "rows": [[0.1, 0.2], [float("-inf"), 1e308]],
+            "inner": {"flag": True, "name": "d1-d2", "none": None},
+        }
+        back = loads_snapshot(dumps_snapshot(state))
+        assert back == state
+        assert isinstance(back["count"], int)
 
 
 # --------------------------------------------------------------------------- #

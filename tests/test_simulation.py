@@ -24,15 +24,6 @@ class TestSimulationClock:
         assert ts[0] == pytest.approx(100.0)
         assert ts[1] - ts[0] == pytest.approx(0.5)
 
-    def test_index_of(self):
-        clock = SimulationClock(sample_rate_hz=4.0)
-        assert clock.index_of(2.5) == 10
-        assert clock.index_of(-5.0) == 0
-
-    def test_seconds_to_samples_minimum_one(self):
-        clock = SimulationClock(sample_rate_hz=4.0)
-        assert clock.seconds_to_samples(0.01) == 1
-
     def test_invalid_rate_raises(self):
         with pytest.raises(ValueError):
             SimulationClock(sample_rate_hz=0.0)
@@ -40,6 +31,15 @@ class TestSimulationClock:
     def test_negative_duration_raises(self):
         with pytest.raises(ValueError):
             SimulationClock().n_samples(-1.0)
+
+    def test_n_samples_rounds_to_the_nearest_sample(self):
+        clock = SimulationClock(sample_rate_hz=4.0)
+        assert clock.n_samples(0.01) == 0
+        assert clock.n_samples(0.2) == 1
+        assert clock.n_samples(2.5) == 10
+
+    def test_zero_duration_has_an_empty_grid(self):
+        assert SimulationClock(start_time=5.0).timestamps(0.0).shape == (0,)
 
 
 class TestSampleDataset:
@@ -67,43 +67,36 @@ class TestSampleDataset:
             ds.add(self._sample(label))
         assert ds.label_counts() == {"w1": 2, "w0": 1}
 
-    def test_filter_labels(self):
-        ds = SampleDataset(feature_names=("f1", "f2"))
-        for label in ["w1", "w2", "w0"]:
-            ds.add(self._sample(label))
-        filtered = ds.filter_labels(["w1", "w2"])
-        assert len(filtered) == 2
-
-    def test_column_access(self):
-        ds = SampleDataset(feature_names=("f1", "f2"))
-        ds.add(self._sample(value=3.0))
-        assert ds.column("f2")[0] == pytest.approx(4.0)
-        with pytest.raises(KeyError):
-            ds.column("missing")
-
-    def test_subset_features(self):
-        ds = SampleDataset(feature_names=("f1", "f2"))
-        ds.add(self._sample(value=5.0))
-        sub = ds.subset_features(["f2"])
-        assert sub.feature_names == ("f2",)
-        assert sub.samples[0].features[0] == pytest.approx(6.0)
-
-    def test_merged_with_checks_layout(self):
-        a = SampleDataset(feature_names=("f1", "f2"))
-        b = SampleDataset(feature_names=("f1", "f2"))
-        a.add(self._sample("w1"))
-        b.add(self._sample("w2"))
-        merged = a.merged_with(b)
-        assert len(merged) == 2
-        c = SampleDataset(feature_names=("x", "y"))
-        with pytest.raises(ValueError):
-            a.merged_with(c)
-
     def test_empty_dataset_arrays(self):
         ds = SampleDataset(feature_names=("f1",))
         X, y = ds.to_arrays()
         assert X.shape == (0, 1)
         assert y.shape == (0,)
+
+    def test_add_invalidates_the_cached_arrays(self):
+        ds = SampleDataset(feature_names=("f1", "f2"))
+        ds.add(self._sample("w1", 1.0))
+        X, _ = ds.to_arrays()
+        assert ds.to_arrays()[0] is X
+        ds.add(self._sample("w2", 5.0))
+        X, y = ds.to_arrays()
+        assert X.shape == (2, 2)
+        assert X[1, 0] == 5.0
+        assert list(y) == ["w1", "w2"]
+
+    def test_constructor_validates_samples(self):
+        with pytest.raises(ValueError):
+            SampleDataset(feature_names=())
+        with pytest.raises(ValueError):
+            SampleDataset(feature_names=("f1",), samples=[self._sample()])
+
+    def test_labels_length_and_iteration(self):
+        samples = [self._sample("w2", time=1.0), self._sample("w0", time=2.0)]
+        ds = SampleDataset(feature_names=("f1", "f2"), samples=list(samples))
+        assert len(ds) == 2
+        assert ds.n_features == 2
+        assert ds.labels == ["w2", "w0"]
+        assert [id(s) for s in ds] == [id(s) for s in samples]
 
     def test_invalid_samples_rejected(self):
         with pytest.raises(ValueError):

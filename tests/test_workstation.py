@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.kma import KeyboardMouseActivity
 from repro.workstation.activity import (
     MIKKELSEN_ACTIVITY_PROBABILITY,
     ActivityTrace,
@@ -15,7 +16,8 @@ from repro.workstation.session import SessionState, WorkstationSession
 class TestActivityModel:
     def test_activity_fraction_matches_mikkelsen(self, rng):
         model = InputActivityModel(rng=rng)
-        trace = model.generate_always_present(duration_s=3600.0 * 5)
+        duration_s = 3600.0 * 5
+        trace = model.generate(duration_s, [(0.0, duration_s)])
         fraction = trace.active_bins.mean()
         assert fraction == pytest.approx(MIKKELSEN_ACTIVITY_PROBABILITY, abs=0.03)
 
@@ -33,7 +35,7 @@ class TestActivityModel:
 
     def test_idle_time_small_while_active(self, rng):
         model = InputActivityModel(activity_prob=1.0, rng=rng)
-        trace = model.generate_always_present(300.0)
+        trace = model.generate(300.0, [(0.0, 300.0)])
         assert trace.idle_time_at(200.0) <= trace.bin_seconds + 1e-9
 
     def test_has_input_in_interval(self, rng):
@@ -72,12 +74,6 @@ class TestIdleTracking:
         tracker.record_input("w1", 10.0)
         assert tracker.idle_time("w1", 12.0) == pytest.approx(2.0)
 
-    def test_idle_tracker_idle_for_query(self):
-        tracker = IdleTracker(["w1", "w2"])
-        tracker.record_input("w1", 95.0)
-        tracker.record_input("w2", 10.0)
-        assert tracker.idle_for(t=100.0, s=30.0) == ["w2"]
-
     def test_idle_tracker_rejects_out_of_order_input(self):
         tracker = IdleTracker(["w1"])
         tracker.record_input("w1", 10.0)
@@ -104,7 +100,7 @@ class TestIdleTracking:
         provider = TraceIdleProvider(traces)
         assert provider.idle_time("w1", 150.0) <= 6.0
         assert provider.idle_time("w2", 150.0) >= 90.0
-        assert provider.idle_for(150.0, 60.0) == ["w2"]
+        assert KeyboardMouseActivity(provider).idle_set(150.0, 60.0) == {"w2"}
 
     def test_trace_idle_provider_empty_raises(self):
         with pytest.raises(ValueError):
@@ -115,13 +111,11 @@ class TestWorkstationSession:
     def test_initial_state_authenticated(self):
         session = WorkstationSession("w1")
         assert session.state is SessionState.AUTHENTICATED
-        assert session.is_accessible()
 
     def test_deauthentication_blocks_access(self):
         session = WorkstationSession("w1")
         session.deauthenticate(10.0)
         assert session.state is SessionState.DEAUTHENTICATED
-        assert not session.is_accessible()
         assert session.deauthentications() == 1
 
     def test_alert_then_screensaver_after_tid(self):
@@ -160,7 +154,7 @@ class TestWorkstationSession:
         session.enter_alert(1.0)
         session.register_input(2.0)
         session.deauthenticate(3.0)
-        states = [ev.to_state for ev in session.history]
+        states = [ev.to_state for ev in session._history]
         assert states == [
             SessionState.ALERT,
             SessionState.AUTHENTICATED,

@@ -95,7 +95,7 @@ def offline_reference(estimator, small_recording, layout, day_rssi):
 class TestZoneMap:
     def test_from_layout_geometry(self, layout, zone_map):
         assert zone_map.n_zones == 3
-        assert zone_map.zone_names == ["z1", "z2", "z3"]
+        assert [z.name for z in zone_map.zones] == ["z1", "z2", "z3"]
         x_min = min(z.x_min for z in zone_map.zones)
         x_max = max(z.x_max for z in zone_map.zones)
         assert x_min == 0.0 and x_max == layout.width
