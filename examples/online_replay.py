@@ -3,8 +3,13 @@
 Unlike the offline evaluation used for the paper's tables, this example
 wires the full online pipeline — Movement Detection fed sample by sample,
 the Quiet/Noisy controller, Rule 1 and Rule 2, the workstation session
-state machines — and replays a recorded day through it, printing every
-action the system takes.
+state machines — and feeds a recorded day through
+``FadewichSystem.process_sample`` one sample at a time, as a deployment
+would: KMA reads the day's input activity through a
+``TraceIdleProvider``, and every keyboard/mouse input is forwarded to the
+workstation sessions.  It prints every action the system takes, then
+replays the same day with the array fast path (``replay_day``) and exits
+with status 1 unless both reports are equal.
 
 Run with::
 
@@ -13,12 +18,39 @@ Run with::
 
 from __future__ import annotations
 
+import sys
+
 from repro import FadewichConfig, quick_campaign
 from repro.core import build_sample_dataset, evaluate_md
-from repro.core.system import FadewichSystem
+from repro.core.system import FadewichSystem, ReplayReport
+from repro.simulation.collector import DayRecording
+from repro.workstation.idle import TraceIdleProvider
+from repro.workstation.session import SessionState
 
 
-def main() -> None:
+def run_live(system: FadewichSystem, day: DayRecording) -> ReplayReport:
+    """Feed ``day`` through ``process_sample``, one sample per step."""
+    provider = TraceIdleProvider(day.activity)
+    system.attach_idle_provider(provider)
+    trace = day.trace
+    prev_t = float(trace.times[0]) - trace.sample_interval
+    for i, t in enumerate(trace.times.tolist()):
+        system.process_sample(
+            t, {sid: float(values[i]) for sid, values in trace.streams.items()}
+        )
+        # Keyboard/mouse input since the previous sample cancels alerts and
+        # screen savers, and logs a deauthenticated user back in.
+        for workstation_id, session in system.sessions.items():
+            if provider.has_input_in(workstation_id, prev_t, t):
+                if session.state is SessionState.DEAUTHENTICATED:
+                    session.reauthenticate(t)
+                else:
+                    session.register_input(t)
+        prev_t = t
+    return system.report()
+
+
+def main() -> int:
     config = FadewichConfig()
 
     print("Collecting two simulated days (day 1 trains, day 2 is replayed)...")
@@ -41,9 +73,9 @@ def main() -> None:
     else:
         print("  not enough label variety to train RE; running detection only.")
 
-    print("\nReplaying day 2 through the live system...")
+    print("\nFeeding day 2 through the live system, one sample at a time...")
     day = recording.days[1]
-    report = system.replay_day(day)
+    report = run_live(system, day)
 
     print(f"  ground-truth departures: {len(day.events.departures())}")
     print(f"  ground-truth entries:    {len(day.events.entries())}")
@@ -65,6 +97,13 @@ def main() -> None:
     for workstation_id, state in report.final_states.items():
         print(f"  {workstation_id}: {state.value}")
 
+    replayed = system.replay_day(day)
+    if replayed != report:
+        print("\nFAIL: replay_day's report differs from the live run's")
+        return 1
+    print("\nreplay_day (array fast path) reproduces the live report.")
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -19,8 +19,10 @@ produces the paper tables agrees bit for bit with the live detector.
 
 Entry points:
 
-* :class:`MovementDetector` — the online, sample-by-sample detector used by
-  the live system,
+* :class:`MovementDetector` — the per-sample scalar reference of the
+  streaming kernel :class:`~repro.streaming.detector.OnlineDetector`, which
+  the live system, the replay, the sweep and the router run;
+  :meth:`~repro.core.system.FadewichSystem.replay_day_scalar` drives it,
 * :func:`detect_offline` — a columnar offline run over a recorded
   :class:`~repro.radio.trace.RssiTrace`, used by the evaluation harness,
 * :func:`detect_offline_scalar` — the retained per-observation reference
@@ -108,9 +110,6 @@ class StdSumTracker:
         for sid in self._buffer.stream_ids:
             total += float(np.std(self._buffer.window(sid)))
         return total
-
-    def reset(self) -> None:
-        self._buffer.clear()
 
 
 class NormalProfile:
@@ -217,7 +216,10 @@ class OfflineMDResult:
 
 
 class MovementDetector:
-    """Online MD: consumes multi-stream RSSI samples, emits variation windows.
+    """Scalar per-sample MD: multi-stream RSSI samples in, variation windows out.
+
+    The semantics reference that ``OnlineDetector`` is pinned against
+    (``tests/test_streaming_equivalence.py``); nothing live runs it.
 
     Parameters
     ----------

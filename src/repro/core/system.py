@@ -4,45 +4,55 @@ Wires together the three modules (KMA, MD, RE), the controller and the
 workstation sessions into a single object that consumes the live RSSI
 sample stream, exactly like the deployed system of the paper (Figure 1).
 
-Two ways to use it:
+Three ways to drive it:
 
 * **online** — call :meth:`process_sample` for every incoming multi-stream
-  RSSI sample (after training RE via :meth:`train`),
+  RSSI sample (after training RE via :meth:`train` and connecting KMA via
+  :meth:`attach_idle_provider`).  MD is the streaming kernel
+  :class:`~repro.streaming.detector.OnlineDetector` (:attr:`detector`),
+  fed one sample at a time;
 * **replay** — call :meth:`replay_day` on a recorded
   :class:`~repro.simulation.collector.DayRecording` to re-live a captured
-  day end to end (used by the integration tests and the examples).
+  day end to end.  The whole day goes to an ``OnlineDetector`` as one
+  batch (no per-step sample dicts, no per-step ``np.std``), and only the
+  controller/session state machines advance step by step, fed from the
+  kernel's arrays;
+* **scalar reference** — :meth:`replay_day_scalar` drives the scalar
+  per-sample MD engine of :mod:`repro.core.movement` one sample dict at a
+  time.  All three produce bit-identical reports
+  (``tests/test_analysis_equivalence.py``), and the kernel itself is
+  pinned bit-identical to the per-sample detector whatever the arrival
+  batching (``tests/test_streaming_equivalence.py``).
 
-:meth:`replay_day` is a *thin client of the streaming kernel*: the whole
-day is delivered to an :class:`~repro.streaming.detector.OnlineDetector`
-as a single batch (no per-step sample dicts, no per-step ``np.std``), and
-only the controller/session state machines advance step by step, fed from
-the kernel's precomputed arrays.  :meth:`replay_day_scalar` is the
-retained per-sample reference driving :meth:`process_sample` exactly like
-the live system; both produce bit-identical reports
-(``tests/test_analysis_equivalence.py``), and the kernel itself is pinned
-bit-identical to the per-sample detector whatever the arrival batching
-(``tests/test_streaming_equivalence.py``).
+All three classify one RE window.  When Rule 1 fires at ``t`` on the
+variation window whose first anomalous sample is ``t1``, RE reads the
+samples of ``[t1, t1 + t_delta]`` through
+:meth:`~repro.core.radio_env.RadioEnvironment.classify_window` — the
+window RE is trained on and Table IV scores.  :meth:`process_sample`
+reads ``t1`` from the detector's open window and keeps that window's
+samples up to ``t1 + t_delta``; the replays read the recorded day.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..mobility.events import ENTRY_LABEL
-from ..radio.trace import StreamBuffer
+from ..radio.trace import RssiTrace
 from ..simulation.collector import DayRecording
 from ..simulation.dataset import SampleDataset
+from ..streaming.detector import OnlineDetector
 from ..workstation.activity import ActivityTrace
 from ..workstation.idle import TraceIdleProvider
 from ..workstation.session import SessionState, WorkstationSession
 from .config import FadewichConfig
 from .controller import ControllerAction, ControllerState, FadewichController
 from .kma import KeyboardMouseActivity
-from .movement import MovementDetector
 from .radio_env import RadioEnvironment
+from .windows import VariationWindow
 
 __all__ = ["ReplayReport", "FadewichSystem"]
 
@@ -89,7 +99,7 @@ class _GridIdleProvider:
 
 @dataclass
 class ReplayReport:
-    """Summary of a replayed day.
+    """Summary of a replayed day or a live run (:meth:`FadewichSystem.report`).
 
     Attributes
     ----------
@@ -149,15 +159,12 @@ class FadewichSystem:
             config=self._config.re,
             random_state=random_state,
         )
-        self._detector = MovementDetector(
+        self._detector = OnlineDetector(
             self._stream_ids, self._config.md, sample_rate_hz
         )
-        # Buffer holding the most recent samples, long enough to cover the
-        # [t1, t1 + t_delta] feature window when Rule 1 fires.
-        window_samples = max(
-            int(round(self._config.t_delta_s * sample_rate_hz)) + 2, 4
-        )
-        self._recent = StreamBuffer(self._stream_ids, maxlen=window_samples)
+        # (t, row) pairs of the open variation window up to t1 + t_delta:
+        # the samples RE classifies when Rule 1 fires.
+        self._window_samples: List[Tuple[float, List[float]]] = []
         self._kma: Optional[KeyboardMouseActivity] = None
         self._controller: Optional[FadewichController] = None
         self._sessions: Dict[str, WorkstationSession] = {}
@@ -168,7 +175,7 @@ class FadewichSystem:
         return self._config
 
     @property
-    def detector(self) -> MovementDetector:
+    def detector(self) -> OnlineDetector:
         return self._detector
 
     @property
@@ -197,18 +204,21 @@ class FadewichSystem:
         return self
 
     # ------------------------------------------------------------------ #
-    def _classify_recent_window(self) -> str:
-        """Classify the feature window ending at the current instant."""
-        if not self._re.is_trained:
-            # An untrained RE cannot name a workstation; reporting an office
-            # entry is the safe, do-nothing prediction.
+    def _classify(self, trace: RssiTrace, t1: float, t: float) -> str:
+        """RE's label, at ``t``, for the variation window opened at ``t1``.
+
+        The Rule-1 query of every path: the samples of ``trace`` in
+        ``[t1, t1 + t_delta]``, classified as Table IV classifies them.
+        """
+        t_delta = self._config.t_delta_s
+        # Cut the window once: RE reads the same samples from it, and a
+        # whole recorded day is masked only here.
+        window = trace.slice_time(t1, t1 + t_delta)
+        if not self._re.is_trained or window.n_samples < 2:
+            # Neither an untrained RE nor fewer than two samples can name a
+            # workstation; an office entry is the safe, do-nothing prediction.
             return ENTRY_LABEL
-        n = self._recent.fill_level()
-        if n < 2:
-            return ENTRY_LABEL
-        windows = self._recent.windows()
-        features = self._re.extractor.extract(windows)
-        return self._re.classify(features)
+        return self._re.classify_window(window, VariationWindow(t1, t), t_delta)
 
     def process_sample(self, t: float, sample: Mapping[str, float]) -> ControllerState:
         """Feed one multi-stream RSSI sample into the live system."""
@@ -216,10 +226,24 @@ class FadewichSystem:
             raise RuntimeError(
                 "call attach_idle_provider() before processing samples"
             )
-        self._recent.append(sample)
         self._detector.process(t, sample)
-        d_wt = self._detector.current_window_duration(t)
-        return self._controller.step(t, d_wt, self._classify_recent_window)
+        window = self._detector.current_window(t)
+        buffered = self._window_samples
+        if window is None:
+            buffered.clear()
+        elif t <= window.t_start + self._config.t_delta_s:
+            buffered.append((t, [float(sample[sid]) for sid in self._stream_ids]))
+
+        def classify() -> str:
+            times, rows = zip(*buffered)
+            trace = RssiTrace(
+                np.array(times), dict(zip(self._stream_ids, np.array(rows).T))
+            )
+            return self._classify(trace, window.t_start, t)
+
+        return self._controller.step(
+            t, self._detector.current_window_duration(t), classify
+        )
 
     # ------------------------------------------------------------------ #
     def _validate_replay_day(self, day: DayRecording) -> None:
@@ -232,8 +256,11 @@ class FadewichSystem:
                 "cannot replay a day whose trace has no samples"
             )
 
-    def _replay_report(self) -> ReplayReport:
-        assert self._controller is not None
+    def report(self) -> ReplayReport:
+        """What the controller and sessions did since the last
+        :meth:`attach_idle_provider` (or replay)."""
+        if self._controller is None:
+            raise RuntimeError("call attach_idle_provider() first")
         return ReplayReport(
             actions=self._controller.actions,
             final_states={wid: s.state for wid, s in self._sessions.items()},
@@ -254,13 +281,11 @@ class FadewichSystem:
         (:class:`~repro.streaming.detector.OnlineDetector`) as one batch:
         the std-sum series, anomaly decisions and per-step window
         durations come back as arrays (bit-identical to feeding
-        :meth:`process_sample` each sample — see
-        :meth:`replay_day_scalar`), and the controller consumes them in a
-        lean loop with precomputed idle times and input flags.  RE is only
-        invoked at the instants Rule 1 fires, on the same sample windows
-        the online buffer would hold.  Note the system's online
-        :attr:`detector` state is bypassed (not advanced) on this path; use
-        :meth:`replay_day_scalar` for step-level introspection.
+        :meth:`process_sample` each sample), and the controller consumes
+        them in a lean loop with precomputed idle times and input flags.
+        RE is only invoked at the instants Rule 1 fires, on the day's
+        samples of ``[t1, t1 + t_delta]``.  Note the system's online
+        :attr:`detector` state is bypassed (not advanced) on this path.
 
         Raises
         ------
@@ -278,18 +303,19 @@ class FadewichSystem:
         cfg = self._config
 
         matrix = np.column_stack([trace.streams[sid] for sid in self._stream_ids])
-        columns = [np.ascontiguousarray(matrix[:, j]) for j in range(matrix.shape[1])]
 
         # MD through the streaming kernel: one recorded day is simply the
         # whole stream delivered as a single batch.  The kernel returns the
         # online tracker's s_t series (partial windows included), the
         # profile decisions and the per-step dW_t.
-        from ..streaming.detector import OnlineDetector
-
         kernel = OnlineDetector(
             self._stream_ids, cfg.md, sample_rate_hz=self._rate
         )
-        durations = kernel.process_block(times, matrix).durations
+        block = kernel.process_block(times, matrix)
+        durations = block.durations
+        # A window's first anomalous sample is the only anomalous step
+        # with dW_t = 0: the t1 of every window the day opens.
+        starts = times[block.anomalous & (durations == 0.0)]
 
         # Per-step keyboard/mouse input flags for every workstation.
         interval_starts = np.empty(n)
@@ -300,28 +326,19 @@ class FadewichSystem:
             for wid in self._sessions
         }
 
-        # RE classification of the recent-sample window, only materialised
-        # at the instants Rule 1 queries it.
-        maxlen = self._recent.maxlen
-        current_step = [0]
-
-        def classify_current_window() -> str:
-            i = current_step[0]
-            fill = min(i + 1, maxlen)
-            if not self._re.is_trained or fill < 2:
-                return ENTRY_LABEL
-            windows = {
-                sid: col[i + 1 - fill : i + 1]
-                for sid, col in zip(self._stream_ids, columns)
-            }
-            return self._re.classify(self._re.extractor.extract(windows))
-
         sessions = list(self._sessions.items())
         controller = self._controller
         for i in range(n):
-            current_step[0] = i
             t = float(times[i])
-            controller.step(t, float(durations[i]), classify_current_window)
+            controller.step(
+                t,
+                float(durations[i]),
+                lambda: self._classify(
+                    trace,
+                    float(starts[np.searchsorted(starts, t, side="right") - 1]),
+                    t,
+                ),
+            )
             # Forward keyboard/mouse input to the sessions so alerts cancel
             # and deauthenticated users eventually log back in.
             for wid, session in sessions:
@@ -330,19 +347,27 @@ class FadewichSystem:
                         session.reauthenticate(t)
                     else:
                         session.register_input(t)
-        return self._replay_report()
+        return self.report()
 
     def replay_day_scalar(self, day: DayRecording) -> ReplayReport:
-        """Per-sample reference replay (the live-system path, step by step).
+        """Per-sample reference replay on the scalar MD engine.
 
-        Semantics reference for :meth:`replay_day`: feeds every sample
-        through :meth:`process_sample` exactly like the deployed system.
-        The equivalence tests pin the array fast path against it.
+        Semantics reference for :meth:`replay_day` and
+        :meth:`process_sample`: a
+        :class:`~repro.core.movement.MovementDetector` consumes one sample
+        dict per step, KMA reads the activity traces through
+        :class:`~repro.workstation.idle.TraceIdleProvider`, and Rule 1
+        classifies the day's samples of ``[t1, t1 + t_delta]``.  The
+        equivalence tests pin the other two paths against it.
         """
+        # The scalar engine; nothing else in the system runs it.
+        from .movement import MovementDetector
+
         self._validate_replay_day(day)
         provider = TraceIdleProvider(day.activity)
         self.attach_idle_provider(provider)
         assert self._controller is not None
+        detector = MovementDetector(self._stream_ids, self._config.md, self._rate)
 
         trace = day.trace.restricted_to(self._stream_ids)
         times = trace.times
@@ -354,8 +379,13 @@ class FadewichSystem:
         prev_t = float(times[0]) - 1.0 / self._rate
         for i in range(times.shape[0]):
             t = float(times[i])
-            sample = dict(zip(self._stream_ids, rows[i]))
-            self.process_sample(t, sample)
+            detector.process(t, dict(zip(self._stream_ids, rows[i])))
+            window = detector.current_window(t)
+            self._controller.step(
+                t,
+                detector.current_window_duration(t),
+                lambda: self._classify(trace, window.t_start, t),
+            )
             # Forward keyboard/mouse input to the sessions so alerts cancel
             # and deauthenticated users eventually log back in.
             for wid, session in self._sessions.items():
@@ -365,4 +395,4 @@ class FadewichSystem:
                     else:
                         session.register_input(t)
             prev_t = t
-        return self._replay_report()
+        return self.report()

@@ -9,32 +9,31 @@ paper's sensors report.
 Two sampling modes
 ------------------
 
-* **Scalar** — :meth:`RadioChannel.sample_vector` / :meth:`RadioChannel.sample`
-  produce one multi-stream sample per call, advancing the channel state one
-  timestep.  This is the reference path used by
-  ``CampaignCollector.collect_day_scalar`` and by the online examples.
+* **Scalar** — :meth:`RadioChannel.sample_vector` produces one
+  multi-stream sample per call, advancing the channel state one timestep.
+  This is the reference path used by ``CampaignCollector.collect_day_scalar``.
 * **Batch** — :meth:`RadioChannel.sample_block` computes a whole
   ``(n_steps, n_streams)`` chunk of samples in one vectorised pass.  It is
   the hot path of the batch campaign engine.
 
+Both reject body speeds that are negative or not finite.
+
 Seeding scheme
 --------------
 
-When constructed with ``seed_seq`` (a :class:`numpy.random.SeedSequence`),
-the channel spawns one child generator per stochastic purpose — slow drift,
-quiescent noise, outlier indicators, outlier magnitudes and shadowing
-fluctuation.  Each purpose consumes a fixed number of draws per timestep
-from its own stream, so drawing ``n`` values step by step (scalar mode) or
-``(k, n)`` values at once (batch mode) yields *identical* numbers: the two
-modes are bit-for-bit equivalent.  When constructed with a plain ``rng``
-the channel keeps the historical single-stream draw order; that mode cannot
-be batched.
+The channel spawns, from its ``seed_seq`` (a
+:class:`numpy.random.SeedSequence`), one child generator per stochastic
+purpose — slow drift, quiescent noise, outlier indicators, outlier
+magnitudes and shadowing fluctuation.  Each purpose consumes a fixed number
+of draws per timestep from its own stream, so drawing ``n`` values step by
+step (scalar mode) or ``(k, n)`` values at once (batch mode) yields
+*identical* numbers: the two modes are bit-for-bit equivalent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -83,6 +82,14 @@ class ChannelConfig:
     slow_drift_tau_s: float = 120.0
 
 
+def _check_speeds(speeds: np.ndarray) -> None:
+    """Reject body speeds the shadowing model cannot take: the motion term
+    squares a negative speed into a positive one, and a NaN speed drops the
+    body's extra fluctuation."""
+    if not np.all(np.isfinite(speeds) & (speeds >= 0)):
+        raise ValueError("body speeds must be finite and non-negative")
+
+
 class RadioChannel:
     """Stateful radio channel producing per-stream RSSI samples.
 
@@ -97,15 +104,12 @@ class RadioChannel:
         The deployment's directed streams.
     config:
         Channel configuration.
-    rng:
-        Random generator for all stochastic components (legacy single-stream
-        mode; ignored when ``seed_seq`` is given).
     sample_interval_s:
         Time between consecutive samples (used to scale the drift process).
     seed_seq:
         A :class:`numpy.random.SeedSequence` from which one child generator
-        per stochastic purpose is spawned.  Required for
-        :meth:`sample_block`; makes scalar and batch sampling bit-identical.
+        per stochastic purpose is spawned, making scalar and batch sampling
+        bit-identical.
     """
 
     #: How many timesteps :meth:`sample_block` processes per vectorised
@@ -117,9 +121,9 @@ class RadioChannel:
         self,
         links: LinkSet,
         config: Optional[ChannelConfig] = None,
-        rng: Optional[np.random.Generator] = None,
         sample_interval_s: float = 0.25,
-        seed_seq: Optional[np.random.SeedSequence] = None,
+        *,
+        seed_seq: np.random.SeedSequence,
     ) -> None:
         if sample_interval_s <= 0:
             raise ValueError("sample interval must be positive")
@@ -127,29 +131,14 @@ class RadioChannel:
         self._config = config if config is not None else ChannelConfig()
         self._dt = sample_interval_s
         self._drift = 0.0
-        if seed_seq is not None:
-            (
-                drift_ss,
-                noise_ss,
-                outlier_u_ss,
-                outlier_n_ss,
-                extra_ss,
-            ) = seed_seq.spawn(5)
-            self._drift_rng = np.random.default_rng(drift_ss)
-            self._noise_rng = np.random.default_rng(noise_ss)
-            self._outlier_u_rng = np.random.default_rng(outlier_u_ss)
-            self._outlier_n_rng = np.random.default_rng(outlier_n_ss)
-            self._extra_rng = np.random.default_rng(extra_ss)
-            # No legacy generator in split mode: an accidental legacy draw
-            # would silently desynchronise the per-purpose streams, so fail
-            # fast instead.
-            self._rng = None
-            self._split = True
-        else:
-            self._rng = rng if rng is not None else np.random.default_rng()
-            self._split = False
+        (
+            self._drift_rng,
+            self._noise_rng,
+            self._outlier_u_rng,
+            self._outlier_n_rng,
+            self._extra_rng,
+        ) = (np.random.default_rng(ss) for ss in seed_seq.spawn(5))
         # Vectorised per-stream arrays used by the fast sampling paths.
-        self._stream_order = links.stream_ids
         self._tx_xy = np.asarray(
             [[s.tx_position.x, s.tx_position.y] for s in links], dtype=float
         )
@@ -195,18 +184,13 @@ class RadioChannel:
         if cfg.slow_drift_sigma_db <= 0:
             return 0.0
         theta = self._drift_theta()
-        if self._split:
-            c = cfg.slow_drift_sigma_db * np.sqrt(theta)
-            z = self._drift_rng.standard_normal()
-            self._drift = c * z + (1.0 - theta) * self._drift
-        else:
-            self._drift += -theta * self._drift + self._rng.normal(
-                0.0, cfg.slow_drift_sigma_db * np.sqrt(theta)
-            )
+        c = cfg.slow_drift_sigma_db * np.sqrt(theta)
+        z = self._drift_rng.standard_normal()
+        self._drift = c * z + (1.0 - theta) * self._drift
         return self._drift
 
     def _drift_block(self, n_steps: int) -> np.ndarray:
-        """The next ``n_steps`` values of the drift process (split mode).
+        """The next ``n_steps`` values of the drift process.
 
         The AR(1) recurrence is evaluated with exactly the expression the
         scalar path uses (``c * z + (1 - theta) * drift``), so consecutive
@@ -341,11 +325,10 @@ class RadioChannel:
         body_positions:
             Positions of every person inside the office.
         body_speeds:
-            Their instantaneous speeds (m/s), in the same order.  Omitted
-            speeds default to zero (static bodies).
+            Their instantaneous speeds (m/s, finite and non-negative), in
+            the same order.  Omitted speeds default to zero (static bodies).
 
-        This is the per-step path used by ``collect_day_scalar`` and the
-        online examples; :meth:`sample` wraps it into a dictionary and
+        This is the per-step path used by ``collect_day_scalar``;
         :meth:`sample_block` is its vectorised batch counterpart.
         """
         bodies = list(body_positions)
@@ -355,38 +338,26 @@ class RadioChannel:
             speeds = [float(s) for s in body_speeds]
         if len(speeds) != len(bodies):
             raise ValueError("body_speeds must match body_positions in length")
+        _check_speeds(np.asarray(speeds))
         cfg = self._config
         drift = self._advance_drift()
         n = self._mean_vec.shape[0]
 
         atten, extra_sigma = self._shadowing_vectors(bodies, speeds)
-        if self._split:
-            noise = self._noise_rng.standard_normal(n) * (
-                cfg.noise.base_sigma_db * self._sensitivity
+        noise = self._noise_rng.standard_normal(n) * (
+            cfg.noise.base_sigma_db * self._sensitivity
+        )
+        if cfg.noise.outlier_prob > 0:
+            outliers = self._outlier_u_rng.random(n) < cfg.noise.outlier_prob
+            noise = noise + outliers * (
+                self._outlier_n_rng.standard_normal(n)
+                * cfg.noise.outlier_scale_db
             )
-            if cfg.noise.outlier_prob > 0:
-                outliers = self._outlier_u_rng.random(n) < cfg.noise.outlier_prob
-                noise = noise + outliers * (
-                    self._outlier_n_rng.standard_normal(n)
-                    * cfg.noise.outlier_scale_db
-                )
-            extra = np.where(
-                extra_sigma > 0,
-                self._extra_rng.standard_normal(n) * extra_sigma,
-                0.0,
-            )
-        else:
-            noise = self._rng.normal(
-                0.0, cfg.noise.base_sigma_db * self._sensitivity
-            )
-            if cfg.noise.outlier_prob > 0:
-                outliers = self._rng.random(n) < cfg.noise.outlier_prob
-                noise = noise + outliers * self._rng.normal(
-                    0.0, cfg.noise.outlier_scale_db, n
-                )
-            extra = np.where(
-                extra_sigma > 0, self._rng.normal(0.0, 1.0, n) * extra_sigma, 0.0
-            )
+        extra = np.where(
+            extra_sigma > 0,
+            self._extra_rng.standard_normal(n) * extra_sigma,
+            0.0,
+        )
         rssi = self._mean_vec - atten + noise + extra + drift
         rssi = np.maximum(rssi, cfg.rssi_floor_dbm)
         if cfg.quantization_db > 0:
@@ -408,7 +379,8 @@ class RadioChannel:
             accepted for a single body).  Rows of absent bodies may hold any
             finite placeholder — they are masked by ``presence``.
         speeds:
-            ``(n_steps, n_bodies)`` speeds (m/s); zero when omitted.
+            ``(n_steps, n_bodies)`` speeds (m/s, finite and non-negative);
+            zero when omitted.
         presence:
             ``(n_steps, n_bodies)`` boolean mask; all-present when omitted.
 
@@ -416,16 +388,10 @@ class RadioChannel:
         -------
         ndarray of shape ``(n_steps, n_streams)``
             One quantised RSSI sample per step and stream, advancing the
-            drift state across the block.  Requires a channel built with
-            ``seed_seq``; the result is bit-identical to ``n_steps``
-            successive :meth:`sample_vector` calls with the present bodies.
+            drift state across the block.  The result is bit-identical to
+            ``n_steps`` successive :meth:`sample_vector` calls with the
+            present bodies.
         """
-        if not self._split:
-            raise RuntimeError(
-                "sample_block requires a channel constructed with seed_seq= "
-                "(per-purpose random streams); the legacy single-rng draw "
-                "order cannot be batched"
-            )
         pos = np.asarray(positions, dtype=float)
         if pos.ndim == 2:
             pos = pos[:, None, :]
@@ -440,6 +406,7 @@ class RadioChannel:
                 sp = sp[:, None]
             if sp.shape != (n_steps, n_bodies):
                 raise ValueError("speeds must have shape (n_steps, n_bodies)")
+            _check_speeds(sp)
         if presence is None:
             mask = np.ones((n_steps, n_bodies), dtype=bool)
         else:
@@ -508,32 +475,6 @@ class RadioChannel:
                 rssi = np.round(rssi / cfg.quantization_db) * cfg.quantization_db
             out[start:stop] = rssi
         return out
-
-    def sample(
-        self,
-        body_positions: Iterable[Point],
-        body_speeds: Optional[Iterable[float]] = None,
-    ) -> Dict[str, float]:
-        """One RSSI sample per stream, given current body positions.
-
-        Parameters
-        ----------
-        body_positions:
-            Positions of every person currently inside the office.  People
-            sitting at their desks count too — they are simply far from most
-            links' sensitive ellipses and mostly contribute nothing.
-        body_speeds:
-            Their instantaneous speeds (m/s); zero (static) when omitted.
-
-        Returns
-        -------
-        dict
-            Mapping stream id -> RSSI sample in dBm.
-        """
-        values = self.sample_vector(body_positions, body_speeds)
-        return {
-            sid: float(values[i]) for i, sid in enumerate(self._stream_order)
-        }
 
     def reset(self) -> None:
         """Reset the slow drift state (e.g. between independent campaigns)."""

@@ -1,16 +1,17 @@
 """RSSI trace containers.
 
-The MD and RE modules consume *streams of RSSI measurements*.  These classes
-store them efficiently (one ring-buffer-backed array per stream), provide
-the sliding-window views both modules need, and support building full
-offline traces for the campaign-level evaluation.
+The MD and RE modules consume *streams of RSSI measurements*.
+:class:`RssiTrace` holds a complete timestamped recording, with the
+time-window views RE's features are read from; :class:`StreamBuffer` is
+the bounded per-stream window of the scalar ``s_t`` reference
+(:class:`~repro.core.movement.StdSumTracker`).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Sequence
 
 import numpy as np
 
@@ -20,9 +21,9 @@ __all__ = ["StreamBuffer", "RssiTrace"]
 class StreamBuffer:
     """Bounded per-stream buffer of the most recent RSSI measurements.
 
-    Used by the online system (MD keeps a sliding window of ``d`` seconds of
-    data per stream).  Appending beyond ``maxlen`` discards the oldest
-    samples.
+    Holds the last ``maxlen`` samples of every stream, the sliding window
+    of :class:`~repro.core.movement.StdSumTracker`.  Appending beyond
+    ``maxlen`` discards the oldest samples.
     """
 
     def __init__(self, stream_ids: Sequence[str], maxlen: int) -> None:
@@ -30,18 +31,13 @@ class StreamBuffer:
             raise ValueError("maxlen must be positive")
         if len(stream_ids) == 0:
             raise ValueError("at least one stream id is required")
-        self._maxlen = int(maxlen)
         self._buffers: Dict[str, deque] = {
-            sid: deque(maxlen=self._maxlen) for sid in stream_ids
+            sid: deque(maxlen=int(maxlen)) for sid in stream_ids
         }
 
     @property
     def stream_ids(self) -> List[str]:
         return list(self._buffers.keys())
-
-    @property
-    def maxlen(self) -> int:
-        return self._maxlen
 
     def append(self, sample: Mapping[str, float]) -> None:
         """Append one multi-stream sample (stream id -> RSSI)."""
@@ -50,26 +46,14 @@ class StreamBuffer:
                 raise KeyError(f"sample is missing stream {sid!r}")
             buf.append(float(sample[sid]))
 
-    def window(self, sid: str, size: Optional[int] = None) -> np.ndarray:
-        """The most recent ``size`` samples of one stream (all if ``None``)."""
-        buf = self._buffers[sid]
-        data = np.asarray(buf, dtype=float)
-        if size is None or size >= data.shape[0]:
-            return data
-        return data[-size:]
-
-    def windows(self, size: Optional[int] = None) -> Dict[str, np.ndarray]:
-        """Per-stream windows of the most recent ``size`` samples."""
-        return {sid: self.window(sid, size) for sid in self._buffers}
+    def window(self, sid: str) -> np.ndarray:
+        """The buffered samples of one stream, oldest first."""
+        return np.asarray(self._buffers[sid], dtype=float)
 
     def fill_level(self) -> int:
         """Number of samples currently stored per stream."""
         first = next(iter(self._buffers.values()))
         return len(first)
-
-    def clear(self) -> None:
-        for buf in self._buffers.values():
-            buf.clear()
 
 
 @dataclass

@@ -1,17 +1,14 @@
 """Incremental streaming detection engine.
 
 The paper's movement-detection pipeline is inherently online — samples
-arrive, a rolling std is updated, Rule 1 / Rule 2 fire in real time — yet
-until this package the repo only ran it as offline replay of recorded days
-(:meth:`~repro.core.system.FadewichSystem.replay_day`).  This package
-extracts the detection kernel out of the replay loop into a true
-incremental engine:
+arrive, a rolling std is updated, Rule 1 / Rule 2 fire in real time.
+This package is its detection kernel, a true incremental engine:
 
 * :class:`~repro.streaming.detector.OnlineDetector` — bounded-state,
   batch-capable detection kernel: constant work per sample (independent of
   stream length), **bit-identical** to the columnar offline kernel
   (``online_std_sum_series`` + ``KdeMdDetector.offline_grid`` +
-  ``window_duration_series``), to the per-sample
+  ``window_duration_series``), to the scalar per-sample reference
   :class:`~repro.core.movement.MovementDetector` and to the sweep's
   ``evaluate_md_grid`` (per-day ``s_t``, thresholds and windows), whatever
   the arrival batching (``tests/test_streaming_equivalence.py``);
@@ -32,9 +29,11 @@ the kernel's bounded state through JSON bit-exactly (see
 :mod:`repro.reliability`), so a killed stream resumed from a checkpoint
 is indistinguishable from one that never stopped.
 
-:meth:`~repro.core.system.FadewichSystem.replay_day` is a thin client of
-the same kernel: one recorded day is simply the whole stream delivered as
-a single batch.
+The live system's MD is this kernel:
+:meth:`~repro.core.system.FadewichSystem.process_sample` feeds it one
+sample at a time, and
+:meth:`~repro.core.system.FadewichSystem.replay_day` delivers a whole
+recorded day as a single batch.
 """
 
 from .detector import (

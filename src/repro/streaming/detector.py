@@ -15,7 +15,7 @@
   :class:`~repro.detectors.kde_md.OnlineProfile`, the KDE normal profile
   (re-exported here), the same engine the offline grids run;
 * :class:`WindowTracker` — the variation-window bookkeeping (open window,
-  merge gap, per-step ``dW_t``), the same automaton as
+  merge gap, per-step ``dW_t``), the same automaton as the scalar reference
   :class:`~repro.core.movement.MovementDetector` and the closed form of
   :func:`~repro.core.movement.window_duration_series`.
 
@@ -133,10 +133,10 @@ class OnlineStdSum:
 class WindowTracker:
     """Variation-window automaton: open/merge/close plus per-step ``dW_t``.
 
-    The scalar bookkeeping of :class:`~repro.core.movement.MovementDetector`
-    factored out so the streaming detector, the boundary tests and any
-    other per-step consumer share one implementation: a window opens at
-    the first anomalous instant, stays open through non-anomalous
+    The bookkeeping of the scalar reference
+    :class:`~repro.core.movement.MovementDetector`, shared by the streaming
+    detector, the boundary tests and any other per-step consumer: a window
+    opens at the first anomalous instant, stays open through non-anomalous
     observations arriving within ``merge_gap_s`` of the last anomalous
     one, and closes (recording the completed
     :class:`~repro.core.windows.VariationWindow`) at the first observation
@@ -268,9 +268,10 @@ class OnlineDetector:
     Consumes timestamped multi-stream sample batches (of any size,
     including single samples) and produces per-instant ``s_t``, anomaly
     decisions, thresholds and window durations — bit-identical to the
-    columnar offline kernel over the concatenated stream and to the
-    per-sample :class:`~repro.core.movement.MovementDetector`, whatever
-    the arrival batching.
+    columnar offline kernel over the concatenated stream and to the scalar
+    per-sample reference :class:`~repro.core.movement.MovementDetector`,
+    whatever the arrival batching.  It is the live system's MD engine
+    (:meth:`~repro.core.system.FadewichSystem.process_sample`).
 
     Parameters
     ----------
@@ -514,9 +515,10 @@ class OnlineDetector:
     def process(self, t: float, sample: Mapping[str, float]) -> Optional[bool]:
         """Consume one sample dict; return the anomaly decision (or ``None``).
 
-        The per-sample convenience entry point with the exact signature
-        and semantics of :meth:`MovementDetector.process` — ``None``
-        while the std window or the normal profile is still initialising.
+        The per-sample entry point the live system drives, with the
+        signature and semantics of the scalar reference
+        ``MovementDetector.process`` — ``None`` while the std window or the
+        normal profile is still initialising.
         """
         row = np.array(
             [[float(sample[sid]) for sid in self._stream_ids]], dtype=float

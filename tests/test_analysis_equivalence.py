@@ -9,7 +9,10 @@ references:
 * ``cross_validated_predictions`` (array fold masks) vs.
   ``cross_validated_predictions_scalar`` (per-fold index lists),
 * ``FadewichSystem.replay_day`` (array replay) vs. ``replay_day_scalar``
-  (per-sample ``process_sample`` loop).
+  (per-sample ``MovementDetector`` loop) and the live ``process_sample``
+  loop, which must also hand RE, at every Rule-1 firing, exactly the
+  feature vector ``RadioEnvironment.extract_sample`` builds for the
+  training set and Table IV.
 
 The suite pins those contracts across seeds, layouts and every sensor
 count, with exact equality on counts/windows and float tolerance on rates,
@@ -17,12 +20,18 @@ plus the ``AnalysisContext`` cache-key regression (stale results after a
 config change).
 """
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.campaign import AnalysisContext, CampaignScale, collect_campaign
 from repro.core import build_sample_dataset
 from repro.core.config import FadewichConfig, MDConfig
+from repro.core.controller import FadewichController
 from repro.core.evaluation import (
     CampaignStdFeatures,
     cross_validated_predictions,
@@ -40,11 +49,20 @@ from repro.core.movement import (
     rolling_std_matrix,
     window_duration_series,
 )
+from repro.core.radio_env import RadioEnvironment
 from repro.core.system import FadewichSystem
+from repro.core.windows import VariationWindow
 from repro.detectors import KdeMdDetector
+from repro.mobility.events import ENTRY_LABEL
 from repro.radio.office import paper_office
-from repro.simulation.dataset import SampleDataset
+from repro.radio.trace import RssiTrace
+from repro.simulation.collector import DayRecording
+from repro.simulation.dataset import LabeledSample, SampleDataset
 from repro.sliding import sample_count, sum_rows
+from repro.streaming.detector import OnlineDetector
+from repro.workstation.activity import ActivityTrace
+from repro.workstation.idle import TraceIdleProvider
+from repro.workstation.session import SessionState
 
 SEEDS = (0, 7, 1234)
 
@@ -71,6 +89,25 @@ def collect(seed, layout=None, **scale_kwargs):
     return collect_campaign(
         seed=seed, scale=tiny_scale(**scale_kwargs), layout=layout
     )
+
+
+def feed_live(system, day, stream_ids, rate=4.0):
+    """Drive ``day`` through ``process_sample`` one sample at a time, as a
+    deployment would: KMA reads the activity traces, and each input since
+    the previous sample reaches the sessions (``replay_day``'s rule)."""
+    system.attach_idle_provider(TraceIdleProvider(day.activity))
+    times = day.trace.times.tolist()
+    rows = np.column_stack([day.trace.streams[sid] for sid in stream_ids]).tolist()
+    prev_t = times[0] - 1.0 / rate
+    for t, row in zip(times, rows):
+        system.process_sample(t, dict(zip(stream_ids, row)))
+        for wid, session in system.sessions.items():
+            if day.activity[wid].has_input_in(prev_t, t):
+                if session.state is SessionState.DEAUTHENTICATED:
+                    session.reauthenticate(t)
+                else:
+                    session.register_input(t)
+        prev_t = t
 
 
 def assert_md_identical(batch, scalar):
@@ -274,7 +311,10 @@ class TestCrossValidationEquivalence:
 
 
 class TestReplayEquivalence:
-    def _setup(self, seed, layout):
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _setup(seed, make_layout):
+        layout = make_layout()
         recording = collect(seed, layout=layout)
         config = FadewichConfig()
         evaluation = evaluate_md(recording, config, layout.sensor_ids)
@@ -295,7 +335,7 @@ class TestReplayEquivalence:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("make_layout", [paper_office, small_office])
     def test_array_replay_matches_scalar(self, seed, make_layout):
-        recording, make_system = self._setup(seed, make_layout())
+        recording, make_system = self._setup(seed, make_layout)
         day = recording.days[0]
         batch = make_system().replay_day(day)
         scalar = make_system().replay_day_scalar(day)
@@ -305,12 +345,25 @@ class TestReplayEquivalence:
         assert batch.alerts == scalar.alerts
         assert batch.screensavers == scalar.screensavers
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("make_layout", [paper_office, small_office])
+    def test_live_process_sample_matches_array_replay(self, seed, make_layout):
+        recording, make_system = self._setup(seed, make_layout)
+        day = recording.days[0]
+        batch = make_system().replay_day(day)
+        system = make_system()
+        feed_live(system, day, system.detector.stream_ids)
+        live = system.report()
+        assert live.actions == batch.actions
+        assert live.final_states == batch.final_states
+        assert live.deauthentications == batch.deauthentications
+        assert live.alerts == batch.alerts
+        assert live.screensavers == batch.screensavers
+
     def test_replay_of_inputless_workstation_matches_scalar(self):
         # Regression: the vectorised idle-time lookup crashed on a
         # workstation whose activity trace contains no input at all.
-        from repro.workstation.activity import ActivityTrace
-
-        recording, make_system = self._setup(0, small_office())
+        recording, make_system = self._setup(0, small_office)
         day = recording.days[0]
         silent_activity = {
             wid: ActivityTrace(
@@ -333,7 +386,7 @@ class TestReplayEquivalence:
         # Drive the online detector step by step and compare dW_t.
         from repro.core.movement import MovementDetector
 
-        recording, _ = self._setup(0, small_office())
+        recording, _ = self._setup(0, small_office)
         day = recording.days[0]
         stream_ids = day.trace.stream_ids
         detector = MovementDetector(stream_ids, FadewichConfig().md, 4.0)
@@ -351,6 +404,189 @@ class TestReplayEquivalence:
             times, flags, FadewichConfig().md.merge_gap_s
         )
         np.testing.assert_array_equal(durations, reference)
+
+
+def burst_day(rate, config, origin, seed, extra_s):
+    """A synthetic day of three streams, laid out on the grid
+    ``origin + k / rate`` as ``SimulationClock`` lays out its own.
+
+    Quiet noise (sigma 1) runs through the profile's installation phase
+    and 10 s more; then come bursts (sigma 8), burst ``i`` lasting
+    ``t_delta + extra_s[i]``, each followed by a quiet gap 8 s longer than
+    the merge gap.  Two workstations see sparse random input.
+    """
+    rng = np.random.default_rng(seed)
+    md = config.md
+    sigma = [np.ones(int((md.profile_init_s + 10.0) * rate))]
+    for extra in extra_s:
+        sigma += [
+            np.full(int((config.t_delta_s + extra) * rate), 8.0),
+            np.ones(int((md.merge_gap_s + 8.0) * rate)),
+        ]
+    sigma = np.concatenate(sigma)
+    n = sigma.shape[0]
+    streams = {
+        sid: -60.0 + sigma * rng.standard_normal(n) for sid in ("a-b", "b-c", "c-a")
+    }
+    activity = {
+        wid: ActivityTrace(
+            bin_seconds=1.0,
+            active_bins=rng.random(int(n / rate) + 2) < 0.1,
+            start_time=origin,
+        )
+        for wid in ("w1", "w2")
+    }
+    return DayRecording(
+        day_index=0,
+        duration_s=n / rate,
+        trace=RssiTrace(times=origin + np.arange(n) / rate, streams=streams),
+        events=None,
+        activity=activity,
+    )
+
+
+@st.composite
+def rule_one_days(draw):
+    """A :func:`burst_day` and the configuration to replay it with.
+
+    The rate may have a step that is not a dyadic fraction (3 and 5 Hz),
+    ``t_delta`` lies on the sample grid or between two samples, and the
+    day starts at a drawn time origin.
+    """
+    rate = draw(st.sampled_from([2.0, 3.0, 4.0, 5.0]))
+    steps = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        steps += draw(st.floats(0.05, 0.95))
+    config = FadewichConfig(
+        t_delta_s=steps / rate,
+        md=MDConfig(
+            profile_init_s=draw(st.floats(8.0, 25.0)),
+            merge_gap_s=draw(st.floats(0.0, 3.0)),
+        ),
+    )
+    # The last choice starts the first burst within 2 s of t = 0, so a
+    # window may straddle it.
+    first_burst_s = config.md.profile_init_s + 10.0
+    origin = draw(
+        st.one_of(
+            st.just(0.0),
+            st.floats(-1000.0, 1e5),
+            st.floats(-2.0, 2.0).map(lambda u: u - first_burst_s),
+        )
+    )
+    day = burst_day(
+        rate,
+        config,
+        origin,
+        draw(st.integers(0, 2**32 - 1)),
+        draw(st.lists(st.floats(0.5, 4.0), min_size=3, max_size=3)),
+    )
+    return config, rate, day
+
+
+class TestRuleOneWindow:
+    """At every Rule-1 firing, ``process_sample``, ``replay_day`` and
+    ``replay_day_scalar`` hand ``RadioEnvironment.classify`` the vector
+    ``extract_sample`` builds over ``[t1, t1 + t_delta]``, with ``t1`` the
+    kernel's window start: the window RE is trained on and Table IV
+    scores."""
+
+    @staticmethod
+    def _system(config, rate, ids):
+        system = FadewichSystem(ids, ["w1", "w2"], config, sample_rate_hz=rate)
+        re = RadioEnvironment(ids, config.re)
+        dataset = re.empty_dataset()
+        rng = np.random.default_rng(0)
+        for i in range(6):
+            dataset.add(
+                LabeledSample(
+                    features=rng.standard_normal(len(re.feature_names)),
+                    label=f"w{i % 3}",
+                    time=float(i),
+                )
+            )
+        return system.train(dataset)
+
+    @staticmethod
+    def _rule_one(run):
+        """``(t, label)`` of every Rule-1 query ``run()`` makes, and every
+        vector it hands ``RadioEnvironment.classify``."""
+        queries, vectors = [], []
+        step, classify = FadewichController.step, RadioEnvironment.classify
+
+        def spy_step(controller, t, d_wt, classify_window):
+            def query():
+                label = classify_window()
+                queries.append((t, label))
+                return label
+
+            return step(controller, t, d_wt, query)
+
+        def spy_classify(re, features):
+            vectors.append(np.array(features, dtype=float))
+            return classify(re, features)
+
+        with mock.patch.object(FadewichController, "step", spy_step), \
+                mock.patch.object(RadioEnvironment, "classify", spy_classify):
+            run()
+        return queries, vectors
+
+    def _runs(self, config, rate, day):
+        ids = day.trace.stream_ids
+        return {
+            "replay_day": lambda: self._system(config, rate, ids).replay_day(day),
+            "replay_day_scalar": lambda: self._system(
+                config, rate, ids
+            ).replay_day_scalar(day),
+            "process_sample": lambda: feed_live(
+                self._system(config, rate, ids), day, ids, rate
+            ),
+        }
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=rule_one_days())
+    def test_every_path_classifies_the_training_window(self, case):
+        config, rate, day = case
+        ids = day.trace.stream_ids
+        times = day.trace.times.tolist()
+        rows = np.column_stack([day.trace.streams[sid] for sid in ids]).tolist()
+        kernel = OnlineDetector(ids, config.md, rate)
+        window_start = {}
+        for t, row in zip(times, rows):
+            kernel.process(t, dict(zip(ids, row)))
+            window = kernel.current_window(t)
+            window_start[t] = None if window is None else window.t_start
+        re = RadioEnvironment(ids, config.re)
+
+        firing_times = {}
+        for path, run in self._runs(config, rate, day).items():
+            queries, vectors = self._rule_one(run)
+            assert queries, f"{path}: no Rule-1 firing on a day with bursts"
+            assert len(vectors) == len(queries)
+            firing_times[path] = [t for t, _ in queries]
+            for t, vector in zip(firing_times[path], vectors):
+                expected = re.extract_sample(
+                    day.trace,
+                    VariationWindow(window_start[t], t),
+                    config.t_delta_s,
+                )
+                assert vector.tobytes() == expected.tobytes(), (path, t)
+        assert (
+            firing_times["replay_day"]
+            == firing_times["replay_day_scalar"]
+            == firing_times["process_sample"]
+        )
+
+    def test_a_one_sample_window_reports_an_office_entry(self):
+        # t_delta is shorter than the 0.5-s step: [t1, t1 + t_delta] holds
+        # t1 alone, so Rule 1 reports an entry without querying RE.
+        config = FadewichConfig(t_delta_s=0.3, md=MDConfig(profile_init_s=10.0))
+        day = burst_day(2.0, config, 0.0, 1, [2.0, 2.0, 2.0])
+        for path, run in self._runs(config, 2.0, day).items():
+            queries, vectors = self._rule_one(run)
+            assert queries, f"{path}: no Rule-1 firing on a day with bursts"
+            assert {label for _, label in queries} == {ENTRY_LABEL}, path
+            assert vectors == [], path
 
 
 class TestAnalysisContextCacheKeys:

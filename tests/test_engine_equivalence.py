@@ -190,13 +190,6 @@ class TestChannelBlockEquivalence:
         b_second = ch_b.sample_block(pos[n_steps // 2 :])
         np.testing.assert_array_equal(a, np.vstack([b_first, b_second]))
 
-    def test_sample_block_requires_split_streams(self):
-        layout = paper_office()
-        links = LinkSet(layout, np.random.default_rng(0))
-        legacy = RadioChannel(links, rng=np.random.default_rng(1))
-        with pytest.raises(RuntimeError, match="seed_seq"):
-            legacy.sample_block(np.zeros((4, 1, 2)))
-
     def test_sample_block_validates_shapes(self):
         ch, _ = self._channel_pair()
         with pytest.raises(ValueError):

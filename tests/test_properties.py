@@ -45,7 +45,7 @@ def _office_channel():
     a moving body's ``extra_sigma_db`` is the motion term alone."""
     links = LinkSet(paper_office(), np.random.default_rng(0))
     config = ChannelConfig(shadowing=BodyShadowingModel(max_extra_sigma_db=0.0))
-    return RadioChannel(links, config, np.random.default_rng(0))
+    return RadioChannel(links, config, seed_seq=np.random.SeedSequence(0))
 
 
 def _link_geometry(channel, p):

@@ -38,7 +38,7 @@ ALLOWED_UNREFERENCED = {
     ),
     "src/repro/core/movement.py:window_duration_series": (
         "array dW_t that the analysis equivalence tests pin against the "
-        "online MovementDetector"
+        "scalar MovementDetector"
     ),
     "src/repro/core/movement.py:detect_offline": (
         "columnar Algorithm 1 over one trace, compared with "

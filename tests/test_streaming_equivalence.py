@@ -46,7 +46,6 @@ from repro.core.movement import (
     window_duration_series,
 )
 from repro.detectors import KdeMdDetector, detector_names, get_detector
-from repro.radio.trace import StreamBuffer
 from repro.streaming import (
     DayRecordingSource,
     IngestRouter,
@@ -343,29 +342,6 @@ class TestOnlineDetector:
             det.process_block(
                 np.array([0.5, 0.5]), rng.normal(size=(2, 2))
             )
-
-    def test_recent_window_head_matches_stream_buffer(self, rng):
-        # S1: the array replay's classification windows at stream start
-        # (`col[i + 1 - fill : i + 1]` with fill = min(i + 1, maxlen))
-        # must hold exactly the samples the online StreamBuffer holds.
-        ids = ["a", "b"]
-        maxlen = 6
-        matrix = rng.normal(size=(10, 2))
-        cols = [np.ascontiguousarray(matrix[:, j]) for j in range(2)]
-        buf = StreamBuffer(ids, maxlen=maxlen)
-        for i in range(matrix.shape[0]):
-            buf.append(dict(zip(ids, matrix[i])))
-            assert buf.fill_level() == min(i + 1, maxlen)
-            fill = min(i + 1, maxlen)
-            array_windows = {
-                sid: col[i + 1 - fill : i + 1]
-                for sid, col in zip(ids, cols)
-            }
-            online_windows = buf.windows()
-            for sid in ids:
-                np.testing.assert_array_equal(
-                    online_windows[sid], array_windows[sid]
-                )
 
 
 @pytest.fixture(scope="module")
