@@ -400,8 +400,10 @@ def build_sample_dataset(
     """Extract one labelled RE sample per true positive of an MD evaluation.
 
     Samples are labelled with the ground truth (the offline analogue of the
-    paper's KMA-based auto-labelling).  Returns the (untrained) RE instance
-    whose feature layout matches the dataset, plus the dataset itself.
+    paper's KMA-based auto-labelling).  Each day's windows go through one
+    :meth:`~repro.core.radio_env.RadioEnvironment.extract_samples` call.
+    Returns the (untrained) RE instance whose feature layout matches the
+    dataset, plus the dataset itself.
     """
     stream_ids = streams_for_sensors(evaluation.sensor_ids)
     re_module = RadioEnvironment(
@@ -409,17 +411,19 @@ def build_sample_dataset(
     )
     dataset = re_module.empty_dataset()
     for day in evaluation.days:
-        for window, true_window in day.match.true_positive_pairs:
-            label = true_window.event.label
-            if label is None:
-                continue
+        labelled = [
+            (window.t_start, true_window.event.label)
+            for window, true_window in day.match.true_positive_pairs
+            if true_window.event.label is not None
+        ]
+        if not labelled:
+            continue
+        starts, labels = zip(*labelled)
+        samples = re_module.extract_samples(day.trace, starts, config.t_delta_s)
+        for features, t1, label in zip(samples, starts, labels):
             dataset.add(
-                re_module.make_sample(
-                    day.trace,
-                    window,
-                    config.t_delta_s,
-                    label=label,
-                    day_index=day.day_index,
+                LabeledSample(
+                    features=features, label=label, time=t1, day_index=day.day_index
                 )
             )
     return re_module, dataset

@@ -16,16 +16,16 @@ evaluation instead labels samples with the ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..ml.features import FeatureExtractor
+from ..features.window import window_statistics
 from ..ml.multiclass import OneVsOneSVC
 from ..ml.scaling import StandardScaler
 from ..ml.validation import SVCFoldFitter
 from ..radio.trace import RssiTrace
-from ..simulation.dataset import LabeledSample, SampleDataset
+from ..simulation.dataset import SampleDataset
 from .config import REConfig
 from .windows import VariationWindow
 
@@ -57,74 +57,82 @@ class RadioEnvironment:
     def __post_init__(self) -> None:
         if len(self.stream_ids) == 0:
             raise ValueError("RadioEnvironment requires at least one stream")
-        cfg = self.config if self.config is not None else REConfig()
-        self.config = cfg
-        self._extractor = FeatureExtractor(
-            stream_ids=tuple(self.stream_ids),
-            entropy_bins=cfg.entropy_bins,
-            ac_lag=cfg.autocorrelation_lag,
-        )
+        if len(set(self.stream_ids)) != len(self.stream_ids):
+            raise ValueError("stream_ids must be unique")
+        if self.config is None:
+            self.config = REConfig()
         self._scaler: Optional[StandardScaler] = None
         self._classifier: Optional[OneVsOneSVC] = None
 
     # ------------------------------------------------------------------ #
     @property
-    def extractor(self) -> FeatureExtractor:
-        return self._extractor
-
-    @property
     def feature_names(self) -> List[str]:
-        return self._extractor.feature_names()
+        """``{sid}-var``, ``{sid}-ent`` and ``{sid}-ac`` per stream, in
+        feature-vector order: the paper's Table V notation."""
+        return [
+            f"{sid}-{stat}" for sid in self.stream_ids for stat in ("var", "ent", "ac")
+        ]
 
     @property
     def is_trained(self) -> bool:
         return self._classifier is not None
 
     # ------------------------------------------------------------------ #
+    def extract_samples(
+        self, trace: RssiTrace, starts: Sequence[float], t_delta_s: float
+    ) -> np.ndarray:
+        """Feature vectors of the windows ``[t1, t1 + t_delta]`` of a trace.
+
+        One row per start ``t1``, laid out as :attr:`feature_names`.  Only
+        the *initial* ``t_delta`` seconds of a variation window are used:
+        the paper argues the beginning of the user's path is the most
+        workstation-specific part (later parts converge towards the shared
+        door).  A window holds the trace's samples with ``t1 <= t <= t1 +
+        t_delta``; windows with equal sample counts (a window near a day's
+        end or off the sample grid can be shorter) go through one
+        :func:`~repro.features.window.window_statistics` call.
+        """
+        if not t_delta_s > 0:
+            raise ValueError("t_delta_s must be positive")
+        missing = [sid for sid in self.stream_ids if sid not in trace.streams]
+        if missing:
+            raise KeyError(f"trace is missing streams: {missing}")
+        starts = np.asarray(starts, dtype=float)
+        times = trace.times
+        first = np.searchsorted(times, starts, side="left")
+        lengths = np.searchsorted(times, starts + t_delta_s, side="right") - first
+        if np.any(lengths < 2):
+            raise ValueError(
+                "variation window contains fewer than 2 samples; "
+                "check the sampling rate and t_delta"
+            )
+        cfg = self.config
+        n_streams = len(self.stream_ids)
+        out = np.empty((starts.shape[0], 3 * n_streams))
+        for length in np.unique(lengths):
+            rows = np.flatnonzero(lengths == length)
+            index = first[rows, None] + np.arange(length)
+            block = np.empty((rows.size, n_streams, length))
+            for j, sid in enumerate(self.stream_ids):
+                block[:, j] = trace.streams[sid][index]
+            stats = window_statistics(
+                block.reshape(-1, length),
+                entropy_bins=cfg.entropy_bins,
+                ac_lag=cfg.autocorrelation_lag,
+            )
+            out[rows] = stats.reshape(rows.size, -1)
+        return out
+
     def extract_sample(
         self,
         trace: RssiTrace,
         window: VariationWindow,
         t_delta_s: float,
     ) -> np.ndarray:
-        """Feature vector of the window ``[t1, t1 + t_delta]`` of a trace.
-
-        Only the *initial* ``t_delta`` seconds of the variation window are
-        used: the paper argues the beginning of the user's path is the most
-        workstation-specific part (later parts converge towards the shared
-        door).
-        """
-        if t_delta_s <= 0:
-            raise ValueError("t_delta_s must be positive")
-        windows = trace.window_at(window.t_start, window.t_start + t_delta_s)
-        missing = [sid for sid in self.stream_ids if sid not in windows]
-        if missing:
-            raise KeyError(f"trace is missing streams: {missing}")
-        n_points = windows[self.stream_ids[0]].shape[0]
-        if n_points < 2:
-            raise ValueError(
-                "variation window contains fewer than 2 samples; "
-                "check the sampling rate and t_delta"
-            )
-        return self._extractor.extract(
-            {sid: windows[sid] for sid in self.stream_ids}
-        )
-
-    def make_sample(
-        self,
-        trace: RssiTrace,
-        window: VariationWindow,
-        t_delta_s: float,
-        label: str,
-        day_index: int = 0,
-    ) -> LabeledSample:
-        """A labelled sample for the given variation window."""
-        return LabeledSample(
-            features=self.extract_sample(trace, window, t_delta_s),
-            label=label,
-            time=window.t_start,
-            day_index=day_index,
-        )
+        """Feature vector of the window ``[t1, t1 + t_delta]`` of a trace,
+        ``t1`` being the variation window's start (:meth:`extract_samples`
+        on a batch of one)."""
+        return self.extract_samples(trace, [window.t_start], t_delta_s)[0]
 
     def empty_dataset(self) -> SampleDataset:
         """A dataset with this RE instance's feature layout."""

@@ -189,8 +189,17 @@ class FadewichSystem:
         return self
 
     def attach_idle_provider(self, provider) -> "FadewichSystem":
-        """Connect the KMA idle-time source and build the control plane."""
+        """Connect the KMA idle-time source and start a fresh live day.
+
+        Builds the control plane (controller and sessions) and a new MD
+        :attr:`detector` with an empty open-window buffer, so
+        :meth:`process_sample` may start again from any time.
+        """
         self._kma = KeyboardMouseActivity(provider)
+        self._detector = OnlineDetector(
+            self._stream_ids, self._config.md, self._rate
+        )
+        self._window_samples = []
         self._sessions = {
             wid: WorkstationSession(wid, t_id_s=self._config.t_id_s)
             for wid in self._workstation_ids
@@ -211,8 +220,6 @@ class FadewichSystem:
         ``[t1, t1 + t_delta]``, classified as Table IV classifies them.
         """
         t_delta = self._config.t_delta_s
-        # Cut the window once: RE reads the same samples from it, and a
-        # whole recorded day is masked only here.
         window = trace.slice_time(t1, t1 + t_delta)
         if not self._re.is_trained or window.n_samples < 2:
             # Neither an untrained RE nor fewer than two samples can name a
@@ -284,8 +291,9 @@ class FadewichSystem:
         :meth:`process_sample` each sample), and the controller consumes
         them in a lean loop with precomputed idle times and input flags.
         RE is only invoked at the instants Rule 1 fires, on the day's
-        samples of ``[t1, t1 + t_delta]``.  Note the system's online
-        :attr:`detector` state is bypassed (not advanced) on this path.
+        samples of ``[t1, t1 + t_delta]``.  The system's online
+        :attr:`detector` is not advanced on this path; like every
+        :meth:`attach_idle_provider`, the replay leaves a fresh one.
 
         Raises
         ------

@@ -17,6 +17,9 @@ package turns the derivation into a first-class seam:
   the per-stream rolling std behind ``CampaignStdFeatures``: the live
   detector's ``s_t`` convention (partial windows from the second sample),
   so sweep evaluations see the numbers a deployed router sees.
+- :mod:`repro.features.window` provides :func:`window_statistics`, RE's
+  per-stream variance, histogram entropy and autocorrelation of every
+  ``[t1, t1 + t_delta]`` window, one reduction over a block of windows.
 """
 
 from .base import (
@@ -28,6 +31,7 @@ from .base import (
 )
 from .rolling import RollingStdExtractor
 from .store import FeatureStore
+from .window import window_statistics
 
 __all__ = [
     "EXTRACTORS",
@@ -37,4 +41,5 @@ __all__ = [
     "extractor_names",
     "get_extractor",
     "register_extractor",
+    "window_statistics",
 ]

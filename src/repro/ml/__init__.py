@@ -13,21 +13,17 @@ Public API
 - :class:`~repro.ml.kernels.LinearKernel`, :class:`~repro.ml.kernels.RBFKernel`,
   :class:`~repro.ml.kernels.PolynomialKernel`
 - :class:`~repro.ml.scaling.StandardScaler`
-- :class:`~repro.ml.features.FeatureExtractor` and the window feature functions
 - :class:`~repro.ml.metrics.DetectionCounts`, ``accuracy``
 - ``stratified_kfold_indices``, ``learning_curve``
 - ``relative_mutual_information``, ``rank_features_by_rmi``
 - ``correlation_matrix``
+
+The RE window statistics the SVM classifies (per-stream variance,
+histogram entropy and autocorrelation) are features, not learners: they
+live in :func:`repro.features.window.window_statistics`.
 """
 
 from .correlation import CorrelationResult, correlation_matrix
-from .features import (
-    FeatureExtractor,
-    stream_features,
-    window_autocorrelation,
-    window_entropy,
-    window_variance,
-)
 from .kde import (
     GaussianKDE,
     bisect_quantiles,
@@ -74,7 +70,6 @@ __all__ = [
     "BinarySVC",
     "CorrelationResult",
     "DetectionCounts",
-    "FeatureExtractor",
     "FeatureImportance",
     "GaussianKDE",
     "Kernel",
@@ -105,9 +100,5 @@ __all__ = [
     "silverman_bandwidth",
     "stratified_fold_assignments",
     "stratified_kfold_indices",
-    "stream_features",
     "stream_importance",
-    "window_autocorrelation",
-    "window_entropy",
-    "window_variance",
 ]

@@ -2,7 +2,7 @@
 
 The MD and RE modules consume *streams of RSSI measurements*.
 :class:`RssiTrace` holds a complete timestamped recording, with the
-time-window views RE's features are read from; :class:`StreamBuffer` is
+time-window cuts Rule 1 classifies; :class:`StreamBuffer` is
 the bounded per-stream window of the scalar ``s_t`` reference
 (:class:`~repro.core.movement.StdSumTracker`).
 """
@@ -63,7 +63,7 @@ class RssiTrace:
     Attributes
     ----------
     times:
-        Sample timestamps in seconds, strictly increasing.
+        Sample timestamps in seconds, finite and strictly increasing.
     streams:
         Mapping stream id -> array of RSSI samples, one per timestamp.
     """
@@ -81,6 +81,8 @@ class RssiTrace:
                     f"stream {sid!r} has {arr.shape[0]} samples, expected {n}"
                 )
             self.streams[sid] = arr
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("timestamps must be finite")
         if n > 1 and np.any(np.diff(self.times) <= 0):
             raise ValueError("timestamps must be strictly increasing")
 
@@ -108,21 +110,20 @@ class RssiTrace:
         return float(np.median(np.diff(self.times)))
 
     def slice_time(self, t_start: float, t_end: float) -> "RssiTrace":
-        """Sub-trace with timestamps in ``[t_start, t_end]`` (inclusive)."""
-        if t_end < t_start:
-            raise ValueError("t_end must be >= t_start")
-        mask = (self.times >= t_start) & (self.times <= t_end)
-        return RssiTrace(
-            times=self.times[mask],
-            streams={sid: arr[mask] for sid, arr in self.streams.items()},
-        )
+        """Sub-trace with timestamps in ``[t_start, t_end]`` (inclusive).
 
-    def window_at(
-        self, t_start: float, t_end: float
-    ) -> Dict[str, np.ndarray]:
-        """Per-stream measurement windows for ``[t_start, t_end]``."""
-        sliced = self.slice_time(t_start, t_end)
-        return dict(sliced.streams)
+        Cut by two binary searches on the strictly increasing, finite
+        timestamps, so a short window of a long day costs O(log n + window).
+        The sub-trace owns copies of its samples.
+        """
+        if not t_start <= t_end:
+            raise ValueError("t_end must be >= t_start (and neither NaN)")
+        lo = np.searchsorted(self.times, t_start, side="left")
+        hi = np.searchsorted(self.times, t_end, side="right")
+        return RssiTrace(
+            times=self.times[lo:hi].copy(),
+            streams={sid: arr[lo:hi].copy() for sid, arr in self.streams.items()},
+        )
 
     def restricted_to(self, stream_ids: Iterable[str]) -> "RssiTrace":
         """A trace containing only the named streams (independent copies)."""

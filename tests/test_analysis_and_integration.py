@@ -32,6 +32,7 @@ from repro.analysis import (
 from repro.analysis.campaign import CampaignScale, collect_campaign
 from repro.core.system import FadewichSystem
 from repro.core.controller import ControllerState
+from repro.workstation.idle import TraceIdleProvider
 
 
 class TestCampaignScales:
@@ -251,6 +252,37 @@ class TestFullSystemReplay:
             recording.days[0].events.entries()
         ) + 5
         assert system._controller.state in (ControllerState.QUIET, ControllerState.NOISY)
+
+    def test_reattach_starts_a_fresh_live_day(self, analysis_context):
+        context = analysis_context
+        re_module, dataset = context.sample_dataset(9)
+        day = context.recording.days[0]
+        stream_ids = re_module.stream_ids
+        rows = np.column_stack([day.trace.streams[sid] for sid in stream_ids])
+
+        def system():
+            live = FadewichSystem(
+                stream_ids=stream_ids,
+                workstation_ids=context.recording.layout.workstation_ids,
+                config=context.config,
+            )
+            return live.train(dataset)
+
+        def live_pass(live):
+            live.attach_idle_provider(TraceIdleProvider(day.activity))
+            states = [
+                live.process_sample(t, dict(zip(stream_ids, row)))
+                for t, row in zip(day.trace.times.tolist(), rows.tolist())
+            ]
+            return states, live.report()
+
+        twice = system()
+        first = live_pass(twice)
+        second = live_pass(twice)
+        fresh = live_pass(system())
+        assert first[0] == second[0] == fresh[0]
+        assert first[1] == second[1] == fresh[1]
+        assert fresh[1].alerts + fresh[1].deauthentications > 0
 
     def test_process_sample_requires_idle_provider(self, analysis_context):
         re_module, _ = analysis_context.sample_dataset(9)

@@ -195,7 +195,7 @@ class TestRadioEnvironment:
         dataset = re_module.empty_dataset()
         for label, shift in (("w0", 0.0), ("w1", 5.0), ("w2", 10.0)):
             for k in range(n_per_class):
-                features = rng.normal(shift, 0.3, re_module.extractor.n_features)
+                features = rng.normal(shift, 0.3, len(re_module.feature_names))
                 dataset.add(
                     LabeledSample(
                         features=features, label=label, time=float(k), day_index=0
@@ -207,12 +207,24 @@ class TestRadioEnvironment:
         re_module = RadioEnvironment(stream_ids=["a-b", "b-a"])
         assert len(re_module.feature_names) == 6
 
+    def test_feature_names_follow_paper_convention(self):
+        re_module = RadioEnvironment(stream_ids=["d1-d2"])
+        assert re_module.feature_names == ["d1-d2-var", "d1-d2-ent", "d1-d2-ac"]
+
+    def test_duplicate_stream_ids_raise(self):
+        with pytest.raises(ValueError, match="unique"):
+            RadioEnvironment(stream_ids=["d1-d2", "d1-d2"])
+
+    def test_empty_stream_ids_raise(self):
+        with pytest.raises(ValueError):
+            RadioEnvironment(stream_ids=[])
+
     def test_fit_and_classify_synthetic(self, rng):
         re_module = RadioEnvironment(stream_ids=["a-b"], config=REConfig())
         dataset = self._dataset(re_module, rng)
         re_module.fit(dataset)
         assert re_module.is_trained
-        sample = rng.normal(5.0, 0.3, re_module.extractor.n_features)
+        sample = rng.normal(5.0, 0.3, len(re_module.feature_names))
         assert re_module.classify(sample) == "w1"
 
     def test_classify_before_fit_raises(self):
@@ -230,7 +242,7 @@ class TestRadioEnvironment:
         re_module = RadioEnvironment(stream_ids=list(trace.stream_ids))
         window = VariationWindow(100.0, 108.0)
         features = re_module.extract_sample(trace, window, t_delta_s=4.5)
-        assert features.shape == (re_module.extractor.n_features,)
+        assert features.shape == (len(re_module.feature_names),)
         assert np.all(np.isfinite(features))
 
     def test_extract_sample_missing_stream_raises(self):
@@ -238,6 +250,12 @@ class TestRadioEnvironment:
         re_module = RadioEnvironment(stream_ids=["a-b", "b-a"])
         with pytest.raises(KeyError):
             re_module.extract_sample(trace, VariationWindow(100.0, 108.0), 4.5)
+
+    def test_extract_sample_short_window_raises(self):
+        trace = synthetic_trace()
+        re_module = RadioEnvironment(stream_ids=list(trace.stream_ids))
+        with pytest.raises(ValueError, match="fewer than 2 samples"):
+            re_module.extract_sample(trace, VariationWindow(199.75, 205.0), 4.5)
 
     def test_extract_sample_invalid_t_delta(self):
         trace = synthetic_trace()
@@ -255,9 +273,13 @@ class TestRadioEnvironment:
         trace = synthetic_trace()
         re_module = RadioEnvironment(stream_ids=list(trace.stream_ids))
         window = VariationWindow(100.0, 108.0)
-        sample = re_module.make_sample(trace, window, 4.5, label="w1")
+        sample = LabeledSample(
+            re_module.extract_sample(trace, window, 4.5), label="w1", time=100.0
+        )
         quiet_window = VariationWindow(20.0, 28.0)
-        quiet = re_module.make_sample(trace, quiet_window, 4.5, label="w0")
+        quiet = LabeledSample(
+            re_module.extract_sample(trace, quiet_window, 4.5), label="w0", time=20.0
+        )
         dataset = re_module.empty_dataset()
         # duplicate with jitter to get a trainable set
         for base in (sample, quiet):

@@ -1,15 +1,8 @@
-"""Tests for the KDE estimator and the RE window features."""
+"""Tests for the KDE estimator and the feature scaler."""
 
 import numpy as np
 import pytest
 
-from repro.ml.features import (
-    FeatureExtractor,
-    stream_features,
-    window_autocorrelation,
-    window_entropy,
-    window_variance,
-)
 from repro.ml.kde import GaussianKDE, scott_bandwidth, silverman_bandwidth
 from repro.ml.scaling import StandardScaler
 
@@ -122,81 +115,6 @@ class TestGaussianKDE:
     def test_bandwidth_rules_handle_constant_data(self):
         assert scott_bandwidth(np.ones(10)) == 1.0
         assert silverman_bandwidth(np.ones(10)) == 1.0
-
-
-class TestWindowFeatures:
-    def test_variance_of_constant_window_is_zero(self):
-        assert window_variance([5.0] * 10) == pytest.approx(0.0)
-
-    def test_variance_matches_numpy(self, rng):
-        window = rng.normal(size=64)
-        assert window_variance(window) == pytest.approx(float(np.var(window)))
-
-    def test_entropy_of_constant_window_is_zero(self):
-        assert window_entropy([3.0] * 20) == pytest.approx(0.0)
-
-    def test_entropy_increases_with_spread(self, rng):
-        narrow = rng.normal(0.0, 0.001, size=200)
-        uniform = rng.uniform(-10, 10, size=200)
-        assert window_entropy(uniform, bins=16) > window_entropy(narrow, bins=2)
-
-    def test_entropy_bounded_by_log_bins(self, rng):
-        window = rng.uniform(size=1000)
-        assert window_entropy(window, bins=8) <= np.log(8) + 1e-9
-
-    def test_autocorrelation_of_constant_window_is_one(self):
-        assert window_autocorrelation([2.0] * 10) == pytest.approx(1.0)
-
-    def test_autocorrelation_of_alternating_signal_is_negative(self):
-        window = [1.0, -1.0] * 20
-        assert window_autocorrelation(window, lag=1) < -0.9
-
-    def test_autocorrelation_lag_beyond_window_is_zero(self):
-        assert window_autocorrelation([1.0, 2.0, 3.0], lag=10) == 0.0
-
-    def test_autocorrelation_of_smooth_signal_is_positive(self):
-        window = np.sin(np.linspace(0, np.pi, 50))
-        assert window_autocorrelation(window, lag=1) > 0.8
-
-    def test_empty_window_raises(self):
-        with pytest.raises(ValueError):
-            window_variance([])
-        with pytest.raises(ValueError):
-            window_entropy([])
-        with pytest.raises(ValueError):
-            window_autocorrelation([])
-
-    def test_stream_features_returns_triplet(self, rng):
-        var, ent, ac = stream_features(rng.normal(size=30))
-        assert var >= 0
-        assert ent >= 0
-        assert -1.0 - 1e-9 <= ac <= 1.0 + 1e-9
-
-
-class TestFeatureExtractor:
-    def test_feature_vector_layout(self, rng):
-        extractor = FeatureExtractor(stream_ids=("d1-d2", "d2-d1"))
-        windows = {"d1-d2": rng.normal(size=20), "d2-d1": rng.normal(size=20)}
-        vec = extractor.extract(windows)
-        assert vec.shape == (6,)
-        assert extractor.n_features == 6
-
-    def test_feature_names_follow_paper_convention(self):
-        extractor = FeatureExtractor(stream_ids=("d1-d2",))
-        assert extractor.feature_names() == ["d1-d2-var", "d1-d2-ent", "d1-d2-ac"]
-
-    def test_missing_stream_raises(self, rng):
-        extractor = FeatureExtractor(stream_ids=("d1-d2", "d2-d1"))
-        with pytest.raises(KeyError):
-            extractor.extract({"d1-d2": rng.normal(size=10)})
-
-    def test_duplicate_stream_ids_raise(self):
-        with pytest.raises(ValueError):
-            FeatureExtractor(stream_ids=("d1-d2", "d1-d2"))
-
-    def test_empty_stream_ids_raise(self):
-        with pytest.raises(ValueError):
-            FeatureExtractor(stream_ids=())
 
 
 class TestScalers:

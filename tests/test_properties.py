@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from repro.core.evaluation import DayEvaluation, MDEvaluation, sensor_subset
 from repro.core.movement import OfflineMDResult
 from repro.core.windows import VariationWindow, match_windows, true_window_for_event
-from repro.ml.features import window_autocorrelation, window_entropy, window_variance
+from repro.features import window_statistics
 from repro.ml.kde import GaussianKDE, bisect_quantiles, mixture_quantiles
 from repro.ml.kernels import make_kernel
 from repro.ml.metrics import DetectionCounts
@@ -191,14 +191,19 @@ class TestBatchTrajectoryProperties:
 
 
 class TestFeatureProperties:
+    @staticmethod
+    def _stats(values, bins=16, lag=1):
+        row = np.asarray(values, dtype=float)[None, :]
+        return window_statistics(row, entropy_bins=bins, ac_lag=lag)[0]
+
     @given(values=st.lists(finite_floats, min_size=1, max_size=100))
     def test_variance_nonnegative(self, values):
-        assert window_variance(values) >= 0.0
+        assert self._stats(values)[0] >= 0.0
 
     @given(values=st.lists(finite_floats, min_size=1, max_size=100),
            bins=st.integers(min_value=1, max_value=64))
     def test_entropy_bounds(self, values, bins):
-        entropy = window_entropy(values, bins=bins)
+        entropy = self._stats(values, bins=bins)[1]
         assert -1e-9 <= entropy <= np.log(bins) + 1e-9
 
     @given(values=st.lists(finite_floats, min_size=2, max_size=100),
@@ -206,7 +211,7 @@ class TestFeatureProperties:
     def test_autocorrelation_bounded(self, values, lag):
         # The paper's estimator divides by (n - k) while the variance uses n,
         # so at large lags its magnitude can exceed 1 but never n / (n - k).
-        ac = window_autocorrelation(values, lag=lag)
+        ac = self._stats(values, lag=lag)[2]
         n = len(values)
         bound = n / max(n - lag, 1) + 1e-6
         assert -bound <= ac <= bound

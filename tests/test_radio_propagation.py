@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.radio.channel import ChannelConfig, RadioChannel
 from repro.radio.fading import LinkFadeLevel, QuiescentNoise, SkewLaplace
@@ -470,16 +472,63 @@ class TestTraces:
         with pytest.raises(ValueError):
             single.sample_interval
 
-    def test_trace_window_at_is_inclusive(self):
+    def test_trace_slice_time_is_inclusive(self):
         times = np.arange(0, 5, 0.5)
         values = np.arange(times.shape[0], dtype=float)
         trace = RssiTrace(times=times, streams={"a-b": values, "b-a": -values})
-        window = trace.window_at(1.0, 2.0)
-        assert list(window) == ["a-b", "b-a"]
-        assert list(window["a-b"]) == [2.0, 3.0, 4.0]
-        assert list(window["b-a"]) == [-2.0, -3.0, -4.0]
+        window = trace.slice_time(1.0, 2.0)
+        assert window.stream_ids == ["a-b", "b-a"]
+        assert list(window.streams["a-b"]) == [2.0, 3.0, 4.0]
+        assert list(window.streams["b-a"]) == [-2.0, -3.0, -4.0]
+        window.streams["a-b"][0] = 99.0  # the slice owns its samples
+        assert trace.streams["a-b"][2] == 2.0
         with pytest.raises(ValueError):
-            trace.window_at(2.0, 1.0)
+            trace.slice_time(2.0, 1.0)
+        with pytest.raises(ValueError):
+            trace.slice_time(1.0, float("nan"))
+        with pytest.raises(ValueError):
+            trace.slice_time(float("nan"), 2.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        gaps=st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=30),
+        origin=st.floats(-1e6, 1e6),
+        picks=st.tuples(st.integers(-2, 32), st.integers(-2, 32)),
+        shifts=st.tuples(
+            st.sampled_from([0.0, 1e-9, -1e-9, 0.25]),
+            st.sampled_from([0.0, 1e-9, -1e-9, 0.25]),
+        ),
+        span=st.floats(0.0, 50.0),
+    )
+    def test_trace_slice_time_equals_mask(self, gaps, origin, picks, shifts, span):
+        times = origin + np.concatenate([[0.0], np.cumsum(gaps)])
+        if times.shape[0] > 1 and np.any(np.diff(times) <= 0):
+            return  # the gaps vanished against a large origin
+        values = np.arange(times.shape[0], dtype=float) * 1.5 - 7.0
+        trace = RssiTrace(times=times, streams={"a-b": values, "b-a": -values})
+
+        def bound(pick, shift):
+            # on a sample time, just off one, or outside the trace
+            if pick < 0:
+                return times[0] - 5.0 + shift
+            if pick >= times.shape[0]:
+                return times[-1] + 5.0 + shift
+            return times[pick] + shift
+
+        t_start = bound(picks[0], shifts[0])
+        t_end = max(bound(picks[1], shifts[1]), t_start + span)
+        mask = (times >= t_start) & (times <= t_end)
+        sliced = trace.slice_time(t_start, t_end)
+        assert sliced.times.tobytes() == times[mask].tobytes()
+        for sid, arr in trace.streams.items():
+            assert sliced.streams[sid].tobytes() == arr[mask].tobytes()
+        with pytest.raises(ValueError):
+            trace.slice_time(t_end + 1.0, t_end)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_trace_non_finite_times_raise(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            RssiTrace(times=np.array([0.0, bad, 2.0, 3.0]), streams={"s": np.zeros(4)})
 
     def test_trace_restricted_view_shares_arrays(self):
         times = np.arange(4, dtype=float)
