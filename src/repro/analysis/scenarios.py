@@ -53,7 +53,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     Collection,
     Dict,
@@ -449,15 +449,22 @@ class ScenarioResult:
         }
 
     @staticmethod
-    def from_dict(data: Mapping) -> "ScenarioResult":
+    def from_dict(
+        data: Mapping, spec: Optional[ScenarioSpec] = None
+    ) -> "ScenarioResult":
         """Rebuild a result from :meth:`to_dict` output.
 
-        ``recording`` is always ``None`` on the reconstructed result: raw
-        RSSI traces are never persisted (only the aggregated numbers are),
-        exactly like a ``keep_recordings=False`` run.
+        With ``spec`` (a sweep resume's own) the stored spec, which must
+        still be a mapping, is not decoded.  ``recording`` is always
+        ``None``: raw RSSI traces are never persisted (only the aggregated
+        numbers are), exactly like a ``keep_recordings=False`` run.
         """
+        if spec is None:
+            spec = ScenarioSpec.from_dict(data["spec"])
+        elif not isinstance(data["spec"], Mapping):
+            raise TypeError("the stored spec is not a mapping")
         return ScenarioResult(
-            spec=ScenarioSpec.from_dict(data["spec"]),
+            spec=spec,
             n_events=int(data["n_events"]),
             n_departures=int(data["n_departures"]),
             md_rows=[MDTableRow.from_dict(row) for row in data["md"]],
@@ -735,11 +742,13 @@ class SweepReport:
             ],
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self, indent: Optional[int] = None) -> str:
+        """Sorted-key JSON, on one line (C-encoded) unless ``indent`` is
+        given; :meth:`load` reads either layout."""
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def save(self, path) -> None:
-        """Write the JSON export for downstream tooling."""
+        """Write :meth:`to_json` (one line) for downstream tooling."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json())
 
@@ -1257,29 +1266,30 @@ class ScenarioSweepRunner:
         an older ``repro`` must be recomputed, not resumed.  (Conservative
         by design — a version bump invalidates stores even when the
         analysis maths is untouched; recomputing is cheap next to silently
-        mixing semantics in one report.)
+        mixing semantics in one report.)  Digests are memoised per call
+        only, so a component retuned in place between runs reads stale.
         """
-        return {
+        return self._store_keys([spec])[spec.name]
+
+    def _store_keys(self, specs: Sequence[ScenarioSpec]) -> Dict[str, Dict]:
+        """:meth:`store_key` of every spec, by name.  Runner-wide fields are
+        built once, the features digest once per typed ``std_window_s`` (4
+        and 4.0 encode differently), the content hash once per distinct
+        component objects, keyed by ``id`` (``specs`` keeps them alive)."""
+        shared = {
             "version": _library_version(),
             "root_entropy": _entropy_json(self._root),
             "root_spawn_key": list(self._root.spawn_key),
-            "sim_index": self._sim_indices[spec.simulation_key()],
             "analysis_seed": self._analysis_seed,
-            "detector": spec.detector_name,
-            "sensor_counts": self._sensor_counts_for(spec),
             "re_sensor_counts": (
                 list(self._re_sensor_counts)
                 if self._re_sensor_counts is not None
                 else None
             ),
-            "content_hash": spec.content_hash(),
             # Feature-pipeline identity: the fingerprint of the extractor
             # the analysis features resolve to, plus the zone workload (or
             # its absence).  A retuned extractor or estimator can never
             # silently reuse records computed under the old definition.
-            "features": digest(
-                RollingStdExtractor(std_window_s=spec.config.md.std_window_s)
-            ),
             # The one-element list keeps the value stored keys carry.
             "zones": (
                 None
@@ -1287,6 +1297,29 @@ class ScenarioSweepRunner:
                 else digest([self._zone_estimator])
             ),
         }
+        content_hashes: Dict[Tuple[int, ...], str] = {}
+        feature_digests: Dict[Tuple[type, float], str] = {}
+        keys: Dict[str, Dict[str, object]] = {}
+        for spec in specs:
+            parts = spec.layout, spec.scale, spec.channel_config, spec.config
+            ids = tuple(map(id, (*parts, spec.detector)))
+            if ids not in content_hashes:
+                content_hashes[ids] = spec.content_hash()
+            window = spec.config.md.std_window_s
+            window_key = (type(window), window)
+            if window_key not in feature_digests:
+                feature_digests[window_key] = digest(
+                    RollingStdExtractor(std_window_s=window)
+                )
+            keys[spec.name] = {
+                **shared,
+                "sim_index": self._sim_indices[spec.simulation_key()],
+                "detector": spec.detector_name,
+                "sensor_counts": self._sensor_counts_for(spec),
+                "content_hash": content_hashes[ids],
+                "features": feature_digests[window_key],
+            }
+        return keys
 
     def _load_stored(
         self, store: SweepStore, spec: ScenarioSpec, key: Dict[str, object]
@@ -1296,7 +1329,8 @@ class ScenarioSweepRunner:
         if payload is None:
             return None
         try:
-            result = ScenarioResult.from_dict(payload)
+            # The runner's own spec wins: the stored index may be stale.
+            return ScenarioResult.from_dict(payload, spec)
         except (KeyError, TypeError, ValueError):
             # A matching key on a mangled payload (hand-edited record,
             # foreign writer): honour the corrupted-files-read-as-misses
@@ -1306,10 +1340,6 @@ class ScenarioSweepRunner:
             # records.
             store.stats.reclassify_hit_as_stale()
             return None
-        # The runner's own spec is authoritative (the record matched its
-        # content hash and seed identity; the stored copy may carry a
-        # stale enumeration index).
-        return replace(result, spec=spec)
 
     def run(
         self, store: Optional[SweepStore] = None, *, claims: object = None
@@ -1323,7 +1353,8 @@ class ScenarioSweepRunner:
         atomically — so an interrupted sweep resumes where it stopped and a
         completed sweep re-runs without any day-collection work, returning
         a report bit-identical (``to_dict()``) to the cold run.
-        :attr:`last_run_stats` records what actually happened.
+        :attr:`last_run_stats` records what actually happened.  Keys are
+        derived once per call, each digest once per distinct component.
 
         Raw recordings are never persisted, so store-loaded results carry
         ``recording=None`` even under ``keep_recordings=True``: after a
@@ -1363,9 +1394,9 @@ class ScenarioSweepRunner:
         results: Dict[str, ScenarioResult] = {}
         store_keys: Dict[str, Dict[str, object]] = {}
         if store is not None:
+            store_keys = self._store_keys(self._specs)
             for spec in self._specs:
-                key = store_keys[spec.name] = self.store_key(spec)
-                result = self._load_stored(store, spec, key)
+                result = self._load_stored(store, spec, store_keys[spec.name])
                 if result is not None:
                     results[spec.name] = result
         missing = [spec for spec in self._specs if spec.name not in results]

@@ -1029,6 +1029,6 @@ def run_prioritized(
     if report_path is not None:
         result.report_path = Path(report_path)
         with open(result.report_path, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            # json.dump never uses the C encoder; dumps without indent does.
+            handle.write(json.dumps(result.to_dict(), sort_keys=True) + "\n")
     return result

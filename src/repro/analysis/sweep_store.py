@@ -1,10 +1,8 @@
 """Persistent, resumable storage of scenario-sweep results.
 
-PR 3's sweep engine made scenario grids cheap to *run*, but every
-``ScenarioSweepRunner.run()`` started from zero: an interrupted 200-point
-grid lost all completed work.  This module adds the persistence layer:
-the :class:`SweepStore`, one JSON record per grid point, written
-atomically (temp file + ``os.replace``), keyed by the scenario name
+The :class:`SweepStore` keeps one JSON record per completed grid point, so
+an interrupted sweep resumes where it stopped.  Records are written
+atomically (temp file + ``os.replace``) and keyed by the scenario name
 **and** a structured key carrying the sweep's root-seed fingerprint and
 the scenario's configuration digest (:func:`repro.identity.digest`).  A
 record whose key does not match the requested one is treated as stale
@@ -15,7 +13,9 @@ computed under the old definition.
 The store deliberately deals in plain dicts: the scenario types serialise
 themselves (``ScenarioResult.to_dict`` / ``from_dict`` in
 :mod:`repro.analysis.scenarios`), which keeps this module free of circular
-imports and makes records greppable JSON on disk.
+imports and makes records greppable JSON on disk.  A record is one line of
+sorted-key JSON (``python -m json.tool`` pretty-prints it); indented records
+of earlier versions still read, as the checksum covers the parsed payload.
 """
 
 from __future__ import annotations
@@ -422,6 +422,7 @@ class SweepStore:
         file, flushed and ``fsync``-ed, then ``os.replace``-d into place:
         a crash at any instant leaves either the previous complete record
         or the new one, and the new one only after its bytes are durable.
+        It is one line of sorted-key JSON, which :mod:`json` encodes in C.
         """
         record = {
             "format": RECORD_FORMAT,
@@ -436,7 +437,7 @@ class SweepStore:
             spec = self._faults.fired(STORE_WRITE)
             if spec is not None:
                 raise OSError(f"injected fault at {STORE_WRITE!r}")
-        text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(record, sort_keys=True) + "\n"
         if self._faults is not None:
             spec = self._faults.fired(STORE_CORRUPT)
             if spec is not None:

@@ -93,11 +93,6 @@ class FadewichController:
         """All actions applied so far, in order."""
         return list(self._actions)
 
-    def reset(self) -> None:
-        """Return to the Quiet state (e.g. at the start of a new day)."""
-        self._state = ControllerState.QUIET
-        self._rule1_fired_for_window = False
-
     # ------------------------------------------------------------------ #
     def _apply_rule1(self, t: float, predicted_label: str) -> None:
         """Rule 1: deauthenticate the classified workstation if it is idle."""

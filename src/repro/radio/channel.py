@@ -475,7 +475,3 @@ class RadioChannel:
                 rssi = np.round(rssi / cfg.quantization_db) * cfg.quantization_db
             out[start:stop] = rssi
         return out
-
-    def reset(self) -> None:
-        """Reset the slow drift state (e.g. between independent campaigns)."""
-        self._drift = 0.0

@@ -95,7 +95,7 @@ class OnlineStdSum:
             raise ValueError("window_samples must be >= 2")
         self._k = int(n_streams)
         self._w = int(window_samples)
-        self.reset()
+        self._carry = Carry(self._w - 1, range(self._k))
 
     @property
     def window_samples(self) -> int:
@@ -107,11 +107,8 @@ class OnlineStdSum:
 
     @property
     def samples_seen(self) -> int:
-        """Total samples consumed since construction / :meth:`reset`."""
+        """Total samples consumed, a restored snapshot's included."""
         return self._carry.count
-
-    def reset(self) -> None:
-        self._carry = Carry(self._w - 1, range(self._k))
 
     def snapshot(self) -> Dict[str, Any]:
         """JSON-ready bounded state: sample count + per-stream carry tails."""

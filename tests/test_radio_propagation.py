@@ -402,12 +402,6 @@ class TestRadioChannel:
         assert d_short < d_long
         assert short > long
 
-    def test_reset_clears_drift(self, channel):
-        for _ in range(10):
-            channel.sample_vector([])
-        channel.reset()
-        assert channel._drift == 0.0
-
 
 class TestTraces:
     def test_stream_buffer_window(self):

@@ -96,6 +96,17 @@ class TestSweepStore:
             "writes": 1, "lookups": 2,
         }
 
+    def test_one_line_records_and_indented_ones_still_hit(self, tmp_path):
+        store = SweepStore(tmp_path)
+        path = store.put("a", self.KEY, self.PAYLOAD)
+        record = json.loads(path.read_text())
+        assert path.read_text() == json.dumps(record, sort_keys=True) + "\n"
+        # The indented layout earlier versions wrote reads as a hit: the
+        # checksum covers the parsed payload, not the file's bytes.
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        assert store.get("a", self.KEY) == self.PAYLOAD
+        assert store.stats.hits == 1 and store.stats.corrupt == 0
+
     def test_mismatched_key_is_stale_not_served(self, tmp_path):
         store = SweepStore(tmp_path)
         store.put("a", self.KEY, self.PAYLOAD)
@@ -424,6 +435,8 @@ class TestReportRoundTrip:
     def test_save_load_compares_equal(self, report, tmp_path):
         path = tmp_path / "report.json"
         report.save(path)
+        assert path.read_text() == report.to_json()
+        assert "\n" not in report.to_json()
         loaded = SweepReport.load(path)
         assert [r.spec for r in loaded.results] == [
             r.spec for r in report.results
@@ -442,6 +455,12 @@ class TestReportRoundTrip:
         assert loaded.cell_statistics() == report.cell_statistics()
         assert loaded.to_dict() == report.to_dict()
         assert loaded.seed_entropy == 13
+
+    def test_indented_report_loads_equal(self, report, tmp_path):
+        # Reports saved indented by earlier versions still load.
+        path = tmp_path / "indented.json"
+        path.write_text(report.to_json(indent=2), encoding="utf-8")
+        assert SweepReport.load(path).to_dict() == report.to_dict()
 
     def test_round_trip_with_re_stage_and_dropped_recordings(self, tmp_path):
         grid = ScenarioGrid(
@@ -644,6 +663,32 @@ class TestResumableSweep:
         assert stats.hits == len(cold.results) - 1
         assert stats.hits + stats.misses + stats.stale == len(cold.results)
 
+    @pytest.mark.parametrize(
+        "mangle",
+        [
+            lambda payload: {k: v for k, v in payload.items() if k != "spec"},
+            lambda payload: {**payload, "spec": ["not", "a", "mapping"]},
+        ],
+        ids=["no-spec", "spec-not-mapping"],
+    )
+    def test_payload_without_spec_mapping_is_stale(self, tmp_path, mangle):
+        # A warm run does not decode the stored spec, but a payload
+        # without one is still not a record this runner wrote.
+        runner = self.runner()
+        store = SweepStore(tmp_path)
+        cold = runner.run(store=store)
+        victim = cold.results[0]
+        store.put(
+            victim.spec.name,
+            runner.store_key(victim.spec),
+            mangle(victim.to_dict()),
+        )
+        store.reset_stats()
+        assert runner.run(store=store).to_dict() == cold.to_dict()
+        assert store.stats.stale == 1
+        assert store.stats.hits == len(cold.results) - 1
+        assert runner.last_run_stats.n_analyzed == 1
+
     def test_non_dict_result_payload_is_stale(self, tmp_path):
         # The record is recognisably ours (name matches) but its result
         # block is mangled: unusable, so `stale` — and invisible to
@@ -663,6 +708,84 @@ class TestResumableSweep:
         stats = self.runner()
         with_store_none = stats.run(store=None)
         assert with_store_none.to_dict() == plain.to_dict()
+
+
+class TestWarmResumeWork:
+    """A warm ``run()`` derives each key digest once per distinct component
+    of the call, never decodes the stored spec, and memoises nothing across
+    calls."""
+
+    @staticmethod
+    def runner():
+        grid = ScenarioGrid(
+            layouts=[paper_office()],
+            scales=[tiny_scale("one-day", n_days=1)],
+            detectors=["kde_md", "ema_mad", "variance"],
+            n_replicates=2,
+            sensor_counts=(3,),
+        )
+        return ScenarioSweepRunner(
+            grid, seed=7, mode="serial", re_sensor_counts=()
+        )
+
+    @pytest.fixture
+    def filled(self, tmp_path):
+        store = SweepStore(tmp_path)
+        return store, self.runner().run(store=store)
+
+    def test_content_hash_once_per_distinct_components(
+        self, filled, monkeypatch
+    ):
+        store, cold = filled
+        hashed, looked_up = [], {}
+        content_hash, get = ScenarioSpec.content_hash, SweepStore.get
+
+        def counting_hash(spec):
+            hashed.append(spec.name)
+            return content_hash(spec)
+
+        def recording_get(self, name, key):
+            looked_up[name] = key
+            return get(self, name, key)
+
+        monkeypatch.setattr(ScenarioSpec, "content_hash", counting_hash)
+        monkeypatch.setattr(SweepStore, "get", recording_get)
+        runner = self.runner()
+        assert runner.run(store=store).to_dict() == cold.to_dict()
+        # 3 detectors x 2 replicates share 3 component tuples; a key per
+        # spec hashed all 6.
+        assert len(hashed) == 3
+        assert looked_up == {
+            spec.name: runner.store_key(spec) for spec in runner.specs
+        }
+
+    def test_stored_specs_are_not_decoded(self, filled, monkeypatch):
+        store, cold = filled
+
+        def refuse(data):
+            raise AssertionError("a warm run decoded a stored spec")
+
+        monkeypatch.setattr(ScenarioSpec, "from_dict", staticmethod(refuse))
+        store.reset_stats()
+        runner = self.runner()
+        assert runner.run(store=store).to_dict() == cold.to_dict()
+        assert store.stats.hits == len(runner.specs)
+        assert runner.last_run_stats.n_analyzed == 0
+
+    def test_detector_retuned_in_place_reads_stale(self, tmp_path):
+        store = SweepStore(tmp_path)
+        runner = self.runner()
+        runner.run(store=store)
+        variance = runner.specs[-1].detector
+        assert runner.specs[-1].detector_name == "variance"
+        object.__setattr__(
+            variance, "threshold_scale", variance.threshold_scale * 2
+        )
+        store.reset_stats()
+        runner.run(store=store)
+        assert store.stats.stale == 2  # both variance replicates
+        assert store.stats.hits == 4
+        assert runner.last_run_stats.n_analyzed == 2
 
 
 class TestCellStatistics:
