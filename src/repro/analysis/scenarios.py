@@ -937,8 +937,9 @@ class ScenarioSweepRunner:
         Root seed of the whole sweep; scenario ``i`` derives the child
         ``(SCENARIO_DOMAIN, i)``.
     mode / max_workers:
-        Forwarded to the underlying :class:`CampaignRunner` pool; all days
-        of all scenarios share it.
+        Forwarded to the underlying :class:`CampaignRunner`: ``"process"``
+        (one worker pool that all days of all scenarios share) or
+        ``"serial"``.
     analysis_seed:
         Seed of the per-scenario analysis (CV shuffles), shared across
         scenarios so analysis randomness never confounds scenario effects.

@@ -44,11 +44,8 @@ from .movement import (
     NormalProfile,
     OfflineMDResult,
     StdSumTracker,
-    detect_offline,
     detect_offline_scalar,
     rolling_std_matrix,
-    variation_windows_from_flags,
-    window_duration_series,
 )
 from .radio_env import RadioEnvironment, RENotTrainedError
 from .security import (
@@ -109,7 +106,6 @@ __all__ = [
     "cross_validated_predictions_scalar",
     "deauthentication_curve",
     "departure_outcomes",
-    "detect_offline",
     "detect_offline_scalar",
     "evaluate_md",
     "evaluate_md_grid",
@@ -119,7 +115,5 @@ __all__ = [
     "sensor_subset",
     "streams_for_sensors",
     "true_window_for_event",
-    "variation_windows_from_flags",
     "vulnerable_time_seconds",
-    "window_duration_series",
 ]

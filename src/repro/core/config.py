@@ -65,7 +65,7 @@ class MDConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
-        if self.merge_gap_s < 0:
+        if not self.merge_gap_s >= 0:
             raise ValueError("merge_gap_s must be non-negative")
 
 

@@ -4,7 +4,9 @@ The analysis modules (one per table / figure) all share the same processing
 chain, which mirrors the paper's Section VII-C procedure:
 
 1. restrict the recorded traces to the streams of the chosen sensor subset,
-2. run offline MD over every day (:func:`~repro.core.movement.detect_offline`),
+2. run MD over every day: the detector's ``offline_grid`` decides each
+   ``s_t`` column and :class:`~repro.streaming.detector.WindowTracker`,
+   the live detector's window automaton, closes its variation windows,
 3. match the resulting variation windows against the ground-truth events
    (TP / FP / FN),
 4. extract one labelled RE sample per true positive,
@@ -63,13 +65,9 @@ from ..radio.trace import RssiTrace
 from ..simulation.collector import CampaignRecording, DayRecording
 from ..simulation.dataset import LabeledSample, SampleDataset
 from ..sliding import sum_rows
+from ..streaming.detector import WindowTracker
 from .config import FadewichConfig
-from .movement import (
-    OfflineMDResult,
-    _profile_init_samples,
-    detect_offline_scalar,
-    variation_windows_from_flags,
-)
+from .movement import OfflineMDResult, _profile_init_samples, detect_offline_scalar
 from .radio_env import RadioEnvironment
 from .security import DeauthOutcome, classify_outcome
 from .windows import MatchResult, VariationWindow, match_windows
@@ -279,12 +277,13 @@ def _evaluate_md_sets(
         decisions, thresholds = grid
         scored = _scored_events(day)
         for j, (key, _) in enumerate(subsets):
+            tracker = WindowTracker(config.md.merge_gap_s)
+            tracker.extend(times, decisions[:, j] == 1)
+            tracker.finalize()
             md_result = OfflineMDResult(
                 times=times,
                 std_sums=np.ascontiguousarray(stacked[:, j]),
-                windows=variation_windows_from_flags(
-                    times, decisions[:, j] == 1, config.md.merge_gap_s
-                ),
+                windows=tuple(tracker.completed_windows),
                 threshold_trace=np.ascontiguousarray(thresholds[:, j]),
             )
             match = match_windows(

@@ -19,17 +19,24 @@ produces the paper tables agrees bit for bit with the live detector.
 
 Entry points:
 
+* :func:`rolling_std_matrix` — a recorded
+  :class:`~repro.radio.trace.RssiTrace`'s per-stream rolling std, the
+  evaluation pipeline's shared feature matrix;
 * :class:`MovementDetector` — the per-sample scalar reference of the
   streaming kernel :class:`~repro.streaming.detector.OnlineDetector`, which
   the live system, the replay, the sweep and the router run;
-  :meth:`~repro.core.system.FadewichSystem.replay_day_scalar` drives it,
-* :func:`detect_offline` — a columnar offline run over a recorded
-  :class:`~repro.radio.trace.RssiTrace`, used by the evaluation harness,
-* :func:`detect_offline_scalar` — the retained per-observation reference
-  implementation of exactly the same contract.
+  :meth:`~repro.core.system.FadewichSystem.replay_day_scalar` drives it;
+* :func:`detect_offline_scalar` — the per-observation reference over a
+  whole recorded trace, which
+  :func:`~repro.core.evaluation.evaluate_md_scalar` drives to pin the
+  sweep.
 
-``KdeMdDetector().offline_grid`` runs many independent ``s_t`` columns
-(sensor subsets, days) at once.
+The columnar runs over a recorded trace are ``OnlineDetector`` itself,
+fed the trace in any batch split, and the sweep
+(:func:`~repro.core.evaluation.evaluate_md_grid`), which runs the
+detector's ``offline_grid`` over many independent ``s_t`` columns (sensor
+subsets, days) at once.  Both close variation windows with
+:class:`~repro.streaming.detector.WindowTracker`.
 
 The per-observation reference
 -----------------------------
@@ -37,24 +44,22 @@ The per-observation reference
 :class:`NormalProfile` (driven one observation at a time) is the semantics
 reference for Algorithm 1's profile.  Everywhere else the profile runs
 on one engine, :class:`~repro.detectors.kde_md.OnlineProfile`:
-:func:`detect_offline`, ``KdeMdDetector.offline_grid`` and the streaming
-service all drive it.  Both build identical KDE data windows with identical
-Scott bandwidths and solve thresholds with the same warm-started
-safeguarded-Newton engine (:func:`~repro.ml.kde.mixture_quantiles`), whose
-per-row arithmetic is independent of batching.  Decisions and thresholds
-are therefore **bit-for-bit identical** to feeding
-:meth:`NormalProfile.observe` the same values (see
-``tests/test_analysis_equivalence.py``).
+``KdeMdDetector.offline_grid`` and the streaming service both drive it.
+Both build identical KDE data windows with identical Scott bandwidths and
+solve thresholds with the same warm-started safeguarded-Newton engine
+(:func:`~repro.ml.kde.mixture_quantiles`), whose per-row arithmetic is
+independent of batching.  Decisions and thresholds are therefore
+**bit-for-bit identical** to feeding :meth:`NormalProfile.observe` the
+same values (see ``tests/test_analysis_equivalence.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..detectors import KdeMdDetector
 from ..ml.kde import GaussianKDE
 from ..radio.trace import RssiTrace, StreamBuffer
 from ..sliding import sample_count, sliding, sum_rows
@@ -67,10 +72,6 @@ __all__ = [
     "MovementDetector",
     "OfflineMDResult",
     "rolling_std_matrix",
-    "online_std_sum_series",
-    "variation_windows_from_flags",
-    "window_duration_series",
-    "detect_offline",
     "detect_offline_scalar",
 ]
 
@@ -352,122 +353,6 @@ def rolling_std_matrix(
     return trace.times[1:], sliding(block, window_samples, np.std, first=1)[:, 1:].T
 
 
-def online_std_sum_series(
-    matrix: np.ndarray, window_samples: int
-) -> np.ndarray:
-    """The ``s_t`` series an online :class:`StdSumTracker` would emit.
-
-    ``matrix`` is the ``(n_steps, n_streams)`` sample matrix in stream
-    order.  Returns an array of length ``n_steps`` whose first element is
-    NaN (no std of a single sample); the rest is :func:`rolling_std_matrix`'s
-    convention, streams added left to right.
-    """
-    if window_samples < 2:
-        raise ValueError("window_samples must be >= 2")
-    return sum_rows(sliding(np.transpose(matrix), window_samples, np.std, first=1))
-
-
-def variation_windows_from_flags(
-    times: np.ndarray, anomalous: np.ndarray, merge_gap_s: float
-) -> Tuple[VariationWindow, ...]:
-    """Variation windows from a boolean anomaly series.
-
-    Replicates the scalar window bookkeeping: a window spans from the first
-    anomalous instant of a run to its last, and two runs merge unless some
-    non-anomalous observation between them arrived more than ``merge_gap_s``
-    after the earlier run's last anomalous instant.
-    """
-    idx = np.flatnonzero(anomalous)
-    if idx.size == 0:
-        return ()
-    # The scalar loop closes a window at the first non-anomalous t with
-    # t - last_anomalous > gap; between consecutive anomalous indices the
-    # largest such t is the one right before the next anomalous index.
-    gap_exceeded = times[idx[1:] - 1] - times[idx[:-1]] > merge_gap_s
-    split = (idx[1:] > idx[:-1] + 1) & gap_exceeded
-    bounds = np.flatnonzero(split) + 1
-    starts = np.concatenate([[0], bounds])
-    ends = np.concatenate([bounds - 1, [idx.size - 1]])
-    return tuple(
-        VariationWindow(float(times[idx[s]]), float(times[idx[e]]))
-        for s, e in zip(starts, ends)
-    )
-
-
-def window_duration_series(
-    times: np.ndarray, anomalous: np.ndarray, merge_gap_s: float
-) -> np.ndarray:
-    """Per-step ``dW_t`` as the online :class:`MovementDetector` reports it.
-
-    For every timestep: the duration of the currently open variation window
-    (time since the open window's first anomalous instant), or 0 when no
-    window is open.  A window stays open after its last anomalous instant
-    until an observation arrives more than ``merge_gap_s`` later.
-    """
-    n = times.shape[0]
-    out = np.zeros(n)
-    idx = np.flatnonzero(anomalous)
-    if idx.size == 0:
-        return out
-    gap_exceeded = times[idx[1:] - 1] - times[idx[:-1]] > merge_gap_s
-    split = (idx[1:] > idx[:-1] + 1) & gap_exceeded
-    # Positions in ``idx`` where a window starts.
-    starts = np.concatenate([[0], np.flatnonzero(split) + 1])
-    # Most recent anomalous index at or before each step.
-    prev = np.searchsorted(idx, np.arange(n), side="right") - 1
-    has_prev = prev >= 0
-    prev_clipped = np.clip(prev, 0, None)
-    last_anom_t = times[idx[prev_clipped]]
-    is_open = has_prev & (times - last_anom_t <= merge_gap_s)
-    group = np.searchsorted(starts, prev_clipped[is_open], side="right") - 1
-    out[is_open] = times[is_open] - times[idx[starts[group]]]
-    return out
-
-
-def detect_offline(
-    trace: RssiTrace,
-    config: Optional[MDConfig] = None,
-    *,
-    detector: object = KdeMdDetector(),
-) -> OfflineMDResult:
-    """Run Algorithm 1 over a recorded trace (columnar fast path).
-
-    Produces output bit-identical to :func:`detect_offline_scalar`, which
-    remains the readable per-observation reference.
-
-    Parameters
-    ----------
-    trace:
-        The recorded multi-stream RSSI trace.
-    config:
-        MD parameters.
-    detector:
-        The detector-zoo member (``repro.detectors``) whose
-        ``offline_grid`` decides; the paper's KDE detector by default,
-        bit-identical to the scalar reference.
-    """
-    cfg = config if config is not None else MDConfig()
-    times, std_sums, init_samples = _offline_series(trace, cfg)
-    grid = detector.offline_grid(std_sums[:, np.newaxis], cfg, init_samples)
-    return OfflineMDResult(
-        times=times,
-        std_sums=std_sums,
-        windows=variation_windows_from_flags(
-            times, grid.decisions[:, 0] == 1, cfg.merge_gap_s
-        ),
-        threshold_trace=grid.thresholds[:, 0],
-    )
-
-
-def _offline_series(
-    trace: RssiTrace, cfg: MDConfig
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """Shared preamble of the offline detectors: ``s_t`` series + init size."""
-    rate = 1.0 / trace.sample_interval
-    times, matrix = rolling_std_matrix(trace, sample_count(cfg.std_window_s, rate))
-    return times, sum_rows(matrix.T), _profile_init_samples(times, cfg)
-
-
 def _profile_init_samples(times: np.ndarray, cfg: MDConfig) -> int:
     """Profile installation length of an ``s_t`` series (two values at least)."""
     if times.shape[0] < 2:
@@ -480,15 +365,18 @@ def detect_offline_scalar(
     trace: RssiTrace,
     config: Optional[MDConfig] = None,
 ) -> OfflineMDResult:
-    """Per-observation reference implementation of :func:`detect_offline`.
+    """Algorithm 1 over a recorded trace, one observation at a time.
 
-    Drives :class:`NormalProfile` one value at a time, exactly like the
-    online detector; the equivalence tests pin :func:`detect_offline`
-    against it.
+    Drives :class:`NormalProfile` one ``s_t`` value at a time and closes
+    variation windows inline, the per-observation reference that the
+    columnar sweep and :class:`~repro.streaming.detector.OnlineDetector`
+    are pinned against (``tests/test_analysis_equivalence.py``).
     """
     cfg = config if config is not None else MDConfig()
-    times, std_sums, init_samples = _offline_series(trace, cfg)
-    profile = NormalProfile(cfg, init_samples)
+    rate = 1.0 / trace.sample_interval
+    times, matrix = rolling_std_matrix(trace, sample_count(cfg.std_window_s, rate))
+    std_sums = sum_rows(matrix.T)
+    profile = NormalProfile(cfg, _profile_init_samples(times, cfg))
 
     thresholds = np.full(times.shape[0], np.nan)
     windows: List[VariationWindow] = []

@@ -27,18 +27,17 @@ feed directly into :class:`~repro.core.system.FadewichSystem` training and
 replay, the analysis context and every figure/table benchmark.
 
 Execution modes: ``"process"`` (default, true parallelism via
-``concurrent.futures.ProcessPoolExecutor``), ``"thread"`` (shares one
-collector; useful when the numpy build releases the GIL or for testing),
-and ``"serial"`` (no executor at all).  If a process pool cannot be
-created (restricted environments), the runner degrades to serial execution
-with a warning rather than failing.
+``concurrent.futures.ProcessPoolExecutor``) and ``"serial"`` (no executor
+at all; days of one scenario share one collector).  If a process pool
+cannot be created (restricted environments), the runner degrades to
+serial execution with a warning rather than failing.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
@@ -60,7 +59,7 @@ from ..mobility.scheduler import CampaignSchedule, DaySchedule
 
 __all__ = ["CampaignRunner", "DayTask"]
 
-_MODES = ("process", "thread", "serial")
+_MODES = ("process", "serial")
 
 
 def _seed_key(seed_seq: np.random.SeedSequence):
@@ -139,7 +138,7 @@ class CampaignRunner:
     max_workers:
         Upper bound on concurrent workers (default: CPU count).
     mode:
-        ``"process"``, ``"thread"`` or ``"serial"``.
+        ``"process"`` or ``"serial"``.
     """
 
     def __init__(
@@ -216,14 +215,17 @@ class CampaignRunner:
             _seed_key(task.seed_seq),
         )
 
-    def _collectors_for(self, tasks: Sequence[DayTask]) -> dict:
-        """One collector per distinct (layout, channel, seed) triple.
+    def _collect_serial(self, tasks: Sequence[DayTask]) -> List[DayRecording]:
+        """Collect in order, one collector per distinct (layout, clock,
+        channel, seed).
 
         ``collect_day`` never touches the structural stream, so a collector
-        can be shared by many days of the same scenario — including across
-        threads (the thread-vs-serial bit-identity test locks this).
+        can be shared by many days of the same scenario (the serial-vs-
+        process bit-identity tests lock this: process workers build a fresh
+        collector per day).
         """
         collectors: dict = {}
+        days = []
         for task in tasks:
             key = self._collector_key(task)
             if key not in collectors:
@@ -233,35 +235,15 @@ class CampaignRunner:
                     channel_config=task.channel_config,
                     seed=task.seed_seq,
                 )
-        return collectors
-
-    def _collect_serial(self, tasks: Sequence[DayTask]) -> List[DayRecording]:
-        collectors = self._collectors_for(tasks)
-        return [
-            collectors[self._collector_key(task)].collect_day(
-                task.day, seed_base=task.seed_base
+            days.append(
+                collectors[key].collect_day(task.day, seed_base=task.seed_base)
             )
-            for task in tasks
-        ]
+        return days
 
     def _collect_days(self, tasks: Sequence[DayTask]) -> List[DayRecording]:
         """Collect resolved :class:`DayTask` items, preserving order."""
         if self._mode == "serial" or len(tasks) <= 1:
             return self._collect_serial(tasks)
-        if self._mode == "thread":
-            collectors = self._collectors_for(tasks)
-            with ThreadPoolExecutor(
-                max_workers=self._worker_count(len(tasks))
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        collectors[self._collector_key(task)].collect_day,
-                        task.day,
-                        seed_base=task.seed_base,
-                    )
-                    for task in tasks
-                ]
-                return [f.result() for f in futures]
         # Process mode.  Only pool-infrastructure failures (no fork in this
         # environment, pool died) trigger the serial fallback; exceptions
         # raised by collect_day inside a worker propagate unchanged.

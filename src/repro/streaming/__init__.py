@@ -6,12 +6,13 @@ This package is its detection kernel, a true incremental engine:
 
 * :class:`~repro.streaming.detector.OnlineDetector` — bounded-state,
   batch-capable detection kernel: constant work per sample (independent of
-  stream length), **bit-identical** to the columnar offline kernel
-  (``online_std_sum_series`` + ``KdeMdDetector.offline_grid`` +
-  ``window_duration_series``), to the scalar per-sample reference
-  :class:`~repro.core.movement.MovementDetector` and to the sweep's
+  stream length), **bit-identical** to the scalar per-sample reference
+  :class:`~repro.core.movement.MovementDetector`, to the detector's
+  ``offline_grid`` over the whole ``s_t`` series and to the sweep's
   ``evaluate_md_grid`` (per-day ``s_t``, thresholds and windows), whatever
   the arrival batching (``tests/test_streaming_equivalence.py``);
+  its :class:`~repro.streaming.detector.WindowTracker` is the one
+  variation-window automaton, which the sweep runs as well;
 * :class:`~repro.streaming.source.DayRecordingSource` /
   :func:`~repro.streaming.source.merge_by_time` — ``stream()``-style
   iterator sources replaying :class:`~repro.simulation.collector.DayRecording`

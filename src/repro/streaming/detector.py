@@ -5,26 +5,25 @@
 * :class:`OnlineStdSum` — the rolling ``s_t`` series.  Keeps only the last
   ``window_samples - 1`` samples per stream (one carry row each), so
   per-sample work is constant in the stream length, while reproducing the
-  offline :func:`~repro.core.movement.online_std_sum_series` (and hence
-  the per-sample :class:`~repro.core.movement.StdSumTracker`) **bit for
-  bit** — including the partial-window head at stream start, whatever the
-  arrival batching.  It is also the sweep's ``s_t``: the evaluation
-  pipeline's :func:`~repro.core.movement.rolling_std_matrix` runs the same
-  kernel, so the paper tables threshold the series a router sees;
+  per-sample :class:`~repro.core.movement.StdSumTracker` **bit for bit** —
+  including the partial-window head at stream start, whatever the arrival
+  batching.  It is also the sweep's ``s_t``: the evaluation pipeline's
+  :func:`~repro.core.movement.rolling_std_matrix` runs the same kernel, so
+  the paper tables threshold the series a router sees;
 * the detector's decision engine — by default
   :class:`~repro.detectors.kde_md.OnlineProfile`, the KDE normal profile
   (re-exported here), the same engine the offline grids run;
 * :class:`WindowTracker` — the variation-window bookkeeping (open window,
-  merge gap, per-step ``dW_t``), the same automaton as the scalar reference
-  :class:`~repro.core.movement.MovementDetector` and the closed form of
-  :func:`~repro.core.movement.window_duration_series`.
+  merge gap, per-step ``dW_t``), the automaton of the scalar reference
+  :class:`~repro.core.movement.MovementDetector` evaluated a whole batch
+  at a time in closed form; the sweep closes its windows with it too.
 
 Bit-exactness of ``s_t`` under any batch split comes from
 :mod:`repro.sliding`, which every offline series (replay, sweep, Figure 2)
-shares.  A batch costs one ``np.std`` call over every stream's windows,
-not one per stream: at the router's 4-sample cadence the dispatch, not the
-arithmetic, is the cost.  Per-sample cost is O(``window_samples`` ×
-``n_streams``) and independent of how many samples the stream has already
+shares.  A batch costs one ``np.std`` call over every stream's windows and
+one closed-form window update, not one per stream or per sample: at the
+router's 4-sample cadence the dispatch, not the arithmetic, is the cost.
+Per-sample cost is O(``window_samples`` × ``n_streams``) and independent of how many samples the stream has already
 delivered; state is O(``window_samples`` × ``n_streams`` + profile window).
 
 Checkpoint/restore
@@ -82,10 +81,10 @@ class OnlineStdSum:
     the ``m`` new ``s_t`` values, NaN where the series is undefined (the
     very first sample of the stream — a standard deviation needs two
     points).  Concatenating the outputs over any batching of a stream is
-    bit-identical to :func:`~repro.core.movement.online_std_sum_series`
-    over the full sample matrix: both run :func:`repro.sliding.sliding`,
-    this one once per batch over the rows of a :class:`repro.sliding.Carry`
-    of the last ``window_samples - 1`` samples per stream.
+    bit-identical to one :meth:`extend` over the full sample matrix: each
+    call runs :func:`repro.sliding.sliding` over the rows of a
+    :class:`repro.sliding.Carry` of the last ``window_samples - 1``
+    samples per stream.
     """
 
     def __init__(self, n_streams: int, window_samples: int) -> None:
@@ -131,17 +130,20 @@ class WindowTracker:
     """Variation-window automaton: open/merge/close plus per-step ``dW_t``.
 
     The bookkeeping of the scalar reference
-    :class:`~repro.core.movement.MovementDetector`, shared by the streaming
-    detector, the boundary tests and any other per-step consumer: a window
-    opens at the first anomalous instant, stays open through non-anomalous
-    observations arriving within ``merge_gap_s`` of the last anomalous
-    one, and closes (recording the completed
-    :class:`~repro.core.windows.VariationWindow`) at the first observation
-    arriving strictly later than the gap.
+    :class:`~repro.core.movement.MovementDetector`, and the only one the
+    live system, the router and the sweep run: a window opens at the first
+    anomalous instant, stays open through non-anomalous observations
+    arriving within ``merge_gap_s`` of the last anomalous one, and closes
+    (recording the completed :class:`~repro.core.windows.VariationWindow`)
+    at the first observation arriving strictly later than the gap.
+    :meth:`extend` advances it by a whole batch in closed form, seeded
+    with the carried open window, so any batch split gives the same bits.
     """
 
     def __init__(self, merge_gap_s: float) -> None:
         self._gap = float(merge_gap_s)
+        if not self._gap >= 0:
+            raise ValueError("merge_gap_s must be non-negative")
         self._window_start: Optional[float] = None
         self._last_anomalous_t: Optional[float] = None
         self._completed: List[VariationWindow] = []
@@ -185,25 +187,51 @@ class WindowTracker:
         ]
 
     # ------------------------------------------------------------------ #
-    def update(self, t: float, anomalous: bool) -> float:
-        """Advance by one observation; return ``dW_t`` at ``t``."""
-        if anomalous:
-            if self._window_start is None:
-                self._window_start = t
-            self._last_anomalous_t = t
-        elif (
-            self._window_start is not None
-            and self._last_anomalous_t is not None
-            and (t - self._last_anomalous_t) > self._gap
-        ):
-            self._completed.append(
-                VariationWindow(self._window_start, self._last_anomalous_t)
-            )
-            self._window_start = None
-            self._last_anomalous_t = None
-        if self._window_start is None:
-            return 0.0
-        return t - self._window_start
+    def extend(self, times: np.ndarray, anomalous: np.ndarray) -> np.ndarray:
+        """Advance by one batch of observations; return ``dW_t`` at each.
+
+        ``times`` is the batch's strictly increasing ``(m,)`` timestamps,
+        all later than the observations already consumed; ``anomalous``
+        its ``(m,)`` boolean flags.  ``dW_t`` is ``t`` minus the open
+        window's start, or 0 where no window is open after observation
+        ``t``.  Windows the batch closes join :attr:`completed_windows`.
+        """
+        times = np.asarray(times, dtype=float)
+        anomalous = np.asarray(anomalous, dtype=bool)
+        is_open = self._window_start is not None
+        if not times.size or not (is_open or np.count_nonzero(anomalous)):
+            return np.zeros(times.shape[0])
+        # Seeds of the forward fills below: the carried window's start and
+        # last anomalous instant, which precede the batch's first one.
+        start, last = (
+            (self._window_start, self._last_anomalous_t)
+            if is_open
+            else (-np.inf, -np.inf)
+        )
+        # An observation lies inside a window while it is within the gap of
+        # the latest anomalous instant at or before it (times increase, so
+        # a running maximum forward-fills).
+        last = np.maximum.accumulate(np.where(anomalous, times, last))
+        inside = ~(times - last > self._gap)
+        # A window opens at an anomalous observation that follows one
+        # outside every window; the latest such opening is the start of
+        # the window an observation lies in.
+        was_inside = np.concatenate(([is_open], inside[:-1]))
+        first = np.maximum.accumulate(
+            np.where(anomalous & ~was_inside, times, start)
+        )
+        durations = np.where(inside, times - first, 0.0)
+        # A window closes at the first observation outside it.
+        closes = was_inside & ~inside
+        self._completed.extend(
+            map(VariationWindow, first[closes].tolist(), last[closes].tolist())
+        )
+        if inside[-1]:
+            self._window_start = float(first[-1])
+            self._last_anomalous_t = float(last[-1])
+        else:
+            self._window_start = self._last_anomalous_t = None
+        return durations
 
     def finalize(self) -> None:
         """Close any open window at the end of a stream."""
@@ -456,24 +484,9 @@ class OnlineDetector:
         if times.shape[0] != matrix.shape[0]:
             raise ValueError("times and matrix must have equal length")
         m = times.shape[0]
-        if m == 0:
-            empty = np.empty(0)
-            zone_scores = zone_occupancy = None
-            if self._zones is not None:
-                zone_scores = np.full((0, self._zones.zone_map.n_zones), np.nan)
-                zone_occupancy = np.empty(0, dtype=np.int64)
-            return DetectionBlock(
-                times=times,
-                std_sums=empty,
-                decisions=np.empty(0, dtype=np.int8),
-                thresholds=empty.copy(),
-                durations=empty.copy(),
-                zone_scores=zone_scores,
-                zone_occupancy=zone_occupancy,
-            )
-        first = float(times[0])
-        if (self._last_t is not None and first <= self._last_t) or (
-            m > 1 and bool(np.any(np.diff(times) <= 0))
+        if m and (
+            (self._last_t is not None and times[0] <= self._last_t)
+            or (m > 1 and bool(np.any(np.diff(times) <= 0)))
         ):
             raise ValueError(
                 "samples must arrive in strictly increasing time order"
@@ -487,13 +500,9 @@ class OnlineDetector:
             d, th = self._profile.extend(std_sums[defined])
             decisions[defined] = d
             thresholds[defined] = th
-
-        durations = np.empty(m)
-        tracker = self._windows
-        flags = (decisions == 1).tolist()
-        for i, (t, f) in enumerate(zip(times.tolist(), flags)):
-            durations[i] = tracker.update(t, f)
-        self._last_t = float(times[-1])
+        durations = self._windows.extend(times, decisions == 1)
+        if m:
+            self._last_t = float(times[-1])
         zone_scores = zone_occupancy = None
         if self._zones is not None:
             zone_grid = self._zones.extend(matrix)

@@ -43,11 +43,9 @@ from repro.core.evaluation import (
     streams_for_sensors,
 )
 from repro.core.movement import (
-    detect_offline,
+    MovementDetector,
     detect_offline_scalar,
-    online_std_sum_series,
     rolling_std_matrix,
-    window_duration_series,
 )
 from repro.core.radio_env import RadioEnvironment
 from repro.core.system import FadewichSystem
@@ -59,7 +57,7 @@ from repro.radio.trace import RssiTrace
 from repro.simulation.collector import DayRecording
 from repro.simulation.dataset import LabeledSample, SampleDataset
 from repro.sliding import sample_count, sum_rows
-from repro.streaming.detector import OnlineDetector
+from repro.streaming.detector import OnlineDetector, OnlineStdSum
 from repro.workstation.activity import ActivityTrace
 from repro.workstation.idle import TraceIdleProvider
 from repro.workstation.session import SessionState
@@ -110,6 +108,22 @@ def feed_live(system, day, stream_ids, rate=4.0):
         prev_t = t
 
 
+def live_md(trace, config):
+    """``(std_sums, thresholds, windows)`` of an :class:`OnlineDetector` fed
+    a whole trace, from its second sample on (the first has no std)."""
+    ids = trace.stream_ids
+    detector = OnlineDetector(ids, config, 1.0 / trace.sample_interval)
+    block = detector.process_block(
+        trace.times, np.column_stack([trace.streams[sid] for sid in ids])
+    )
+    detector.finalize()
+    return (
+        block.std_sums[1:],
+        block.thresholds[1:],
+        tuple(detector.completed_windows),
+    )
+
+
 def assert_md_identical(batch, scalar):
     """Bit-exact agreement of two MD evaluations, plus rate tolerance."""
     assert batch.sensor_ids == scalar.sensor_ids
@@ -157,8 +171,8 @@ class TestSharedFeatureMatrix:
             restricted = trace.restricted_to(stream_ids)
             times, own = rolling_std_matrix(restricted, 8)
             sliced = sum_rows(matrix.T, [columns[s] for s in stream_ids])
-            online = online_std_sum_series(
-                np.column_stack([restricted.streams[s] for s in stream_ids]), 8
+            online = OnlineStdSum(len(stream_ids), 8).extend(
+                np.column_stack([restricted.streams[s] for s in stream_ids])
             )
             np.testing.assert_array_equal(times, times_full)
             np.testing.assert_array_equal(sum_rows(own.T), sliced)
@@ -179,13 +193,11 @@ class TestDetectOfflineEquivalence:
             sensor_subset(recording.layout.sensor_ids, 4)
         )
         trace = recording.days[0].trace.restricted_to(stream_ids)
-        batch = detect_offline(trace, FadewichConfig().md)
+        std_sums, thresholds, windows = live_md(trace, FadewichConfig().md)
         scalar = detect_offline_scalar(trace, FadewichConfig().md)
-        assert batch.windows == scalar.windows
-        np.testing.assert_array_equal(batch.std_sums, scalar.std_sums)
-        np.testing.assert_array_equal(
-            batch.threshold_trace, scalar.threshold_trace
-        )
+        assert windows == scalar.windows
+        np.testing.assert_array_equal(std_sums, scalar.std_sums)
+        np.testing.assert_array_equal(thresholds, scalar.threshold_trace)
 
     def test_batch_matches_scalar_when_update_outgrows_init(self):
         # batch_size > init_samples flips the engine to its per-column
@@ -196,12 +208,10 @@ class TestDetectOfflineEquivalence:
         )
         trace = recording.days[0].trace.restricted_to(stream_ids)
         config = MDConfig(profile_init_s=5.0, batch_size=40)
-        batch = detect_offline(trace, config)
+        _, thresholds, windows = live_md(trace, config)
         scalar = detect_offline_scalar(trace, config)
-        assert batch.windows == scalar.windows
-        np.testing.assert_array_equal(
-            batch.threshold_trace, scalar.threshold_trace
-        )
+        assert windows == scalar.windows
+        np.testing.assert_array_equal(thresholds, scalar.threshold_trace)
 
     def test_batch_does_not_mutate_precomputed_series(self):
         # Regression: the lockstep engine's KDE windows once aliased the
@@ -212,7 +222,7 @@ class TestDetectOfflineEquivalence:
         )
         trace = recording.days[0].trace.restricted_to(stream_ids)
         config = FadewichConfig().md
-        result = detect_offline(trace, config)
+        result = detect_offline_scalar(trace, config)
         std_sums = result.std_sums.copy()
         original = std_sums.copy()
         init = sample_count(config.profile_init_s, 1.0 / trace.sample_interval)
@@ -382,10 +392,9 @@ class TestReplayEquivalence:
         assert batch.final_states == scalar.final_states
         assert batch.screensavers == scalar.screensavers
 
-    def test_window_duration_series_matches_online_detector(self):
-        # Drive the online detector step by step and compare dW_t.
-        from repro.core.movement import MovementDetector
-
+    def test_online_detector_durations_match_movement_detector(self):
+        # Drive the scalar detector step by step and compare dW_t with the
+        # streaming kernel's, fed the whole day as one batch.
         recording, _ = self._setup(0, small_office)
         day = recording.days[0]
         stream_ids = day.trace.stream_ids
@@ -400,10 +409,11 @@ class TestReplayEquivalence:
             )
             flags[i] = bool(decision)
             reference[i] = detector.current_window_duration(float(times[i]))
-        durations = window_duration_series(
-            times, flags, FadewichConfig().md.merge_gap_s
+        block = OnlineDetector(stream_ids, FadewichConfig().md, 4.0).process_block(
+            times, matrix
         )
-        np.testing.assert_array_equal(durations, reference)
+        np.testing.assert_array_equal(block.anomalous, flags)
+        np.testing.assert_array_equal(block.durations, reference)
 
 
 def burst_day(rate, config, origin, seed, extra_s):

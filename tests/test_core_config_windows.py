@@ -36,6 +36,10 @@ class TestConfig:
             MDConfig(alpha=0.0)
         with pytest.raises(ValueError):
             MDConfig(tau=1.5)
+        with pytest.raises(ValueError, match="merge_gap_s"):
+            MDConfig(merge_gap_s=-0.25)
+        with pytest.raises(ValueError, match="merge_gap_s"):
+            MDConfig(merge_gap_s=float("nan"))
         with pytest.raises(ValueError):
             REConfig(svm_c=0.0)
         with pytest.raises(ValueError):

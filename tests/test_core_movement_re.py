@@ -8,7 +8,7 @@ from repro.core.movement import (
     MovementDetector,
     NormalProfile,
     StdSumTracker,
-    detect_offline,
+    detect_offline_scalar,
     rolling_std_matrix,
 )
 from repro.core.radio_env import RadioEnvironment, RENotTrainedError
@@ -16,6 +16,18 @@ from repro.core.windows import VariationWindow
 from repro.radio.trace import RssiTrace
 from repro.simulation.dataset import LabeledSample
 from repro.streaming import OnlineDetector
+
+
+def live_md(trace, config):
+    """An :class:`OnlineDetector` fed a whole trace as one batch, then
+    finalized: ``(block, detector)``."""
+    detector = OnlineDetector(trace.stream_ids, config, sample_rate_hz=4.0)
+    block = detector.process_block(
+        trace.times,
+        np.column_stack([trace.streams[s] for s in trace.stream_ids]),
+    )
+    detector.finalize()
+    return block, detector
 
 
 def synthetic_trace(
@@ -120,13 +132,8 @@ class TestOfflineMD:
         # A day shorter than the std window (w = 8) is partial windows
         # only: offline MD still runs, and equals the live detector.
         trace = synthetic_trace(duration_s=n / 4.0)
-        result = detect_offline(trace, config)
-        detector = OnlineDetector(trace.stream_ids, config, sample_rate_hz=4.0)
-        block = detector.process_block(
-            trace.times,
-            np.column_stack([trace.streams[s] for s in trace.stream_ids]),
-        )
-        detector.finalize()
+        result = detect_offline_scalar(trace, config)
+        block, detector = live_md(trace, config)
         np.testing.assert_array_equal(result.times, trace.times[1:])
         np.testing.assert_array_equal(result.std_sums, block.std_sums[1:])
         np.testing.assert_array_equal(
@@ -138,27 +145,29 @@ class TestOfflineMD:
     def test_offline_md_below_three_samples_raises(self, n):
         trace = synthetic_trace(duration_s=n / 4.0)
         with pytest.raises(ValueError):
-            detect_offline(trace, MDConfig())
+            detect_offline_scalar(trace, MDConfig())
 
     def test_offline_md_of_streamless_trace_raises(self):
         trace = RssiTrace(times=np.arange(20) / 4.0, streams={})
         with pytest.raises(ValueError, match="no streams"):
-            detect_offline(trace, MDConfig())
+            rolling_std_matrix(trace, window_samples=8)
+        with pytest.raises(ValueError, match="no streams"):
+            detect_offline_scalar(trace, MDConfig())
 
-    def test_detect_offline_finds_burst_window(self):
+    def test_online_detector_finds_burst_window(self):
         trace = synthetic_trace()
-        result = detect_offline(trace, MDConfig(profile_init_s=40.0))
-        long_windows = result.windows_at_least(4.0)
+        _, detector = live_md(trace, MDConfig(profile_init_s=40.0))
+        long_windows = [w for w in detector.completed_windows if w.duration >= 4.0]
         assert any(w.t_start <= 104.0 and w.t_end >= 106.0 for w in long_windows)
 
-    def test_detect_offline_no_movement_no_long_windows(self):
+    def test_online_detector_no_movement_no_long_windows(self):
         trace = synthetic_trace(burst_sigma=0.0)
-        result = detect_offline(trace, MDConfig(profile_init_s=40.0))
-        assert len(result.windows_at_least(4.5)) == 0
+        _, detector = live_md(trace, MDConfig(profile_init_s=40.0))
+        assert not [w for w in detector.completed_windows if w.duration >= 4.5]
 
     def test_threshold_trace_has_same_length_as_series(self):
         trace = synthetic_trace()
-        result = detect_offline(trace, MDConfig(profile_init_s=40.0))
+        result = detect_offline_scalar(trace, MDConfig(profile_init_s=40.0))
         assert result.threshold_trace.shape == result.std_sums.shape
 
 

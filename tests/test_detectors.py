@@ -31,7 +31,6 @@ from repro.analysis.scenarios import (
 )
 from repro.analysis.sweep_store import SweepStore
 from repro.core.config import FadewichConfig, MDConfig
-from repro.core.movement import online_std_sum_series
 from repro.detectors import (
     DetectionGrid,
     EmaMadDetector,
@@ -43,7 +42,12 @@ from repro.detectors import (
 from repro.identity import decode, encode
 from repro.ml.metrics import DetectionCounts
 from repro.radio.office import paper_office
-from repro.streaming import IngestRouter, OnlineDetector, SampleBatch
+from repro.streaming import (
+    IngestRouter,
+    OnlineDetector,
+    OnlineStdSum,
+    SampleBatch,
+)
 
 RATE = 4.0
 
@@ -518,7 +522,7 @@ class TestStreamingIntegration:
     def offline_reference(self, det, matrix):
         window = max(int(round(self.CFG.std_window_s * RATE)), 2)
         init = max(int(round(self.CFG.profile_init_s * RATE)), 2)
-        s = online_std_sum_series(matrix, window)
+        s = OnlineStdSum(matrix.shape[1], window).extend(matrix)
         defined = ~np.isnan(s)
         grid = det.offline_grid(s[defined][:, np.newaxis], self.CFG, init)
         decisions = np.full(s.shape[0], -1, dtype=np.int8)

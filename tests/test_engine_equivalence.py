@@ -241,7 +241,7 @@ class TestRunnerEquivalence:
 
         return CampaignSchedule(days=[busy_day(0), busy_day(1), busy_day(2)])
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_runner_matches_serial_collector(self, mode):
         layout = paper_office()
         schedule = self._schedule()
@@ -254,7 +254,7 @@ class TestRunnerEquivalence:
     def test_run_many_campaigns_reproducible_and_independent(self):
         layout = small_office()
         schedule = self._schedule()
-        first = CampaignRunner(layout, seed=5, mode="thread").run_many(
+        first = CampaignRunner(layout, seed=5, mode="process").run_many(
             [schedule, schedule]
         )
         second = CampaignRunner(layout, seed=5, mode="serial").run_many(
@@ -282,6 +282,8 @@ class TestRunnerEquivalence:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             CampaignRunner(paper_office(), mode="fork-bomb")
+        with pytest.raises(ValueError, match="mode"):
+            CampaignRunner(paper_office(), mode="thread")
 
     def test_repeated_generated_campaigns_are_decorrelated(self):
         # Generated campaigns renumber their days from zero; each draw must
@@ -339,12 +341,13 @@ class TestRunnerEquivalence:
             for a, b in zip(direct.days, via_runner.days):
                 assert_days_identical(a, b)
 
-    def test_thread_mode_bit_identical_over_multi_day_schedule(self):
-        """Thread mode shares one collector across worker threads; that is
-        only sound if ``collect_day`` is reentrant (it must never touch the
-        structural stream or any other collector state).  Lock bit-identity
-        against serial execution over a generated multi-day schedule large
-        enough that several threads really interleave."""
+    def test_process_mode_bit_identical_over_multi_day_schedule(self):
+        """Serial mode shares one collector across all days of a scenario;
+        that is only sound if ``collect_day`` never touches the structural
+        stream or any other collector state.  Lock bit-identity against
+        process workers, which build a fresh collector per day, over a
+        generated multi-day schedule large enough that several workers
+        really run."""
         from repro.mobility.behavior import BehaviorProfile
         from repro.mobility.scheduler import ScheduleGenerator
 
@@ -362,14 +365,14 @@ class TestRunnerEquivalence:
         ).generate_campaign(6, 500.0)
 
         serial = CampaignRunner(layout, seed=21, mode="serial").run(schedule)
-        threaded = CampaignRunner(
-            layout, seed=21, mode="thread", max_workers=4
+        parallel = CampaignRunner(
+            layout, seed=21, mode="process", max_workers=4
         ).run(schedule)
-        assert threaded.n_days == serial.n_days == 6
-        for a, b in zip(serial.days, threaded.days):
+        assert parallel.n_days == serial.n_days == 6
+        for a, b in zip(serial.days, parallel.days):
             assert_days_identical(a, b)
 
-    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
     def test_run_tasks_mixes_layouts_and_seeds(self, mode):
         """Heterogeneous day tasks (different layouts, channels and seeds in
         one pool) must each match a dedicated serial collector."""
@@ -405,13 +408,13 @@ class TestRunnerEquivalence:
         for got, want in zip(results, references):
             assert_days_identical(got, want)
 
-    def test_thread_mode_accepts_list_entropy_seed(self):
-        # SeedSequence([...]) stores its entropy as a list; the thread-mode
+    def test_serial_mode_accepts_list_entropy_seed(self):
+        # SeedSequence([...]) stores its entropy as a list; the serial-mode
         # collector cache must not choke on the unhashable entropy.
         layout = small_office()
         schedule = self._schedule()
         seed = np.random.SeedSequence([1, 2, 3])
-        threaded = CampaignRunner(layout, seed=seed, mode="thread").run(schedule)
-        serial = CampaignCollector(layout, seed=seed).collect(schedule)
-        for a, b in zip(serial.days, threaded.days):
+        cached = CampaignRunner(layout, seed=seed, mode="serial").run(schedule)
+        direct = CampaignCollector(layout, seed=seed).collect(schedule)
+        for a, b in zip(direct.days, cached.days):
             assert_days_identical(a, b)

@@ -32,18 +32,6 @@ SCRIPT_DIRS = ("examples", "benchmarks", "perfbench")
 #: To keep another one, add it here with the reason; an entry that gains a
 #: caller, or whose definition is gone, fails the allowlist check below.
 ALLOWED_UNREFERENCED = {
-    "src/repro/core/movement.py:online_std_sum_series": (
-        "reference s_t series the analysis equivalence tests compare the "
-        "sweep's std sums against"
-    ),
-    "src/repro/core/movement.py:window_duration_series": (
-        "array dW_t that the analysis equivalence tests pin against the "
-        "scalar MovementDetector"
-    ),
-    "src/repro/core/movement.py:detect_offline": (
-        "columnar Algorithm 1 over one trace, compared with "
-        "detect_offline_scalar and the detector zoo by the MD tests"
-    ),
     "src/repro/ml/kde.py:bisect_quantiles": (
         "bisection threshold rule the property tests bound "
         "mixture_quantiles against"

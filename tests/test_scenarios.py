@@ -242,10 +242,10 @@ class TestScenarioSweepRunner:
         assert (a[:n] == b[:n]).mean() < 0.5
 
     def test_sweep_reproducible_across_modes(self, grid, report):
-        threaded = ScenarioSweepRunner(
-            grid, seed=11, mode="thread", max_workers=4, re_sensor_counts=()
+        parallel = ScenarioSweepRunner(
+            grid, seed=11, mode="process", max_workers=4, re_sensor_counts=()
         ).run()
-        assert threaded.to_json() == report.to_json()
+        assert parallel.to_json() == report.to_json()
 
     def test_different_seed_changes_results(self, grid, report):
         other = ScenarioSweepRunner(

@@ -3,8 +3,8 @@
 Extends the repo's equivalence discipline (``tests/test_analysis_equivalence.py``)
 to the streaming engine of :mod:`repro.streaming`:
 
-* :class:`OnlineStdSum` emits exactly the ``s_t`` series of
-  :func:`online_std_sum_series` — partial-window head included — whatever
+* :class:`OnlineStdSum` emits the same ``s_t`` series — partial-window
+  head included, equal to the per-sample :class:`StdSumTracker` — whatever
   the arrival batching (single samples, ragged batches, one big block);
 * :class:`OnlineProfile` reproduces the scalar :class:`NormalProfile`
   chain (decisions and warm-started thresholds) bit for bit;
@@ -15,14 +15,21 @@ to the streaming engine of :mod:`repro.streaming`:
   ``s_t``, thresholds and windows that :class:`OnlineDetector` (standalone
   under random batch splits, or hosted by :class:`IngestRouter`) emits from
   the recording's second sample on, for every registered detector;
-* merge-gap boundary cases (a run ending exactly ``merge_gap_s`` before
-  the next, an anomalous final sample leaving a window open at EOF)
-  produce the same durations in the scalar, columnar and streaming paths;
+* :meth:`WindowTracker.extend`, the one variation-window automaton,
+  equals a per-step oracle bit for bit under any batch split (empty
+  batches included) and across a JSON snapshot/restore mid-window; the
+  merge-gap boundary cases (a run ending exactly ``merge_gap_s`` before
+  the next, an anomalous final sample leaving a window open at EOF) are
+  pinned on both;
+* an empty batch changes no output and no snapshot of
+  :class:`OnlineDetector`, for every registered detector, with and
+  without a hosted zone engine;
 * the multi-tenant :class:`IngestRouter` never reorders a tenant's
   decision stream: per-tenant concatenated output is bit-identical to a
   standalone detector fed the same day, for any worker/queue geometry.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -37,14 +44,8 @@ from repro.core.evaluation import (
     sensor_subset,
     streams_for_sensors,
 )
-from repro.core.movement import (
-    MovementDetector,
-    NormalProfile,
-    StdSumTracker,
-    online_std_sum_series,
-    variation_windows_from_flags,
-    window_duration_series,
-)
+from repro.core.movement import MovementDetector, NormalProfile, StdSumTracker
+from repro.core.windows import VariationWindow
 from repro.detectors import KdeMdDetector, detector_names, get_detector
 from repro.streaming import (
     DayRecordingSource,
@@ -56,6 +57,7 @@ from repro.streaming import (
     WindowTracker,
     merge_by_time,
 )
+from repro.zones import ZoneMap, ZoneOccupancyEstimator
 
 RATE = 4.0
 
@@ -82,7 +84,7 @@ class TestOnlineStdSum:
     @pytest.mark.parametrize("k", [1, 3])
     def test_single_sample_feed_matches_offline_series(self, rng, n, k):
         matrix = rng.normal(size=(n, k)) * 3.0
-        ref = online_std_sum_series(matrix, 8)
+        ref = stream_std_sums(matrix, 8, [len(matrix)])
         got = stream_std_sums(matrix, 8, [1] * n)
         np.testing.assert_array_equal(got, ref)
 
@@ -92,7 +94,7 @@ class TestOnlineStdSum:
     )
     def test_any_batching_matches_offline_series(self, rng, sizes):
         matrix = rng.normal(size=(40, 4)) * 2.0
-        ref = online_std_sum_series(matrix, 8)
+        ref = stream_std_sums(matrix, 8, [len(matrix)])
         np.testing.assert_array_equal(stream_std_sums(matrix, 8, sizes), ref)
 
     def test_partial_window_head_regression(self, rng):
@@ -112,7 +114,7 @@ class TestOnlineStdSum:
                 )
             ]
         )
-        ref = online_std_sum_series(matrix, w)
+        ref = stream_std_sums(matrix, w, [len(matrix)])
         np.testing.assert_array_equal(scalar, ref)
         for sizes in ([7], [1] * 7, [2, 5], [6, 1]):
             np.testing.assert_array_equal(
@@ -130,7 +132,7 @@ class TestOnlineStdSum:
     def test_batch_split_invariance(self, n, k, w, seed, data):
         rng = np.random.default_rng(seed)
         matrix = rng.normal(0.0, 5.0, size=(n, k))
-        ref = online_std_sum_series(matrix, w)
+        ref = stream_std_sums(matrix, w, [len(matrix)])
         sizes, left = [], n
         while left > 0:
             s = data.draw(st.integers(min_value=1, max_value=left))
@@ -149,7 +151,7 @@ class TestOnlineStdSum:
         assert parts[1].shape == (0,)
         np.testing.assert_array_equal(
             np.concatenate([parts[0], parts[2]]),
-            online_std_sum_series(matrix, 4),
+            stream_std_sums(matrix, 4, [len(matrix)]),
         )
 
     def test_rejects_wrong_shapes(self):
@@ -252,11 +254,11 @@ class TestOnlineDetector:
         n = times.shape[0]
         w = max(int(round(cfg.std_window_s * RATE)), 2)
         ini = max(int(round(cfg.profile_init_s * RATE)), 2)
-        std_sums = online_std_sum_series(matrix, w)
+        std_sums = stream_std_sums(matrix, w, [len(matrix)])
         anomalous = np.zeros(n, dtype=bool)
         grid = KdeMdDetector().offline_grid(std_sums[1:, np.newaxis], cfg, ini)
         anomalous[1:] = grid.decisions[:, 0] == 1
-        durations = window_duration_series(times, anomalous, cfg.merge_gap_s)
+        durations = WindowTracker(cfg.merge_gap_s).extend(times, anomalous)
         return std_sums, anomalous, grid.thresholds[:, 0], durations
 
     @pytest.mark.parametrize(
@@ -342,6 +344,59 @@ class TestOnlineDetector:
             det.process_block(
                 np.array([0.5, 0.5]), rng.normal(size=(2, 2))
             )
+
+    @pytest.mark.parametrize("zoned", [False, True], ids=["plain", "zones"])
+    @pytest.mark.parametrize("name", detector_names())
+    def test_empty_batch_changes_nothing(
+        self, small_recording, layout, name, zoned
+    ):
+        trace = small_recording.days[0].trace
+        ids = trace.stream_ids
+        times = trace.times
+        matrix = np.column_stack([trace.streams[sid] for sid in ids])
+        estimator = ZoneOccupancyEstimator(
+            zone_map=ZoneMap.from_layout(layout), calibration_samples=60
+        )
+
+        def make():
+            return OnlineDetector(
+                ids,
+                MDConfig(profile_init_s=30.0),
+                sample_rate_hz=RATE,
+                detector=get_detector(name),
+                zones=estimator.streaming_engine(ids, layout) if zoned else None,
+            )
+
+        whole = make().process_block(times, matrix)
+        # Cut inside the day's first open variation window, if it has one.
+        open_at = np.flatnonzero(whole.durations > 0)
+        cut = int(open_at[0]) + 1 if open_at.size else times.shape[0] // 2
+        det = make()
+        blocks = []
+        for lo, hi in ((0, 0), (0, cut), (cut, cut), (cut, None)):
+            before = json.dumps(det.snapshot())
+            blocks.append(det.process_block(times[lo:hi], matrix[lo:hi]))
+            if lo == hi:
+                assert json.dumps(det.snapshot()) == before
+        for empty in (blocks[0], blocks[2]):
+            assert empty.std_sums.shape == empty.thresholds.shape == (0,)
+            assert empty.durations.shape == (0,)
+            assert empty.decisions.dtype == np.int8
+            if zoned:
+                assert empty.zone_scores.shape == (0, estimator.zone_map.n_zones)
+                assert empty.zone_occupancy.dtype == np.int64
+            else:
+                assert empty.zone_scores is None
+        for field in (
+            "std_sums", "decisions", "thresholds", "durations",
+            "zone_scores", "zone_occupancy",
+        ):
+            if getattr(whole, field) is None:
+                assert all(getattr(b, field) is None for b in blocks)
+                continue
+            got = np.concatenate([getattr(b, field) for b in blocks])
+            assert got.dtype == getattr(whole, field).dtype
+            assert got.tobytes() == getattr(whole, field).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -467,47 +522,141 @@ class TestSweepMatchesLiveDetector:
             )
 
 
+class StepOracle:
+    """The variation-window automaton one observation at a time: the
+    per-step rule :meth:`WindowTracker.extend` evaluates in closed form."""
+
+    def __init__(self, gap):
+        self.gap = gap
+        self.window_start = self.last_anomalous_t = None
+        self.completed = []
+
+    def update(self, t, anomalous):
+        if anomalous:
+            if self.window_start is None:
+                self.window_start = t
+            self.last_anomalous_t = t
+        elif self.window_start is not None and t - self.last_anomalous_t > self.gap:
+            self.completed.append(
+                VariationWindow(self.window_start, self.last_anomalous_t)
+            )
+            self.window_start = self.last_anomalous_t = None
+        return 0.0 if self.window_start is None else t - self.window_start
+
+    def finalize(self):
+        if self.window_start is not None:
+            self.completed.append(
+                VariationWindow(self.window_start, self.last_anomalous_t)
+            )
+            self.window_start = self.last_anomalous_t = None
+
+
+def oracle_run(times, flags, gap):
+    """``(oracle, durations, open_after)`` of the oracle over a series."""
+    oracle = StepOracle(gap)
+    durations, open_after = [], []
+    for t, f in zip(np.asarray(times, dtype=float).tolist(), flags):
+        durations.append(oracle.update(t, bool(f)))
+        open_after.append(oracle.window_start is not None)
+    return oracle, np.array(durations, dtype=float), open_after
+
+
+def tracker_run(times, flags, gap, sizes, tracker=None):
+    """``(tracker, durations)`` of :meth:`WindowTracker.extend` fed in
+    consecutive batches of the given sizes."""
+    tracker = tracker if tracker is not None else WindowTracker(gap)
+    flags = np.asarray(flags, dtype=bool)
+    parts = [
+        tracker.extend(t, f)
+        for t, f in zip(split_matrix(times, sizes), split_matrix(flags, sizes))
+    ]
+    return tracker, np.concatenate(parts)
+
+
+class TestWindowTracker:
+    """The one variation-window automaton against the per-step oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        gap_steps=st.integers(min_value=0, max_value=10),
+        density=st.floats(min_value=0.02, max_value=1.0),
+        on_grid=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+        data=st.data(),
+    )
+    def test_extend_matches_per_step_oracle(
+        self, n, gap_steps, density, on_grid, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        # On a quarter-second grid with holes, observations land exactly
+        # one gap after an anomalous instant as well as either side of it.
+        if on_grid:
+            steps = 0.25 * rng.integers(1, 5, n)
+        else:
+            steps = rng.uniform(0.1, 0.6, n)
+        times = 100.0 + np.cumsum(steps)
+        flags = rng.random(n) < density
+        gap = 0.25 * gap_steps
+        oracle, want, open_after = oracle_run(times, flags, gap)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=6)))
+        sizes = np.diff([0, *cuts, n]).tolist()  # empty batches included
+        tracker, got = tracker_run(times, flags, gap, sizes)
+        assert got.tobytes() == want.tobytes()
+        assert tracker.completed_windows == oracle.completed
+        state = tracker.snapshot()
+        assert state["window_start"] == oracle.window_start
+        assert state["last_anomalous_t"] == oracle.last_anomalous_t
+
+        # A JSON round trip inside an open window continues identically.
+        inside = [i + 1 for i, is_open in enumerate(open_after) if is_open]
+        if inside:
+            cut = data.draw(st.sampled_from(inside))
+            head, first = tracker_run(times[:cut], flags[:cut], gap, [cut])
+            assert head.window_start is not None
+            resumed = WindowTracker(gap)
+            resumed.restore(json.loads(json.dumps(head.snapshot())))
+            _, rest = tracker_run(
+                times[cut:], flags[cut:], gap, [n - cut], tracker=resumed
+            )
+            assert np.concatenate([first, rest]).tobytes() == want.tobytes()
+            assert resumed.completed_windows == oracle.completed
+            assert resumed.window_start == oracle.window_start
+            resumed.finalize()
+            oracle.finalize()
+            assert resumed.completed_windows == oracle.completed
+
+    @pytest.mark.parametrize("gap", [-0.25, float("nan")])
+    def test_rejects_negative_or_nan_merge_gap(self, gap):
+        with pytest.raises(ValueError, match="merge_gap_s"):
+            WindowTracker(gap)
+
+
 class TestMergeGapBoundaries:
-    """S2: merge-gap edge cases agree across scalar, columnar and streaming."""
+    """S2: merge-gap edge cases agree between the per-step oracle and
+    :meth:`WindowTracker.extend`, fed whole, one sample at a time and in
+    batches of three."""
 
     GAP = 2.0
 
-    def all_paths_durations(self, times, flags):
-        """(scalar WindowTracker, columnar, streaming) duration series."""
-        tracker = WindowTracker(self.GAP)
-        scalar = np.array(
-            [tracker.update(float(t), bool(f)) for t, f in zip(times, flags)]
-        )
-        columnar = window_duration_series(
-            times, np.asarray(flags, dtype=bool), self.GAP
-        )
-        return tracker, scalar, columnar
-
-    def streaming_durations(self, times, flags):
-        # Drive an OnlineDetector-like composition: the WindowTracker *is*
-        # the streaming path's bookkeeping; re-run it batched to show
-        # batching cannot matter for a per-step automaton.
-        tracker = WindowTracker(self.GAP)
-        out = []
-        for lo in range(0, len(times), 3):
-            for t, f in zip(times[lo : lo + 3], flags[lo : lo + 3]):
-                out.append(tracker.update(float(t), bool(f)))
-        return tracker, np.array(out)
-
-    def assert_all_equal(self, times, flags):
-        tracker, scalar, columnar = self.all_paths_durations(times, flags)
-        s_tracker, streamed = self.streaming_durations(times, flags)
-        np.testing.assert_array_equal(scalar, columnar)
-        np.testing.assert_array_equal(streamed, columnar)
-        # Completed windows agree with the columnar closed form once the
-        # stream is finalised (EOF closes any open window).
-        tracker.finalize()
-        s_tracker.finalize()
-        want = variation_windows_from_flags(
-            times, np.asarray(flags, dtype=bool), self.GAP
-        )
-        assert tuple(tracker.completed_windows) == want
-        assert tuple(s_tracker.completed_windows) == want
+    def assert_all_equal(self, times, flags, gap=GAP):
+        """Check every feed against the oracle; return the durations and
+        the windows once EOF closes any open one."""
+        oracle, want, _ = oracle_run(times, flags, gap)
+        n = len(times)
+        trackers = []
+        for sizes in ([n], [1] * n, [3] * (n // 3) + [n % 3]):
+            tracker, got = tracker_run(times, flags, gap, sizes)
+            assert got.tobytes() == want.tobytes()
+            assert tracker.completed_windows == oracle.completed
+            assert tracker.window_start == oracle.window_start
+            trackers.append(tracker)
+        # EOF closes any open window, as MovementDetector.finalize does.
+        oracle.finalize()
+        for tracker in trackers:
+            tracker.finalize()
+            assert tracker.completed_windows == oracle.completed
+        return want, oracle.completed
 
     def test_run_ending_exactly_merge_gap_before_next_merges(self):
         # The non-anomalous instant right before the second run arrives
@@ -517,12 +666,8 @@ class TestMergeGapBoundaries:
         flags = [False, True, False, False, False, False, True, True, False]
         # times[6-1] - times[1] = 2.5 - 0.5 = GAP exactly.
         assert times[5] - times[1] == self.GAP
-        self.assert_all_equal(times, flags)
-        want = variation_windows_from_flags(
-            times, np.asarray(flags, dtype=bool), self.GAP
-        )
-        assert len(want) == 1  # merged, not split
-        assert want[0].t_start == 0.5 and want[0].t_end == 3.5
+        _, windows = self.assert_all_equal(times, flags)
+        assert windows == [VariationWindow(0.5, 3.5)]  # merged, not split
 
     def test_gap_one_sample_beyond_threshold_splits(self):
         times = np.arange(10) * 0.75
@@ -530,28 +675,22 @@ class TestMergeGapBoundaries:
         # times[5] - times[1] = 3.0 > GAP: the window closed before the
         # second run, so two windows result.
         assert times[5] - times[1] > self.GAP
-        self.assert_all_equal(times, flags)
-        want = variation_windows_from_flags(
-            times, np.asarray(flags, dtype=bool), self.GAP
-        )
-        assert len(want) == 2
+        _, windows = self.assert_all_equal(times, flags)
+        assert len(windows) == 2
 
     def test_anomalous_final_sample_leaves_window_open_at_eof(self):
         times = np.arange(8) * 0.25
         flags = [False] * 6 + [True, True]
-        tracker, scalar, columnar = self.all_paths_durations(times, flags)
-        np.testing.assert_array_equal(scalar, columnar)
+        durations, windows = self.assert_all_equal(times, flags)
+        tracker, _ = tracker_run(times, flags, self.GAP, [8])
         # The window is still open at EOF: dW grows through the last sample.
-        assert scalar[-1] == pytest.approx(times[-1] - times[6])
+        assert durations[-1] == pytest.approx(times[-1] - times[6])
         assert tracker.window_start == times[6]
         # Finalizing closes it at the last anomalous instant, exactly like
-        # MovementDetector.finalize and the columnar closed form.
+        # MovementDetector.finalize.
         tracker.finalize()
-        want = variation_windows_from_flags(
-            times, np.asarray(flags, dtype=bool), self.GAP
-        )
-        assert tuple(tracker.completed_windows) == want
-        assert tracker.completed_windows[-1].t_end == times[-1]
+        assert tracker.completed_windows == windows
+        assert windows[-1] == VariationWindow(times[6], times[-1])
         assert tracker.window_start is None
 
     def test_day_of_single_anomalous_sample(self):
@@ -562,36 +701,7 @@ class TestMergeGapBoundaries:
     def test_zero_merge_gap(self):
         times = np.arange(12) * 0.25
         flags = [bool(i % 2) for i in range(12)]
-        tracker = WindowTracker(0.0)
-        scalar = np.array(
-            [tracker.update(float(t), bool(f)) for t, f in zip(times, flags)]
-        )
-        columnar = window_duration_series(
-            times, np.asarray(flags, dtype=bool), 0.0
-        )
-        np.testing.assert_array_equal(scalar, columnar)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(min_value=1, max_value=50),
-        gap_steps=st.integers(min_value=0, max_value=12),
-        seed=st.integers(min_value=0, max_value=2**31),
-    )
-    def test_random_flag_series_agree_everywhere(self, n, gap_steps, seed):
-        rng = np.random.default_rng(seed)
-        times = np.cumsum(rng.uniform(0.1, 0.6, n))
-        flags = rng.random(n) < 0.4
-        gap = gap_steps * 0.25
-        tracker = WindowTracker(gap)
-        scalar = np.array(
-            [tracker.update(float(t), bool(f)) for t, f in zip(times, flags)]
-        )
-        columnar = window_duration_series(times, flags, gap)
-        np.testing.assert_array_equal(scalar, columnar)
-        tracker.finalize()
-        assert tuple(tracker.completed_windows) == variation_windows_from_flags(
-            times, flags, gap
-        )
+        self.assert_all_equal(times, flags, gap=0.0)
 
 
 class TestStreamSources:
