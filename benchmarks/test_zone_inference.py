@@ -1,19 +1,20 @@
-"""Benchmark: the zone-occupancy inference workload, offline and streaming.
+"""Benchmark: the zone-occupancy inference workload, batched and live.
 
-Two gates over one simulated working day, both asserting bit-identity
-between the paths they time (so neither can pass on divergent numbers):
+Every path runs one :class:`~repro.zones.estimator.ZoneEngine`; the two
+gates time how it is fed over one simulated working day, both asserting
+bit-identity between the feeds they time (so neither can pass on
+divergent numbers):
 
-* **columnar** — the vectorised offline grid
-  (:meth:`~repro.zones.estimator.ZoneOccupancyEstimator.day_grid`)
-  against the bounded-state :class:`~repro.zones.estimator.ZoneEngine`
-  fed one sample at a time — the arrival pattern of a live deployment
-  without batching — over a calibration-spanning prefix of the day,
+* **columnar** — the engine over a calibration-spanning prefix of the
+  day in one batch, against the same engine fed one sample at a time —
+  the arrival pattern of a live deployment without batching —
   >= ``MIN_COLUMNAR_SPEEDUP`` required;
-* **streaming overhead** — the same engine fed realistic 256-sample
-  batches over the full day must cost at most
-  ``MAX_STREAM_OVERHEAD`` of the offline grid: bounded state and
-  tail re-materialisation are allowed a constant factor, never an
-  asymptotic one.
+* **streaming overhead** — the engine fed realistic 256-sample batches
+  over the full day must cost at most ``MAX_STREAM_OVERHEAD`` of
+  :meth:`~repro.zones.estimator.ZoneOccupancyEstimator.day_grid`, the
+  recorded day in 1,024-row blocks: bounded state and tail
+  re-materialisation are allowed a constant factor, never an asymptotic
+  one.
 
 Day length defaults to compact 10-minute days (``--sweep-day-s`` to
 override); ``--paper-scale`` runs the full 8-hour day.  Both timed sides
@@ -29,12 +30,12 @@ from repro.radio.office import paper_office
 from repro.simulation.collector import CampaignCollector
 from repro.zones import ZoneMap, ZoneOccupancyEstimator
 
-#: Required speedup of the offline columnar grid over single-sample
+#: Required speedup of one whole-prefix batch over single-sample
 #: streaming on the prefix slice (measured well above this).
 MIN_COLUMNAR_SPEEDUP = 3.0
 
-#: Maximum tolerated ratio of 256-sample-batch streaming to the offline
-#: grid over the full day.
+#: Maximum tolerated ratio of 256-sample-batch streaming to ``day_grid``
+#: over the full day.
 MAX_STREAM_OVERHEAD = 4.0
 
 BATCH_SAMPLES = 256
@@ -93,12 +94,10 @@ def test_zone_inference_gates(request, best_of, speedup_gate):
     )
     prefix = min(PREFIX, n)
 
-    def offline(rows):
-        _, matrix, columns = estimator.attenuation.day_block(day, layout)
-        return estimator.offline_grid(matrix[:rows], columns)
-
-    # Gate 1: columnar offline vs single-sample streaming on the prefix.
-    t_cols, grid_cols = best_of(lambda: offline(prefix))
+    # Gate 1: one batch vs single-sample streaming on the prefix.
+    t_cols, grid_cols = best_of(
+        lambda: estimator.streaming_engine(ids, layout).extend(rssi[:prefix])
+    )
     t_single, single = best_of(
         lambda: _stream_grids(
             estimator.streaming_engine(ids, layout), rssi[:prefix], 1
@@ -113,13 +112,13 @@ def test_zone_inference_gates(request, best_of, speedup_gate):
         t_cols,
         MIN_COLUMNAR_SPEEDUP,
         reference_name="single-sample ZoneEngine",
-        fast_name="offline columnar grid",
+        fast_name="one-batch ZoneEngine",
         detail=f"{prefix} samples, {len(ids)} links, bitwise-identical",
     )
 
     # Gate 2: realistic batching must stay within a constant factor of
-    # the offline grid over the full day.
-    t_full, grid_full = best_of(lambda: offline(n))
+    # day_grid over the full day.
+    t_full, (_, grid_full) = best_of(lambda: estimator.day_grid(day, layout))
     t_batch, batched = best_of(
         lambda: _stream_grids(
             estimator.streaming_engine(ids, layout), rssi, BATCH_SAMPLES
@@ -132,7 +131,7 @@ def test_zone_inference_gates(request, best_of, speedup_gate):
         t_full,
         t_batch,
         1.0 / MAX_STREAM_OVERHEAD,
-        reference_name="offline columnar grid",
+        reference_name="day_grid",
         fast_name=f"{BATCH_SAMPLES}-sample-batch ZoneEngine",
         detail=f"{n} samples, {len(ids)} links, bitwise-identical",
     )

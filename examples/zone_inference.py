@@ -6,19 +6,18 @@ Walks the full zone workload end to end:
    (:meth:`~repro.zones.map.ZoneMap.from_layout`) and see which radio
    links cross which zone (Liang-Barsky clipping of the sensor-to-sensor
    segments);
-2. collect a compact seed-42 campaign and turn raw RSSI into per-link
-   attenuation against the log-distance baseline
-   (:class:`~repro.zones.attenuation.AttenuationExtractor`), cached in a
-   :class:`~repro.features.store.FeatureStore` next to the detection
-   features;
-3. run the offline :class:`~repro.zones.estimator.ZoneOccupancyEstimator`
-   over each day and score it against the ground-truth walker
+2. collect a compact seed-42 campaign, whose raw RSSI the estimator
+   reads as per-link attenuation against the log-distance baseline
+   (:class:`~repro.zones.attenuation.AttenuationExtractor`);
+3. run :meth:`~repro.zones.estimator.ZoneOccupancyEstimator.day_grid`
+   over each recorded day and score it against the ground-truth walker
    trajectories the campaign scheduler planned
    (:func:`~repro.zones.estimator.score_walks`);
-4. replay the same day through the bounded-state streaming
-   :class:`~repro.zones.estimator.ZoneEngine` — including a mid-stream
-   JSON checkpoint — and verify it reproduces the offline grid bit for
-   bit, the same equivalence contract the detection engines obey.
+4. replay the same day through the bounded-state
+   :class:`~repro.zones.estimator.ZoneEngine` as a live deployment would
+   — including a mid-stream JSON checkpoint — and verify it reproduces
+   ``day_grid`` bit for bit, the same equivalence contract the detection
+   engines obey.
 
 Run with::
 
@@ -33,7 +32,6 @@ import numpy as np
 
 from repro import paper_office
 from repro.analysis import CampaignScale
-from repro.features import FeatureStore
 from repro.simulation.collector import CampaignCollector
 from repro.zones import (
     ZoneEngine,
@@ -69,13 +67,12 @@ def main() -> None:
     )
     base = collector.next_generated_base()
     recording = collector.collect(schedule, seed_base=base)
-    store = FeatureStore(recording)
 
-    # 3. Offline estimation, scored against ground truth per day.
+    # 3. Recorded-day estimation, scored against ground truth per day.
     estimator = ZoneOccupancyEstimator(zone_map=zone_map)
     total = None
     for day, day_schedule in zip(recording.days, schedule.days):
-        times, grid = estimator.day_grid(day, layout, store=store)
+        times, grid = estimator.day_grid(day, layout)
         walks = collector.day_walks(day_schedule, seed_base=base)
         trajectories = [
             traj for walk_list in walks.values() for (_, traj, _) in walk_list
@@ -90,17 +87,16 @@ def main() -> None:
         )
     print(
         f"campaign: accuracy {total.accuracy:.3f}, "
-        f"coverage {total.coverage:.3f} over {total.n_instants} instants "
-        f"(store: {store.misses} blocks computed, {store.hits} cache hits)"
+        f"coverage {total.coverage:.3f} over {total.n_instants} instants"
     )
 
-    # 4. The streaming twin: batch replay + mid-stream JSON checkpoint,
-    #    bit-identical to the offline grid (the PR 6/8 contract).
+    # 4. Live replay + mid-stream JSON checkpoint, bit-identical to
+    #    day_grid.
     day = recording.days[0]
     trace = day.trace
     ids = trace.stream_ids
     rssi = np.column_stack([trace.streams[sid] for sid in ids])
-    _, offline = estimator.day_grid(day, layout, store=store)
+    _, recorded = estimator.day_grid(day, layout)
 
     engine = estimator.streaming_engine(ids, layout)
     cut = rssi.shape[0] // 3
@@ -112,11 +108,11 @@ def main() -> None:
     occupied = np.concatenate([first.occupied, rest.occupied])
 
     # equal_nan: scores are NaN inside the calibration window on both paths
-    assert np.array_equal(scores, offline.scores, equal_nan=True)
-    assert np.array_equal(occupied, offline.occupied)
+    assert np.array_equal(scores, recorded.scores, equal_nan=True)
+    assert np.array_equal(occupied, recorded.occupied)
     print(
-        f"streaming twin: {cut} + {rssi.shape[0] - cut} samples through a "
-        f"{len(checkpoint)}-byte checkpoint, bit-identical to offline"
+        f"live engine: {cut} + {rssi.shape[0] - cut} samples through a "
+        f"{len(checkpoint)}-byte checkpoint, bit-identical to day_grid"
     )
 
 

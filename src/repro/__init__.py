@@ -18,14 +18,14 @@ substrates its evaluation needs:
   online kernel, stream sources, multi-tenant ingestion router),
 * :mod:`repro.reliability` — deterministic fault injection and
   checkpoint/restore for the streaming and sweep stacks,
-* :mod:`repro.features` — the reusable feature pipeline (extractor
-  registry, per-recording cached store),
+* :mod:`repro.features` — the columnar feature pipeline (rolling-std
+  extractor, per-recording cached store, RE window statistics),
 * :mod:`repro.identity` — the canonical encoder, content digest and
   registry every layer keys by,
 * :mod:`repro.sliding` — the sliding-window kernel that every rolling
   reduction's offline and streaming paths share,
 * :mod:`repro.zones` — zone-occupancy inference from per-link
-  attenuation, offline and streaming.
+  attenuation, one engine live and over recorded days.
 
 Quickstart
 ----------
@@ -136,13 +136,15 @@ from .streaming import IngestRouter, OnlineDetector
 # fail_fast / restart_shard (per-batch checkpoints) / quarantine
 # (dead-letter records) failure policies with per-shard counters.
 # 2.9.0: reusable feature store + zone-occupancy inference workload —
-# repro.features (frozen-config extractor registry with SHA-256 content
-# fingerprints; FeatureStore caches per-day (times, matrix, columns)
+# repro.features (frozen-config extractors keyed by SHA-256 content
+# fingerprints, in a registry that went once rolling_std was its only
+# member; FeatureStore caches per-day (times, matrix, columns)
 # blocks per recording keyed (fingerprint, day index) with
 # identity-validated day membership; CampaignStdFeatures re-expressed as
 # the rolling_std extractor bit-identically — no goldens re-pinned) and
 # repro.zones (ZoneMap from Liang-Barsky link-crossing geometry,
-# AttenuationExtractor against the log-distance baseline,
+# AttenuationExtractor, the log-distance baseline (its per-day block and
+# the per-link offline grid went later: day_grid runs ZoneEngine),
 # ZoneOccupancyEstimator — rolling-mean smoothing, per-link median
 # calibration, rectified excess, exclusivity-weighted zone scores —
 # with a bounded-state ZoneEngine bitwise-identical under arbitrary

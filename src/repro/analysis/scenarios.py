@@ -1193,9 +1193,7 @@ class ScenarioSweepRunner:
         re_accuracies = {n: context.re_accuracy(n) for n in re_counts}
         zone_accuracy = None
         if self._zone_estimator is not None:
-            zone_accuracy = self._zone_accuracy(
-                spec, recording, features=features
-            )
+            zone_accuracy = self._zone_accuracy(spec, recording)
         return ScenarioResult(
             spec=spec,
             n_events=recording.total_labelled_events(),
@@ -1207,10 +1205,7 @@ class ScenarioSweepRunner:
         )
 
     def _zone_accuracy(
-        self,
-        spec: ScenarioSpec,
-        recording: CampaignRecording,
-        features: Optional[CampaignStdFeatures] = None,
+        self, spec: ScenarioSpec, recording: CampaignRecording
     ) -> Dict[str, float]:
         """Score the zone workload on one recording against ground truth.
 
@@ -1218,11 +1213,8 @@ class ScenarioSweepRunner:
         seed — the exact deterministic plan the recording was collected
         under — so :meth:`~repro.simulation.collector.CampaignCollector.
         day_walks` yields the true trajectories without re-simulating any
-        radio.  When ``features`` is given, its
-        :class:`~repro.features.store.FeatureStore` is shared, so the
-        attenuation matrices are cached next to the detection features.
-        Inside :meth:`run`, each simulation is scored once and every
-        variant gets its own copy of the dict.
+        radio.  Inside :meth:`run`, each simulation is scored once and
+        every variant gets its own copy of the dict.
         """
         memo = {} if self._zone_memo is None else self._zone_memo
         key = spec.simulation_key()
@@ -1231,10 +1223,9 @@ class ScenarioSweepRunner:
         estimator = self._zone_estimator
         assert estimator is not None
         _, collector, schedule, base = self._plan(spec)
-        store = features.store if features is not None else None
         total = ZoneAccuracy()
         for day, day_schedule in zip(recording.days, schedule.days):
-            times, grid = estimator.day_grid(day, spec.layout, store=store)
+            times, grid = estimator.day_grid(day, spec.layout)
             walks = collector.day_walks(day_schedule, seed_base=base)
             trajectories = [
                 traj

@@ -45,6 +45,7 @@ from ..radio.geometry import Point
 from ..radio.office import OfficeLayout, Sensor, Workstation
 from ..radio.pathloss import FreeSpacePathLoss, LogDistancePathLoss
 from ..radio.shadowing import BodyShadowingModel
+from ..zones.attenuation import AttenuationExtractor
 from ..zones.estimator import ZoneOccupancyEstimator
 from ..zones.map import Zone, ZoneMap
 from .campaign import CampaignScale
@@ -64,8 +65,8 @@ RECORD_FORMAT = 2
 
 #: The configuration dataclasses a scenario is made of, registered with
 #: the :mod:`repro.identity` codec so stored specs decode back into
-#: value-equal objects.  Detectors and feature extractors join the codec
-#: through their own registries.
+#: value-equal objects.  Detectors join the codec through their own
+#: registry.
 for _component in (
     FadewichConfig,
     MDConfig,
@@ -84,6 +85,7 @@ for _component in (
     Zone,
     ZoneMap,
     ZoneOccupancyEstimator,
+    AttenuationExtractor,
 ):
     register_component(_component)
 

@@ -180,10 +180,12 @@ class CampaignStdFeatures:
     across sensor counts.
 
     Blocks live in a :class:`~repro.features.store.FeatureStore`; pass
-    ``store=`` to share one store (and its cache) with other extractors
-    over the same recording.  The store validates day membership, so a
-    day from a different campaign can no longer alias this recording's
-    matrices by sharing a ``day_index``.
+    ``store=`` to share one store (and its cache) with the other configs
+    of the same recording, as :meth:`~repro.analysis.scenarios.
+    ScenarioSweepRunner.run` does: configs with equal std windows then
+    compute each day's block once.  The store validates day membership,
+    so a day from a different campaign can no longer alias this
+    recording's matrices by sharing a ``day_index``.
     """
 
     def __init__(

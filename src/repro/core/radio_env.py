@@ -181,15 +181,13 @@ class RadioEnvironment:
         """Extract the sample for a window and classify it in one call."""
         return self.classify(self.extract_sample(trace, window, t_delta_s))
 
-    def curve_fitter(self, shared_gram: bool = True) -> SVCFoldFitter:
+    def curve_fitter(self) -> SVCFoldFitter:
         """The learning-curve fold fitter for this RE configuration.
 
         Used by the Figure 8 protocol: per (repeat, fold) the fitter fixes
         one :class:`~repro.ml.scaling.StandardScaler` and one kernel on the
         full training fold, then fits every training-size prefix on shared
-        Gram views (``shared_gram=True``, the fast path) or on the raw rows
-        with a fresh per-fit Gram (``shared_gram=False``, the retained
-        bit-identical reference).
+        Gram views.
 
         Note the deliberate semantic difference from :meth:`fit_arrays`,
         which standardises and resolves the kernel per training subset:
@@ -202,7 +200,6 @@ class RadioEnvironment:
             C=cfg.svm_c,
             kernel=cfg.svm_kernel,
             random_state=self.random_state,
-            shared_gram=shared_gram,
         )
 
     # ------------------------------------------------------------------ #

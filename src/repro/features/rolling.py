@@ -11,20 +11,18 @@ sample on, the ``s_t`` convention of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 from ..core.movement import rolling_std_matrix
 from ..sliding import sample_count
-from .base import FeatureBlock, register_extractor
+from .store import FeatureBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from ..radio.office import OfficeLayout
     from ..simulation.collector import DayRecording
 
 __all__ = ["RollingStdExtractor"]
 
 
-@register_extractor
 @dataclass(frozen=True)
 class RollingStdExtractor:
     """Per-stream rolling standard deviation over a fixed time window.
@@ -36,15 +34,13 @@ class RollingStdExtractor:
         trace's median sample interval, never below two samples.
     """
 
-    name: ClassVar[str] = "rolling_std"
-
     std_window_s: float = 4.0
 
     def __post_init__(self) -> None:
         if not self.std_window_s > 0:
             raise ValueError("std_window_s must be positive")
 
-    def day_block(self, day: "DayRecording", layout: "OfficeLayout") -> FeatureBlock:
+    def day_block(self, day: "DayRecording") -> FeatureBlock:
         """Rolling-std block for one day, columns in trace stream order."""
         trace = day.trace
         rate = 1.0 / trace.sample_interval

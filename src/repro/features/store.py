@@ -1,10 +1,10 @@
-"""Per-recording cache of extractor feature blocks.
+"""Per-recording cache of rolling-std feature blocks.
 
 One :class:`FeatureStore` is bound to one
-:class:`~repro.simulation.collector.CampaignRecording` and caches every
-extractor's per-day blocks side by side, keyed by ``(extractor
-digest, day index)``.  The digest is content-based
-(:func:`repro.identity.digest`), so two equal
+:class:`~repro.simulation.collector.CampaignRecording` and caches each
+day's :class:`~repro.features.rolling.RollingStdExtractor` block, keyed by
+``(extractor digest, day index)``: one block per std window and day.  The
+digest is content-based (:func:`repro.identity.digest`), so two equal
 configs share cache entries while any config change computes fresh
 matrices.
 
@@ -19,13 +19,18 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Tuple
 
+import numpy as np
+
 from ..identity import digest
-from .base import FeatureBlock
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from ..simulation.collector import CampaignRecording, DayRecording
 
-__all__ = ["FeatureStore"]
+__all__ = ["FeatureBlock", "FeatureStore"]
+
+#: The cached unit an extractor's ``day_block(day)`` produces for one
+#: recorded day: ``(times, matrix, column_of_stream)``.
+FeatureBlock = Tuple[np.ndarray, np.ndarray, Dict[str, int]]
 
 
 class FeatureStore:
@@ -36,7 +41,7 @@ class FeatureStore:
     recording:
         The campaign whose days this store serves.  Blocks are computed
         lazily on first request and shared across all consumers holding
-        the store (detection, the zoo, zone inference).
+        the store (every detector and config variant of a sweep point).
     """
 
     def __init__(self, recording: "CampaignRecording") -> None:
@@ -71,7 +76,7 @@ class FeatureStore:
         block = self._blocks.get(key)
         if block is None:
             self._misses += 1
-            block = extractor.day_block(day, self.recording.layout)
+            block = extractor.day_block(day)
             self._blocks[key] = block
         else:
             self._hits += 1

@@ -43,17 +43,16 @@ def window_statistics(
       ordinary magnitudes) has autocorrelation ``1.0``: a constant signal
       is perfectly self-similar;
     * a row whose value range is positive but so narrow that
-      ``entropy_bins / (max - min)`` overflows has entropy ``+0.0``: no
-      finite bins can split it, so it is constant for any practical
-      purpose;
+      ``entropy_bins / (max - min)`` overflows, or whose neighbouring
+      bin edges round to the same number (where ``np.histogram`` raises
+      "Too many bins"), has entropy ``+0.0``: no finite bins can split
+      it, so it is constant for any practical purpose;
     * ``ac_lag >= n`` gives autocorrelation ``0.0``;
     * a row with a NaN or infinite value raises ``np.histogram``'s
       ``ValueError`` ("autodetected range of [min, max] is not
-      finite"), and a row whose bins cannot be told apart (a range that
-      overflows, at any bin count, or values so large that neighbouring
-      edges round to the same number) raises its "Too many bins"
-      ``ValueError``.  The first such row in block order names the
-      error.
+      finite"), and a finite row whose range ``max - min`` overflows
+      raises its "Too many bins" ``ValueError`` at any bin count.  The
+      first such row in block order names the error.
     """
     block = np.ascontiguousarray(block, dtype=float)
     if block.ndim != 2 or block.shape[1] == 0:
@@ -72,8 +71,8 @@ def window_statistics(
 
 
 def _entropy(block: np.ndarray, bins: int) -> np.ndarray:
-    """Histogram entropy per row; raises for the rows ``np.histogram``
-    refuses before anything else is computed."""
+    """Histogram entropy per row; raises for non-finite rows and finite rows
+    whose range overflows before anything else is computed."""
     rows, n = block.shape
     lo = block.min(axis=1)
     hi = block.max(axis=1)
@@ -84,15 +83,7 @@ def _entropy(block: np.ndarray, bins: int) -> np.ndarray:
     overflow = finite & np.isinf(spread)
     general = np.flatnonzero(finite & (spread > 0.0) & ~narrow & ~overflow)
 
-    # np.linspace(lo, hi, bins + 1) per row: its step is never zero here,
-    # since a step that underflows makes bins / spread overflow.
-    first = lo[general, None]
-    step = spread[general] / bins
-    edges = np.arange(bins + 1.0) * step[:, None] + first
-    edges[:, -1] = hi[general]
-    collide = np.zeros(rows, dtype=bool)
-    collide[general] = np.any(edges[:, :-1] >= edges[:, 1:], axis=1)
-    bad = np.flatnonzero(~finite | overflow | collide)
+    bad = np.flatnonzero(~finite | overflow)
     if bad.size:
         r = bad[0]
         if not finite[r]:
@@ -104,8 +95,19 @@ def _entropy(block: np.ndarray, bins: int) -> np.ndarray:
             f"finite-sized bins."
         )
 
+    # np.linspace(lo, hi, bins + 1) per row: its step is never zero here,
+    # since a step that underflows makes bins / spread overflow.
+    first = lo[general, None]
+    step = spread[general] / bins
+    edges = np.arange(bins + 1.0) * step[:, None] + first
+    edges[:, -1] = hi[general]
     entropy = np.full(rows, -0.0)
     entropy[narrow] = 0.0
+    # A row whose neighbouring edges round together is as unsplittable as
+    # a narrow one (np.histogram refuses it: "Too many bins").
+    collide = np.any(edges[:, :-1] >= edges[:, 1:], axis=1)
+    entropy[general[collide]] = 0.0
+    general, first, edges = general[~collide], first[~collide], edges[~collide]
     # np.histogram's bin of each value, with its +-1 corrections for values
     # within rounding of an edge.
     values = block[general]

@@ -11,8 +11,8 @@ records, feature-cache entries, record checksums — goes through here:
 * :func:`digest` — the SHA-256 of that encoding as sorted, compact JSON.
   Equal values digest equally, so a digest stands in for object identity.
 * :class:`Registry` — named dataclass types of one kind (detectors,
-  feature extractors, codec components), resolvable by name, class or
-  instance.  Every class any registry accepts is also decodable.
+  codec components), resolvable by name, class or instance.  Every class
+  any registry accepts is also decodable.
 
 The module imports nothing from :mod:`repro`, so every layer may use it.
 """

@@ -47,6 +47,7 @@ restore with a ``ValueError`` naming the field.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
@@ -65,6 +66,20 @@ __all__ = [
     "DetectionBlock",
     "OnlineDetector",
 ]
+
+
+def _check_times(times: np.ndarray, after: Optional[float], order_error: str) -> None:
+    """Raise ``ValueError`` unless the non-empty ``times`` are finite,
+    strictly increasing and later than ``after``.  NaN fails every
+    comparison, so positive steps between finite ends are finite throughout."""
+    if not (
+        math.isfinite(times[0])
+        and math.isfinite(times[-1])
+        and (after is None or times[0] > after)
+        and (times.shape[0] == 1 or bool(np.all(np.diff(times) > 0)))
+    ):
+        finite = bool(np.isfinite(times).all())
+        raise ValueError(order_error if finite else "timestamps must be finite")
 
 
 class OnlineStdSum:
@@ -472,10 +487,11 @@ class OnlineDetector:
     ) -> DetectionBlock:
         """Consume one timestamped sample batch.
 
-        ``times`` is a strictly increasing ``(m,)`` array continuing the
-        stream (every timestamp must be later than everything already
-        consumed); ``matrix`` is the ``(m, n_streams)`` sample block in
-        ``stream_ids`` order.
+        ``times`` is a finite, strictly increasing ``(m,)`` array
+        continuing the stream (every timestamp must be later than
+        everything already consumed); ``matrix`` is the ``(m, n_streams)``
+        sample block in ``stream_ids`` order.  A batch that breaks either
+        rule raises ``ValueError`` and changes no state.
         """
         times = np.asarray(times, dtype=float)
         matrix = np.asarray(matrix, dtype=float)
@@ -484,13 +500,9 @@ class OnlineDetector:
         if times.shape[0] != matrix.shape[0]:
             raise ValueError("times and matrix must have equal length")
         m = times.shape[0]
-        if m and (
-            (self._last_t is not None and times[0] <= self._last_t)
-            or (m > 1 and bool(np.any(np.diff(times) <= 0)))
-        ):
-            raise ValueError(
-                "samples must arrive in strictly increasing time order"
-            )
+        if m:
+            order = "samples must arrive in strictly increasing time order"
+            _check_times(times, self._last_t, order)
 
         std_sums = self._std.extend(matrix)
         decisions = np.full(m, -1, dtype=np.int8)

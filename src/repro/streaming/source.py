@@ -24,6 +24,7 @@ import numpy as np
 from ..radio.trace import RssiTrace
 from ..reliability.faults import SOURCE_DROP_BATCH, as_injector
 from ..simulation.collector import DayRecording
+from .detector import _check_times
 
 __all__ = [
     "SampleBatch",
@@ -44,7 +45,7 @@ class SampleBatch:
     tenant:
         Office id the batch belongs to.
     times:
-        Strictly increasing ``(m,)`` timestamps.
+        Finite, strictly increasing ``(m,)`` timestamps.
     samples:
         ``(m, n_streams)`` RSSI block, columns in the source's
         ``stream_ids`` order.
@@ -67,10 +68,7 @@ class SampleBatch:
             raise ValueError("times and samples must have equal length")
         if self.times.shape[0] == 0:
             raise ValueError("a sample batch cannot be empty")
-        if self.times.shape[0] > 1 and bool(
-            np.any(np.diff(self.times) <= 0)
-        ):
-            raise ValueError("timestamps must be strictly increasing")
+        _check_times(self.times, None, "timestamps must be strictly increasing")
 
     @property
     def n_samples(self) -> int:

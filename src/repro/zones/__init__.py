@@ -1,12 +1,14 @@
 """Zone-occupancy inference — the paper's localisation "future work".
 
-Built on the reusable feature pipeline: the ``"attenuation"`` extractor
-turns raw per-link RSSI into expected-minus-observed attenuation, a
-:class:`ZoneMap` derived from the office layout knows which links cross
-which zone, and :class:`ZoneOccupancyEstimator` (with its bitwise-
-identical streaming twin :class:`ZoneEngine`) turns crossing-link
-attenuation into a per-instant occupied-zone estimate, scored against
-ground-truth walker trajectories.
+A :class:`ZoneMap` derived from the office layout knows which links cross
+which zone, :class:`AttenuationExtractor` holds each link's log-distance
+baseline, and :class:`ZoneEngine` (built by
+:meth:`ZoneOccupancyEstimator.streaming_engine`) turns crossing-link
+attenuation — baseline minus observed RSSI — into a per-instant
+occupied-zone estimate, whether it runs live inside a detector or over a
+recorded day (:meth:`ZoneOccupancyEstimator.day_grid`).
+:func:`score_walks` scores that estimate against ground-truth walker
+trajectories.
 """
 
 from .attenuation import AttenuationExtractor

@@ -1,49 +1,38 @@
-"""Per-link attenuation features: expected baseline minus observed RSSI.
+"""Per-link attenuation baseline: the expected quiescent RSSI of each link.
 
 The senseye exemplars estimate free-space RSSI from link geometry and
 read body shadowing as the gap between that baseline and the observation.
-This extractor does the same against the repository's log-distance model:
-for every directed stream the expected quiescent RSSI is
-``mean_rssi_dbm(link_length)`` under a configured
-:class:`~repro.radio.pathloss.LogDistancePathLoss`, and the feature is
-``expected - observed`` in dB — positive when a body (or noise) eats
+:class:`AttenuationExtractor` does the same against the repository's
+log-distance model: for every directed stream the expected quiescent RSSI
+is ``mean_rssi_dbm(link_length)`` under a configured
+:class:`~repro.radio.pathloss.LogDistancePathLoss`, and
+:class:`~repro.zones.estimator.ZoneEngine` reads ``expected - observed``
+in dB as the link's attenuation — positive when a body (or noise) eats
 signal, near zero on an idle link.
-
-Registered as the ``"attenuation"`` feature extractor, so its per-day
-blocks share a :class:`~repro.features.store.FeatureStore` with the
-rolling-std features that feed detection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..features.base import FeatureBlock, register_extractor
 from ..radio.office import OfficeLayout
 from ..radio.pathloss import LogDistancePathLoss
 from .map import stream_segments
 
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from ..simulation.collector import DayRecording
-
 __all__ = ["AttenuationExtractor"]
 
 
-@register_extractor
 @dataclass(frozen=True)
 class AttenuationExtractor:
-    """Observed RSSI shortfall against the log-distance baseline.
+    """The log-distance baseline that per-link attenuation is measured from.
 
     The path-loss parameters default to the simulator's channel defaults
     (exponent 3.0, 40 dB at 1 m, 4 dBm transmit power), so on a clean
-    channel the extracted attenuation of an idle link is exactly the
-    injected noise.
+    channel the attenuation of an idle link is exactly the injected noise.
     """
-
-    name: ClassVar[str] = "attenuation"
 
     tx_power_dbm: float = 4.0
     exponent: float = 3.0
@@ -71,17 +60,3 @@ class AttenuationExtractor:
                 a.distance_to(b), tx_power_dbm=self.tx_power_dbm
             )
         return expected
-
-    def day_block(self, day: "DayRecording", layout: OfficeLayout) -> FeatureBlock:
-        """Attenuation block for one day, columns in trace stream order."""
-        trace = day.trace
-        stream_ids = trace.stream_ids
-        expected = self.baseline(layout, stream_ids)
-        matrix = np.empty((trace.n_samples, len(stream_ids)))
-        for j, sid in enumerate(stream_ids):
-            # Per-column scalar subtraction: the exact expression the
-            # streaming engine applies per batch, so offline and online
-            # attenuation agree bitwise.
-            matrix[:, j] = expected[j] - trace.streams[sid]
-        columns = {sid: j for j, sid in enumerate(stream_ids)}
-        return trace.times, matrix, columns

@@ -1,16 +1,19 @@
 """Zone-occupancy estimation from per-link attenuation.
 
-Offline estimator and its bounded-state streaming twin, under the same
-equivalence contract as the detector zoo: the concatenated outputs of
-:class:`ZoneEngine` over *any* batch split of a day — partial smoothing
-head included — are bitwise identical to :meth:`ZoneOccupancyEstimator.
-offline_grid` over the full matrix.
+One engine, :class:`ZoneEngine`, runs the whole pipeline with bounded
+state, and every path runs it: :meth:`ZoneOccupancyEstimator.day_grid`
+feeds it a recorded day's RSSI in fixed blocks, and
+:class:`~repro.streaming.detector.OnlineDetector` (so the router) every
+batch it consumes.  The concatenated outputs over *any* batch split of a
+day — partial smoothing head included — are bitwise identical.
 
 The inference pipeline (the paper's "future work" localisation sketched
 by the senseye exemplars, adapted to a room with *seated* occupants
 whose bodies shadow desk-adjacent links permanently):
 
-1. smooth each link's attenuation with a short rolling mean;
+1. read each link's attenuation as its baseline
+   (:class:`~repro.zones.attenuation.AttenuationExtractor`) minus the
+   observed RSSI, and smooth it with a short rolling mean;
 2. calibrate each link's quiescent level as the median of its first
    ``calibration_samples`` smoothed values, and rectify the excess
    (``max(smoothed - calib, 0)``) so a departing occupant's *removed*
@@ -26,21 +29,17 @@ whose bodies shadow desk-adjacent links permanently):
 
 Like the detector engines, nothing is declared during the calibration
 window: scores are NaN and occupancy is ``-1`` for the first
-``calibration_samples`` instants on *both* paths (the offline grid is
-causal by construction, so the streaming twin can match it bitwise).
+``calibration_samples`` instants.
 
-Both paths smooth through :func:`repro.sliding.sliding`, which is what
-makes them bitwise equal under any batch split: the offline grid one
-whole column at a time, the engine every link of a batch in one
-``np.mean`` call over the ``(L, w - 1)`` rows of a
-:class:`repro.sliding.Carry` of attenuation samples.  The engine keeps
-the rest of its state as ``(L, ·)`` arrays too, one row per link: the
-calibration buffer and the frozen medians.  The calibration median is an
-order statistic — value-deterministic, so the engine computes it from
-its own buffered copy of the first smoothed values.  Both paths score
-the same ``(L, m)`` excess with one function, which adds each zone's
-link rows in the zone's declared stream order with identical weights; a
-zone that no present link crosses scores 0.0.
+The engine smooths every link of a batch in one ``np.mean`` call over the
+``(L, w - 1)`` rows of a :class:`repro.sliding.Carry` of attenuation
+samples (:func:`repro.sliding.sliding`), which is what makes any batch
+split give the same bits.  It keeps the rest of its state as ``(L, ·)``
+arrays too, one row per link: the calibration buffer and the frozen
+medians.  The calibration median is an order statistic, so it is
+value-deterministic whatever the split.  Zone scores add each zone's link
+rows in the zone's declared stream order with identical weights; a zone
+that no present link crosses scores 0.0.
 """
 
 from __future__ import annotations
@@ -67,6 +66,12 @@ __all__ = [
     "ZoneEngine",
     "score_walks",
 ]
+
+# RSSI rows per ``ZoneEngine.extend`` call in ``day_grid``.  One call over
+# a whole day holds all its temporaries at once (a 320 MiB tracemalloc peak
+# on a 115,200 x 72 day); 1,024-row blocks peak near 6 MiB, and ran no
+# slower on a 2-vCPU host.
+_DAY_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -167,10 +172,9 @@ class _Links:
 
 def _score_matrix(excess: np.ndarray, links: _Links) -> np.ndarray:
     """``(m, n_zones)`` weighted-mean zone scores from ``(L, m)`` link excess,
-    which it weights in place (on a whole day, a weighted copy costs more
-    than the scoring).  Shared by the offline grid and the streaming engine,
-    so both weight the same rows and add them in zone stream order, left to
-    right.  A zone that no present link crosses scores 0.0.
+    which it weights in place (a weighted copy costs more than the
+    scoring).  Each zone adds its weighted rows in zone stream order, left
+    to right.  A zone that no present link crosses scores 0.0.
     """
     excess *= links.weights[:, None]
     scores = np.zeros((excess.shape[1], len(links.rows)))
@@ -182,11 +186,8 @@ def _score_matrix(excess: np.ndarray, links: _Links) -> np.ndarray:
 
 def _decide(scores: np.ndarray, threshold_db: float) -> np.ndarray:
     """Occupancy decisions for calibrated score rows (int64, -1 = none)."""
-    n = scores.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     best = np.argmax(scores, axis=1)
-    top = scores[np.arange(n), best]
+    top = scores[np.arange(scores.shape[0]), best]
     return np.where(top > threshold_db, best, -1).astype(np.int64)
 
 
@@ -224,44 +225,38 @@ class ZoneOccupancyEstimator:
         if self.calibration_samples < 1:
             raise ValueError("calibration_samples must be at least 1")
 
-    def offline_grid(
-        self, matrix: np.ndarray, columns: Mapping[str, int]
-    ) -> ZoneGrid:
-        """Zone occupancy over a full ``(n, n_streams)`` attenuation matrix."""
-        w = self.smoothing_samples
-        k = self.calibration_samples
-        n = matrix.shape[0]
-        scores = np.full((n, self.zone_map.n_zones), np.nan)
-        occupied = np.full(n, -1, dtype=np.int64)
-        if n <= k:
-            return ZoneGrid(scores=scores, occupied=occupied)
-        links = _Links(self.zone_map, list(columns))
-        excess = np.empty((len(links.needed), n - k))
-        for row, sid in zip(excess, links.needed):
-            smoothed = sliding(matrix[:, columns[sid]], w, np.mean)
-            np.subtract(smoothed[k:], np.median(smoothed[:k]), out=row)
-        np.maximum(excess, 0.0, out=excess)
-        scores[k:] = _score_matrix(excess, links)
-        occupied[k:] = _decide(scores[k:], self.threshold_db)
-        return ZoneGrid(scores=scores, occupied=occupied)
-
     def day_grid(
         self,
         day: "DayRecording",
         layout: OfficeLayout,
         store: Optional["FeatureStore"] = None,
     ) -> Tuple[np.ndarray, ZoneGrid]:
-        """``(times, grid)`` for one recorded day via the feature store."""
-        if store is not None:
-            times, matrix, columns = store.day_block(self.attenuation, day)
-        else:
-            times, matrix, columns = self.attenuation.day_block(day, layout)
-        return times, self.offline_grid(matrix, columns)
+        """``(times, grid)`` for one recorded day: the day's RSSI through a
+        fresh :meth:`streaming_engine`, block by block.
+
+        ``store`` is accepted and not read: zones cache no features, and
+        perfbench's traced copy of the sweep (``perfbench/sweeps.py``)
+        still passes one.
+        """
+        trace = day.trace
+        ids = trace.stream_ids
+        engine = self.streaming_engine(ids, layout)
+        n = trace.n_samples
+        scores = np.empty((n, self.zone_map.n_zones))
+        occupied = np.empty(n, dtype=np.int64)
+        for a in range(0, n, _DAY_BLOCK_ROWS):
+            rows = slice(a, a + _DAY_BLOCK_ROWS)
+            grid = engine.extend(
+                np.column_stack([trace.streams[sid][rows] for sid in ids])
+            )
+            scores[rows] = grid.scores
+            occupied[rows] = grid.occupied
+        return trace.times, ZoneGrid(scores=scores, occupied=occupied)
 
     def streaming_engine(
         self, stream_ids: Sequence[str], layout: OfficeLayout
     ) -> "ZoneEngine":
-        """A fresh bounded-state twin for the given stream order."""
+        """A fresh engine for the given stream order (RSSI batch columns)."""
         needed = _Links(self.zone_map, stream_ids).needed
         expected = self.attenuation.baseline(layout, needed)
         baselines = {sid: float(expected[j]) for j, sid in enumerate(needed)}
@@ -276,13 +271,14 @@ class ZoneOccupancyEstimator:
 
 
 class ZoneEngine:
-    """Streaming zone-occupancy engine, bitwise-identical to offline.
+    """The zone-occupancy engine: RSSI batches in, per-instant grids out.
 
     Bounded state, one row per needed link: a
     :class:`~repro.sliding.Carry` of the last ``smoothing_samples - 1``
     attenuation values, up to ``calibration_samples`` smoothed values
     while calibrating, and the calibration medians once frozen.  Hosted
-    per-tenant by :class:`~repro.streaming.detector.OnlineDetector`.
+    per-tenant by :class:`~repro.streaming.detector.OnlineDetector`, and
+    over a whole recorded day by :meth:`ZoneOccupancyEstimator.day_grid`.
     """
 
     def __init__(
@@ -335,8 +331,8 @@ class ZoneEngine:
             if c0 + m >= k:
                 # The calibration median is an order statistic of each
                 # link's first k smoothed values — value-deterministic,
-                # so computing it from this buffered copy matches the
-                # offline ``np.median(smoothed[:k])`` bitwise.
+                # so this buffered copy gives the same bits under any
+                # batch split.
                 self._calib = np.median(self._calib_buf, axis=1)
                 self._calib_buf = np.empty((self._calib.size, 0))
         scores = np.full((m, self.zone_map.n_zones), np.nan)

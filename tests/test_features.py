@@ -86,11 +86,11 @@ class TestFeatureStore:
     def test_extractors_share_one_store(self, small_recording, layout):
         store = FeatureStore(small_recording)
         day = small_recording.days[0]
-        store.day_block(RollingStdExtractor(), day)
-        _, att, _ = store.day_block(AttenuationExtractor(), day)
+        store.day_block(RollingStdExtractor(std_window_s=4.0), day)
+        _, wide, _ = store.day_block(RollingStdExtractor(std_window_s=8.0), day)
         assert store.misses == 2
-        # The attenuation block is cached independently of the std block.
-        assert store.day_block(AttenuationExtractor(), day)[1] is att
+        # Each std window's block is cached independently of the other.
+        assert store.day_block(RollingStdExtractor(std_window_s=8.0), day)[1] is wide
         assert store.hits == 1
 
     def test_foreign_day_rejected(self, small_recording, other_recording):

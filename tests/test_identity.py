@@ -9,7 +9,7 @@ Locks the contracts of :mod:`repro.identity`:
   digests like its JSON round trip;
 * the codec round-trips every configuration dataclass a scenario is made
   of, and decodes only registered types;
-* detectors and extractors share one :class:`~repro.identity.Registry`
+* the detector registry keeps the :class:`~repro.identity.Registry`
   contract, and every registered class is decodable — so a detector
   registered only with ``@register_detector`` resumes warm from a store.
 """
@@ -31,7 +31,7 @@ from repro.detectors import (
     VarianceThresholdDetector,
     register_detector,
 )
-from repro.features import EXTRACTORS, RollingStdExtractor
+from repro.features import RollingStdExtractor
 from repro.identity import COMPONENTS, decode, digest, encode, register_component
 from repro.radio.channel import ChannelConfig
 from repro.radio.office import paper_office, wide_office
@@ -41,7 +41,7 @@ from repro.zones import AttenuationExtractor, ZoneMap, ZoneOccupancyEstimator
 @pytest.fixture
 def scratch_registries(monkeypatch):
     """Registrations made by a test vanish when it ends."""
-    for registry in (COMPONENTS, DETECTORS, EXTRACTORS):
+    for registry in (COMPONENTS, DETECTORS):
         monkeypatch.setattr(registry, "_classes", dict(registry._classes))
 
 
@@ -180,12 +180,6 @@ REGISTRIES = [
         {"kde_md": KdeMdDetector, "ema_mad": EmaMadDetector},
         VarianceThresholdDetector(window=5),
         id="detectors",
-    ),
-    pytest.param(
-        EXTRACTORS,
-        {"rolling_std": RollingStdExtractor, "attenuation": AttenuationExtractor},
-        RollingStdExtractor(std_window_s=8.0),
-        id="extractors",
     ),
 ]
 

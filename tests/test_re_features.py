@@ -3,7 +3,7 @@
 :func:`repro.features.window.window_statistics` reduces a whole block of
 windows at once.  The oracle below is the per-window code it replaced —
 ``np.var``, the entropy of ``np.histogram``'s counts and the centred
-product sum, one window at a time — with two guards:
+product sum, one window at a time — with three guards:
 
 * a constant window has entropy ``-0.0`` at any magnitude, as it has at
   ordinary ones (``np.histogram`` refuses ``[lo - 0.5, lo + 0.5]`` once
@@ -11,7 +11,11 @@ product sum, one window at a time — with two guards:
 * with one bin and a value range that overflows, ``np.histogram`` casts
   a NaN to a bin index (an ``IndexError`` on x86-64, bin 0 elsewhere);
   the batch raises the "Too many bins" ``ValueError`` that
-  ``np.histogram`` raises for the same window at every other bin count.
+  ``np.histogram`` raises for the same window at every other bin count;
+* a finite window whose range does not overflow but whose neighbouring
+  bin edges round together makes ``np.histogram`` raise "Too many bins";
+  no finite bins can split it, so its entropy is ``+0.0``, as for a range
+  so narrow that ``bins / range`` overflows.
 
 Every comparison is bitwise (``tobytes()``), and a block the oracle
 refuses must make the batch raise the same ``ValueError`` message.
@@ -40,7 +44,12 @@ def oracle_entropy(window, bins):
     with np.errstate(over="ignore"):
         if spread > 0.0 and not np.isfinite(np.float64(bins) / spread):
             return 0.0
-    counts, _ = np.histogram(window, bins=bins)
+    try:
+        counts, _ = np.histogram(window, bins=bins)
+    except ValueError as error:
+        if str(error) == TOO_MANY_BINS.format(bins) and np.isfinite(spread):
+            return 0.0
+        raise
     p = counts[counts > 0] / counts.sum()
     return float(-(p * np.log(p)).sum())
 
@@ -183,13 +192,23 @@ class TestEdgeRows:
             ([-60.0, np.inf], "autodetected range of [-60.0, inf] is not finite"),
             ([-np.inf, -60.0], "autodetected range of [-inf, -60.0] is not finite"),
             ([1e308, -1e308], TOO_MANY_BINS.format(16)),
-            ([1e17, 1e17 + 16.0], TOO_MANY_BINS.format(16)),
         ],
     )
     def test_refused_windows_raise_numpy_message(self, window, message):
         with pytest.raises(ValueError) as caught:
             stats(window)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "window, bins", [([1e17, 1e17 + 16.0], 16), ([-100.0, -99.99999999999999], 2)]
+    )
+    def test_colliding_bin_edges_give_positive_zero_entropy(self, window, bins):
+        # np.histogram refuses both ("Too many bins"): neighbouring edges
+        # round to the same number although the range is finite.
+        with pytest.raises(ValueError, match="Too many bins"):
+            np.histogram(window, bins=bins)
+        ent = stats(window, bins=bins)[1]
+        assert ent == 0.0 and not np.signbit(ent)
 
     def test_first_refused_row_names_the_error(self):
         block = np.array([[-60.0, -61.0], [-60.0, np.inf], [np.nan, -60.0]])
@@ -319,6 +338,18 @@ class TestExtractSamples:
             want = stats(trace.streams[sid][cut])
             at = re_module.feature_names.index(f"{sid}-var")
             np.testing.assert_array_equal(row[at : at + 3], want)
+
+    def test_colliding_window_is_described_not_refused(self):
+        # A Rule-1 firing on a window of two neighbouring floats: at the
+        # default 16 bins its histogram edges round together.
+        up = np.nextafter(-60.0, 0.0)
+        trace = RssiTrace(
+            times=np.arange(8) / 4.0, streams={"a-b": np.array([-60.0, up] * 4)}
+        )
+        row = RadioEnvironment(["a-b"]).extract_sample(
+            trace, VariationWindow(0.0, 1.75), 1.75
+        )
+        assert row[1] == 0.0 and not np.signbit(row[1])
 
     def test_no_starts_give_no_rows(self):
         trace = RssiTrace(times=np.arange(10.0), streams={"a-b": np.zeros(10)})

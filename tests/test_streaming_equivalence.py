@@ -232,6 +232,20 @@ class TestOnlineProfile:
         assert online.threshold == scalar.threshold
 
 
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+)
+POSITIONS = pytest.mark.parametrize("where", ["first", "middle", "last", "single"])
+
+
+def poisoned(times, bad, where):
+    """A copy of ``times`` (its first sample alone for ``"single"``) with
+    ``bad`` in the named position."""
+    out = times[:1].copy() if where == "single" else times.copy()
+    out[{"first": 0, "middle": out.size // 2, "last": -1, "single": 0}[where]] = bad
+    return out
+
+
 def detector_pair(k=4, cfg=None):
     cfg = cfg if cfg is not None else MDConfig(
         profile_init_s=15.0, batch_size=10, merge_gap_s=2.0
@@ -344,6 +358,30 @@ class TestOnlineDetector:
             det.process_block(
                 np.array([0.5, 0.5]), rng.normal(size=(2, 2))
             )
+
+    @NON_FINITE
+    @POSITIONS
+    def test_rejects_non_finite_times_and_keeps_state(self, rng, bad, where):
+        ids, cfg = detector_pair(k=2)
+        times = np.arange(200) / RATE
+        matrix = rng.normal(0.0, 2.0, size=(200, 2))
+        det = OnlineDetector(ids, cfg, sample_rate_hz=RATE)
+        clean = OnlineDetector(ids, cfg, sample_rate_hz=RATE)
+        det.process_block(times[:100], matrix[:100])
+        clean.process_block(times[:100], matrix[:100])
+        batch = poisoned(times[100:103], bad, where)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            det.process_block(batch, matrix[100 : 100 + batch.size])
+        assert json.dumps(det.snapshot()) == json.dumps(clean.snapshot())
+        # The last accepted time still orders what follows: a late batch
+        # is refused, and the rest of the day continues bit for bit.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            det.process_block(np.array([-5.0]), matrix[:1])
+        got = det.process_block(times[100:], matrix[100:])
+        want = clean.process_block(times[100:], matrix[100:])
+        for field in ("std_sums", "decisions", "thresholds", "durations"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert json.dumps(det.snapshot()) == json.dumps(clean.snapshot())
 
     @pytest.mark.parametrize("zoned", [False, True], ids=["plain", "zones"])
     @pytest.mark.parametrize("name", detector_names())
@@ -729,6 +767,13 @@ class TestStreamSources:
             SampleBatch("t", np.array([0.0]), np.zeros((2, 1)))
         with pytest.raises(ValueError, match="empty"):
             SampleBatch("t", np.empty(0), np.zeros((0, 1)))
+
+    @NON_FINITE
+    @POSITIONS
+    def test_sample_batch_rejects_non_finite_times(self, bad, where):
+        times = poisoned(np.array([0.0, 0.25, 0.5]), bad, where)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            SampleBatch("t", times, np.zeros((times.size, 1)))
 
     def test_merge_by_time_preserves_per_tenant_order(self, small_recording):
         sources = [

@@ -1,16 +1,18 @@
-"""Zone-occupancy inference: geometry, estimator, streaming twin, sweep.
+"""Zone-occupancy inference: geometry, the zone engine, hosting, sweep.
 
 The zone workload rides the same equivalence discipline as the detector
-zoo: the streaming :class:`ZoneEngine` must reproduce the offline
-:meth:`ZoneOccupancyEstimator.offline_grid` bit for bit under *any*
+zoo: :class:`ZoneEngine` must reproduce :func:`zone_oracle`, a per-instant
+loop written here that shares no code with it, bit for bit under *any*
 batch split (hypothesis-random, partial smoothing head and calibration
 boundary included), snapshots must round-trip through plain JSON, and
 hosting inside :class:`OnlineDetector` / :class:`IngestRouter` must not
-perturb a single value.  Accuracy against ground-truth walker
-trajectories is pinned as goldens at seed 42, and a noise-free synthetic
-channel must be recovered exactly.
+perturb a single value.  :meth:`ZoneOccupancyEstimator.day_grid` is the
+engine fed a recorded day block by block.  Accuracy against ground-truth
+walker trajectories is pinned as goldens at seed 42, and a noise-free
+synthetic channel must be recovered exactly.
 """
 
+import dataclasses
 import itertools
 import json
 
@@ -29,6 +31,7 @@ from repro.core.config import MDConfig
 from repro.radio.geometry import Point
 from repro.radio.links import enumerate_stream_ids
 from repro.radio.office import paper_office
+from repro.radio.trace import RssiTrace
 from repro.simulation.collector import CampaignCollector
 from repro.streaming import (
     DayRecordingSource,
@@ -40,6 +43,7 @@ from repro.zones import (
     AttenuationExtractor,
     Zone,
     ZoneEngine,
+    ZoneGrid,
     ZoneMap,
     ZoneOccupancyEstimator,
     score_walks,
@@ -84,12 +88,20 @@ def day_rssi(small_recording):
 
 
 @pytest.fixture(scope="module")
-def offline_reference(estimator, small_recording, layout, day_rssi):
-    """The offline grid over the trimmed day-0 attenuation matrix."""
-    _, matrix, columns = estimator.attenuation.day_block(
-        small_recording.days[0], layout
+def oracle_grid(estimator, layout, day_rssi):
+    """:func:`zone_oracle` over the trimmed day-0 attenuation: each
+    stream's baseline minus its RSSI."""
+    _, rssi, ids = day_rssi
+    att = estimator.attenuation.baseline(layout, ids) - rssi
+    scores, occupied = zone_oracle(
+        estimator.zone_map,
+        att,
+        {sid: j for j, sid in enumerate(ids)},
+        estimator.smoothing_samples,
+        estimator.calibration_samples,
+        estimator.threshold_db,
     )
-    return estimator.offline_grid(matrix[:N_EQ], columns)
+    return ZoneGrid(scores=scores, occupied=occupied)
 
 
 class TestZoneMap:
@@ -141,28 +153,15 @@ class TestZoneMap:
 
 
 class TestAttenuationExtractor:
-    def test_day_block_is_baseline_minus_rssi(
-        self, small_recording, layout
-    ):
-        extractor = AttenuationExtractor()
-        day = small_recording.days[0]
-        times, matrix, columns = extractor.day_block(day, layout)
-        trace = day.trace
-        assert np.array_equal(times, trace.times)
-        expected = extractor.baseline(layout, trace.stream_ids)
-        for j, sid in enumerate(trace.stream_ids):
-            assert columns[sid] == j
-            np.testing.assert_array_equal(
-                matrix[:, j], expected[j] - trace.streams[sid]
-            )
-
     def test_quiescent_links_sit_near_zero(self, small_recording, layout):
         # The baseline models the quiescent channel, so median attenuation
-        # over a whole day stays within the shadowing scale of zero.
-        _, matrix, _ = AttenuationExtractor().day_block(
-            small_recording.days[0], layout
-        )
-        assert float(np.median(np.abs(np.median(matrix, axis=0)))) < 3.0
+        # (baseline minus RSSI) over a whole day stays within the
+        # shadowing scale of zero.
+        trace = small_recording.days[0].trace
+        ids = trace.stream_ids
+        rssi = np.column_stack([trace.streams[sid] for sid in ids])
+        att = AttenuationExtractor().baseline(layout, ids) - rssi
+        assert float(np.median(np.abs(np.median(att, axis=0)))) < 3.0
 
 
 class TestStreamingEquivalence:
@@ -192,16 +191,16 @@ class TestStreamingEquivalence:
         ],
     )
     def test_fixed_batchings(
-        self, estimator, layout, day_rssi, offline_reference, sizes
+        self, estimator, layout, day_rssi, oracle_grid, sizes
     ):
         _, rssi, ids = day_rssi
         got = self.concat(self.engine(estimator, layout, ids), rssi, sizes)
-        self.assert_matches(got, offline_reference)
+        self.assert_matches(got, oracle_grid)
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_random_batch_splits(
-        self, estimator, layout, day_rssi, offline_reference, data
+        self, estimator, layout, day_rssi, oracle_grid, data
     ):
         _, rssi, ids = day_rssi
         sizes, left = [], N_EQ
@@ -210,11 +209,11 @@ class TestStreamingEquivalence:
             sizes.append(s)
             left -= s
         got = self.concat(self.engine(estimator, layout, ids), rssi, sizes)
-        self.assert_matches(got, offline_reference)
+        self.assert_matches(got, oracle_grid)
 
     @pytest.mark.parametrize("cut", [17, 59, 60, 250])
     def test_snapshot_round_trip_mid_stream(
-        self, estimator, layout, day_rssi, offline_reference, cut
+        self, estimator, layout, day_rssi, oracle_grid, cut
     ):
         # Cut points before, at and after the calibration freeze; the
         # resumed engine must continue bitwise from a JSON checkpoint.
@@ -228,7 +227,7 @@ class TestStreamingEquivalence:
             np.concatenate([first.scores, rest.scores]),
             np.concatenate([first.occupied, rest.occupied]),
         )
-        self.assert_matches(got, offline_reference)
+        self.assert_matches(got, oracle_grid)
 
     def test_empty_batch_is_identity(self, estimator, layout, day_rssi):
         _, rssi, ids = day_rssi
@@ -244,19 +243,19 @@ class TestStreamingEquivalence:
             np.concatenate([a.scores, b.scores]), whole.scores
         )
 
-    def test_calibration_window_is_silent(self, offline_reference, estimator):
+    def test_calibration_window_is_silent(self, oracle_grid, estimator):
         k = estimator.calibration_samples
-        assert np.isnan(offline_reference.scores[:k]).all()
-        assert (offline_reference.occupied[:k] == -1).all()
-        assert np.isfinite(offline_reference.scores[k:]).all()
+        assert np.isnan(oracle_grid.scores[:k]).all()
+        assert (oracle_grid.occupied[:k] == -1).all()
+        assert np.isfinite(oracle_grid.scores[k:]).all()
         # The trimmed day must actually decide something past calibration,
         # or the equivalence tests above prove nothing.
-        assert (offline_reference.occupied[k:] >= 0).any()
+        assert (oracle_grid.occupied[k:] >= 0).any()
 
 
 class TestHosting:
     def test_online_detector_attaches_zone_grid(
-        self, estimator, layout, day_rssi, offline_reference
+        self, estimator, layout, day_rssi, oracle_grid
     ):
         times, rssi, ids = day_rssi
         det = OnlineDetector(
@@ -267,10 +266,10 @@ class TestHosting:
         )
         block = det.process_block(times, rssi)
         np.testing.assert_array_equal(
-            block.zone_scores, offline_reference.scores
+            block.zone_scores, oracle_grid.scores
         )
         np.testing.assert_array_equal(
-            block.zone_occupancy, offline_reference.occupied
+            block.zone_occupancy, oracle_grid.occupied
         )
 
     def test_without_zones_fields_stay_none(self, day_rssi):
@@ -293,7 +292,7 @@ class TestHosting:
             )
 
     def test_detector_snapshot_carries_zone_state(
-        self, estimator, layout, day_rssi, offline_reference
+        self, estimator, layout, day_rssi, oracle_grid
     ):
         times, rssi, ids = day_rssi
         cut = 150
@@ -310,11 +309,11 @@ class TestHosting:
         rest = resumed.process_block(times[cut:], rssi[cut:])
         np.testing.assert_array_equal(
             np.concatenate([first.zone_scores, rest.zone_scores]),
-            offline_reference.scores,
+            oracle_grid.scores,
         )
         np.testing.assert_array_equal(
             np.concatenate([first.zone_occupancy, rest.zone_occupancy]),
-            offline_reference.occupied,
+            oracle_grid.occupied,
         )
 
     def test_pre_zone_snapshots_still_load(self, day_rssi):
@@ -329,7 +328,7 @@ class TestHosting:
         assert OnlineDetector.from_snapshot(state).zones is None
 
     def test_router_hosts_per_tenant_zone_engines(
-        self, estimator, layout, small_recording, offline_reference, day_rssi
+        self, estimator, layout, small_recording, oracle_grid, day_rssi
     ):
         _, _, ids = day_rssi
         day = small_recording.days[0]
@@ -354,10 +353,10 @@ class TestHosting:
             zoned = router.tenant_state("zoned").concatenated()
         assert plain.zone_scores is None
         np.testing.assert_array_equal(
-            zoned.zone_scores[:N_EQ], offline_reference.scores
+            zoned.zone_scores[:N_EQ], oracle_grid.scores
         )
         np.testing.assert_array_equal(
-            zoned.zone_occupancy[:N_EQ], offline_reference.occupied
+            zoned.zone_occupancy[:N_EQ], oracle_grid.occupied
         )
         # Detection outputs are untouched by the hosted zone engine.
         np.testing.assert_array_equal(plain.std_sums, zoned.std_sums)
@@ -402,6 +401,19 @@ def _synthetic_map(n_zones):
     return ZoneMap(zones=zones)
 
 
+def _zero_baseline_engine(est, ids):
+    """``est``'s pipeline over 0 dB baselines: fed ``-attenuation``, it
+    zones that attenuation."""
+    return ZoneEngine(
+        zone_map=est.zone_map,
+        stream_ids=ids,
+        baselines={sid: 0.0 for sid in ids},
+        smoothing_samples=est.smoothing_samples,
+        calibration_samples=est.calibration_samples,
+        threshold_db=est.threshold_db,
+    )
+
+
 class TestNoiseFreeRecovery:
     @settings(max_examples=50, deadline=None)
     @given(
@@ -433,16 +445,17 @@ class TestNoiseFreeRecovery:
         occupied_rows = slice(k, k + n_occupied)
         for sid in hot:
             matrix[occupied_rows, columns[sid]] = magnitude
-        grid = est.offline_grid(matrix, columns)
+        grid = _zero_baseline_engine(est, ids).extend(-matrix)
         assert (grid.occupied[:k] == -1).all()
         settled = slice(k + w - 1, k + n_occupied)
         assert (grid.occupied[settled] == true_zone).all()
         # Once the step has fully left the smoothing window, quiet again.
         assert (grid.occupied[k + n_occupied + w - 1 :] == -1).all()
 
-    def test_streaming_twin_on_synthetic_channel(self):
-        # The same synthetic day through a ZoneEngine (RSSI = -attenuation
-        # under zero baselines) stays bitwise equal to the offline grid.
+    def test_split_engine_matches_the_loop_on_synthetic_channel(self):
+        # The same synthetic day through a split zero-baseline engine
+        # stays bitwise equal to the per-instant loop, the wall link that
+        # crosses every zone (weight 1/3) included.
         zone_map = _synthetic_map(3)
         est = ZoneOccupancyEstimator(
             zone_map=zone_map, smoothing_samples=3, calibration_samples=8
@@ -451,22 +464,17 @@ class TestNoiseFreeRecovery:
         columns = {sid: j for j, sid in enumerate(ids)}
         matrix = np.zeros((40, 4))
         matrix[8:30, [0, 2]] = 2.0  # zone z2's links: wall + p1
-        reference = est.offline_grid(matrix, columns)
-        assert (reference.occupied[10:30] == 1).all()
-        engine = ZoneEngine(
-            zone_map=zone_map,
-            stream_ids=ids,
-            baselines={sid: 0.0 for sid in ids},
-            smoothing_samples=3,
-            calibration_samples=8,
-            threshold_db=est.threshold_db,
+        want_scores, want_occupied = zone_oracle(
+            zone_map, matrix, columns, 3, 8, est.threshold_db
         )
+        assert (want_occupied[10:30] == 1).all()
+        engine = _zero_baseline_engine(est, ids)
         grids = [engine.extend(b) for b in split_matrix(-matrix, [5, 8, 27])]
         np.testing.assert_array_equal(
-            np.concatenate([g.scores for g in grids]), reference.scores
+            np.concatenate([g.scores for g in grids]), want_scores
         )
         np.testing.assert_array_equal(
-            np.concatenate([g.occupied for g in grids]), reference.occupied
+            np.concatenate([g.occupied for g in grids]), want_occupied
         )
 
 
@@ -531,13 +539,14 @@ def sensor_subsets(layout, zone_map):
 
 
 class TestPerInstantOracle:
-    """Offline grid and engine against :func:`zone_oracle`, sensor subsets
-    that leave a zone with no crossing link included."""
+    """The engine, in one batch and in random splits, against
+    :func:`zone_oracle`, sensor subsets that leave a zone with no crossing
+    link included."""
 
     @pytest.mark.parametrize("empty_zone", [True, False])
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_offline_and_streaming_match_the_loop(
+    def test_whole_and_split_engine_match_the_loop(
         self, layout, zone_map, sensor_subsets, empty_zone, data
     ):
         sensors = data.draw(
@@ -567,7 +576,7 @@ class TestPerInstantOracle:
             zone_map, att, columns, w, k, threshold
         )
 
-        offline = est.offline_grid(att, columns)
+        whole = est.streaming_engine(ids, layout).extend(rssi)
         sizes = data.draw(st.lists(st.integers(0, 9), max_size=n), label="splits")
         sizes.append(max(n - sum(sizes), 0))
         grids, pos = [], 0
@@ -578,11 +587,48 @@ class TestPerInstantOracle:
             np.concatenate([g.scores for g in grids]),
             np.concatenate([g.occupied for g in grids]),
         )
-        for scores, occupied in ((offline.scores, offline.occupied), streamed):
+        for scores, occupied in ((whole.scores, whole.occupied), streamed):
             np.testing.assert_array_equal(
                 scores.view(np.uint64), want_scores.view(np.uint64)
             )
             np.testing.assert_array_equal(occupied, want_occupied)
+
+
+class TestDayGrid:
+    """``day_grid`` is one engine fed the recorded day block by block."""
+
+    @pytest.mark.parametrize("n_samples", [0, 59, 60, 1500, None])
+    def test_equals_one_whole_day_extend(
+        self, estimator, layout, small_recording, n_samples
+    ):
+        # The whole 1,200-s day (4,800 samples) spans five blocks; the
+        # cuts cover an empty day and the calibration boundary (k = 60).
+        day = small_recording.days[1]
+        if n_samples is not None:
+            trace = day.trace
+            day = dataclasses.replace(
+                day,
+                trace=RssiTrace(
+                    times=trace.times[:n_samples],
+                    streams={s: v[:n_samples] for s, v in trace.streams.items()},
+                ),
+            )
+        trace = day.trace
+        ids = trace.stream_ids
+        times, grid = estimator.day_grid(day, layout)
+        whole = estimator.streaming_engine(ids, layout).extend(
+            np.column_stack([trace.streams[sid] for sid in ids])
+        )
+        assert times is trace.times
+        assert grid.scores.shape == (trace.n_samples, estimator.zone_map.n_zones)
+        assert grid.scores.tobytes() == whole.scores.tobytes()
+        assert grid.occupied.dtype == whole.occupied.dtype
+        assert grid.occupied.tobytes() == whole.occupied.tobytes()
+        k = estimator.calibration_samples
+        assert np.isnan(grid.scores[:k]).all() and (grid.occupied[:k] == -1).all()
+        if n_samples is None:
+            assert trace.n_samples > 2 * 1024
+            assert (grid.occupied >= 0).any()
 
 
 class TestGoldenAccuracy:
