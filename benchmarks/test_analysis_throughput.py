@@ -2,8 +2,8 @@
 
 Measures the offline analysis fast paths (PR 2's columnar engine, PR 4's
 root-finding threshold engine and shared-Gram learning curve) against
-their retained references, asserts the equivalence contracts, and fails
-loudly if a fast path loses its edge:
+their references in ``tests/oracles/``, asserts the equivalence
+contracts, and fails loudly if a fast path loses its edge:
 
 * ``evaluate_md_grid`` (shared rolling feature matrix + lockstep profile
   engine, all sensor counts and days pooled) vs. per-count
@@ -25,7 +25,7 @@ loudly if a fast path loses its edge:
   scalar loop pays per-stream ``np.std`` at every step).
 * the shared-Gram learning-curve engine (one kernel matrix per (repeat,
   fold), index-sliced precomputed fits, warm-started SMO, incremental
-  error cache) vs. the retained per-fit reference (fresh Gram per fit,
+  error cache) vs. the per-fit reference (fresh Gram per fit,
   original error-recomputing SMO formulation) at Figure 8 scale.  Gate:
   >= 3x, plus the bit-identity contract: with warm start off, the
   shared-Gram scores equal the per-fit cached-SMO scores bit for bit
@@ -44,14 +44,19 @@ from repro.core.config import FadewichConfig
 from repro.core.evaluation import (
     build_sample_dataset,
     cross_validated_predictions,
-    cross_validated_predictions_scalar,
     evaluate_md,
     evaluate_md_grid,
-    evaluate_md_scalar,
     sensor_subset,
 )
 from repro.core.system import FadewichSystem
 from repro.ml.validation import SVCFoldFitter, learning_curve
+
+from tests.oracles.evaluation import (
+    cross_validated_predictions_scalar,
+    evaluate_md_scalar,
+)
+from tests.oracles.svm import PerFitFoldFitter
+from tests.oracles.system import replay_day_scalar
 
 #: Required speedup of the pooled MD grid over the per-count scalar sweep.
 MIN_MD_SPEEDUP = 5.0
@@ -144,7 +149,7 @@ def test_replay_throughput(request, best_of, speedup_gate):
 
     day = recording.days[-1]
     t_batch, batch = best_of(lambda: make_system().replay_day(day))
-    t_scalar, scalar = best_of(lambda: make_system().replay_day_scalar(day))
+    t_scalar, scalar = best_of(lambda: replay_day_scalar(make_system(), day))
 
     assert batch.actions == scalar.actions
     assert batch.final_states == scalar.final_states
@@ -190,7 +195,7 @@ def test_learning_curve_throughput(request, best_of, speedup_gate):
     The fast path combines the three PR-4 optimisations (one Gram per
     (repeat, fold) with index-sliced precomputed fits, warm-started SMO
     across training sizes, the incremental SMO error cache); the
-    reference is the retained per-fit path (fresh Gram per fit, original
+    reference is the per-fit path (fresh Gram per fit, original
     error-recomputing SMO formulation).  The bit-identity contract is
     asserted alongside: slice-stable kernels make the shared-Gram scores
     (warm start off) equal the per-fit cached-SMO scores bit for bit.
@@ -199,22 +204,22 @@ def test_learning_curve_throughput(request, best_of, speedup_gate):
     sizes = [80, 160, 320, 480, 640]
     svc = dict(C=1.0, kernel="linear", random_state=0)
 
-    def run(**flags):
+    def run(fitter, **flags):
         return learning_curve(
             None, X, y, sizes, n_folds=5, n_repeats=1,
             rng=np.random.default_rng(1),
-            fitter=SVCFoldFitter(**svc, **flags),
+            fitter=fitter(**svc, **flags),
         )
 
-    t_fast, fast = best_of(lambda: run())
+    t_fast, fast = best_of(lambda: run(SVCFoldFitter))
     t_ref, reference = best_of(
-        lambda: run(shared_gram=False, warm_start=False, error_cache=False)
+        lambda: run(PerFitFoldFitter, warm_start=False, error_cache=False)
     )
 
     # Equivalence: shared-Gram (warm start off) == per-fit (cached SMO),
     # bit for bit — the slice-stability contract.
-    shared_cold = run(warm_start=False)
-    perfit_cold = run(shared_gram=False, warm_start=False)
+    shared_cold = run(SVCFoldFitter, warm_start=False)
+    perfit_cold = run(PerFitFoldFitter, warm_start=False)
     np.testing.assert_array_equal(
         shared_cold.all_scores, perfit_cold.all_scores
     )

@@ -4,9 +4,10 @@ Two gates over one simulated working day:
 
 * **kernel** — the batched :class:`~repro.streaming.detector.OnlineDetector`
   (fed fixed-size :class:`~repro.streaming.source.DayRecordingSource`
-  batches) against the per-sample :class:`~repro.core.movement.MovementDetector`
-  loop it replaces, bit-identity asserted on every decision and window
-  duration, >= 3x required;
+  batches) against the per-sample
+  :class:`~tests.oracles.movement.MovementDetector` loop it replaces,
+  bit-identity asserted on every decision and window duration, >= 3x
+  required;
 * **router** — an :class:`~repro.streaming.router.IngestRouter` sustaining
   eight concurrent offices (distinct sensor subsets, batches interleaved
   in arrival order by :func:`~repro.streaming.source.merge_by_time`)
@@ -25,7 +26,6 @@ order of magnitude — a repeat would only add minutes, not precision).
 import numpy as np
 
 from repro.core.config import MDConfig
-from repro.core.movement import MovementDetector
 from repro.mobility.behavior import BehaviorProfile
 from repro.mobility.scheduler import ScheduleGenerator
 from repro.radio.office import paper_office
@@ -36,6 +36,8 @@ from repro.streaming import (
     OnlineDetector,
     merge_by_time,
 )
+
+from tests.oracles.movement import MovementDetector
 
 #: Required speedups.
 MIN_KERNEL_SPEEDUP = 3.0

@@ -9,7 +9,7 @@ second sample on (partial windows first), streams added left to right.
 The percentile line is produced by the shared safeguarded-Newton quantile
 engine (:func:`repro.ml.kde.mixture_quantiles`) — the same threshold rule
 Algorithm 1 now uses online and in the lockstep grid, within ``1e-6`` of
-the retained bisection rule it re-pinned (``bisect_quantiles``), so the
+the bisection rule it re-pinned (kept in ``tests/oracles/kde.py``), so the
 figure's threshold is exactly the one the detector acts on.
 """
 

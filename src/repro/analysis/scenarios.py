@@ -236,8 +236,8 @@ class ScenarioGrid:
         exceeding a layout's deployment are skipped for that scenario);
         every count from 3 to the layout's maximum when omitted.
         Normalised to sorted unique values — duplicates would double-count
-        scenarios in the cross-scenario summary — and counts below 1 are
-        rejected.
+        scenarios in the cross-scenario summary — and counts below 2 are
+        rejected (one sensor has no links, so MD has no stream to read).
     """
 
     def __init__(
@@ -285,9 +285,9 @@ class ScenarioGrid:
             # MDTableRows per scenario that double-count in
             # SweepReport.summary() and cell_statistics().
             counts = sorted({int(n) for n in sensor_counts})
-            if counts and counts[0] < 1:
+            if counts and counts[0] < 2:
                 raise ValueError(
-                    f"sensor counts must be >= 1, got {tuple(sensor_counts)}"
+                    f"sensor counts must be >= 2, got {tuple(sensor_counts)}"
                 )
             self.sensor_counts = tuple(counts)
 

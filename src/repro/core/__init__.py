@@ -30,23 +30,14 @@ from .evaluation import (
     MDEvaluation,
     build_sample_dataset,
     cross_validated_predictions,
-    cross_validated_predictions_scalar,
     departure_outcomes,
     evaluate_md,
     evaluate_md_grid,
-    evaluate_md_scalar,
     sensor_subset,
     streams_for_sensors,
 )
 from .kma import KeyboardMouseActivity
-from .movement import (
-    MovementDetector,
-    NormalProfile,
-    OfflineMDResult,
-    StdSumTracker,
-    detect_offline_scalar,
-    rolling_std_matrix,
-)
+from .movement import OfflineMDResult, rolling_std_matrix
 from .radio_env import RadioEnvironment, RENotTrainedError
 from .security import (
     DeauthCase,
@@ -83,14 +74,11 @@ __all__ = [
     "MDConfig",
     "MDEvaluation",
     "MatchResult",
-    "MovementDetector",
-    "NormalProfile",
     "OfflineMDResult",
     "REConfig",
     "RENotTrainedError",
     "RadioEnvironment",
     "ReplayReport",
-    "StdSumTracker",
     "TimeoutBaseline",
     "TrueWindow",
     "UsabilityDayInput",
@@ -103,13 +91,10 @@ __all__ = [
     "case_counts",
     "classify_outcome",
     "cross_validated_predictions",
-    "cross_validated_predictions_scalar",
     "deauthentication_curve",
     "departure_outcomes",
-    "detect_offline_scalar",
     "evaluate_md",
     "evaluate_md_grid",
-    "evaluate_md_scalar",
     "match_windows",
     "rolling_std_matrix",
     "sensor_subset",

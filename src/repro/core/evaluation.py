@@ -16,35 +16,30 @@ chain, which mirrors the paper's Section VII-C procedure:
 
 This module implements those steps once; the analysis modules compose them.
 
-Scalar references and the columnar fast paths
----------------------------------------------
+Columnar paths and their references
+-----------------------------------
 
-Every hot step of the pipeline exists twice, under a strict contract:
-
-* :func:`evaluate_md` / :func:`evaluate_md_grid` are the columnar fast
-  paths: one shared rolling-window feature matrix per recorded day
-  (:class:`CampaignStdFeatures`), sliced per sensor subset and pushed
-  through the detector's ``offline_grid`` (for the KDE detector the
-  lockstep profile engine, :class:`~repro.detectors.kde_md.OnlineProfile`),
-  all sensor counts and days advancing together.  :func:`evaluate_md_scalar`
-  is the retained per-observation reference: it restricts the trace,
-  recomputes the rolling statistics and drives
-  :func:`~repro.core.movement.detect_offline_scalar` per sensor count.
-  Both take ``s_t`` the way the live
+* :func:`evaluate_md` / :func:`evaluate_md_grid` share one rolling-window
+  feature matrix per recorded day (:class:`CampaignStdFeatures`), sliced
+  per sensor subset and pushed through the detector's ``offline_grid``
+  (for the KDE detector the lockstep profile engine,
+  :class:`~repro.detectors.kde_md.OnlineProfile`), all sensor counts and
+  days advancing together.  They take ``s_t`` the way the live
   :class:`~repro.streaming.detector.OnlineDetector` does — from the second
   sample, partial windows first, streams added left to right — so the
   per-day ``std_sums``, thresholds and windows they report equal the
   router's for the same recording.
 * :func:`cross_validated_predictions` builds its folds as arrays
   (:func:`~repro.ml.validation.stratified_fold_assignments`) and fits on
-  contiguous index views; :func:`cross_validated_predictions_scalar` is
-  the retained per-fold-list reference.
+  contiguous index views.
 
-The fast paths must stay **bit-identical** to their scalar references —
-``tests/test_analysis_equivalence.py`` pins this across seeds, layouts and
-sensor counts, and ``tests/test_golden_analysis.py`` pins the paper-facing
-numbers they produce.  Change either side only with those suites green (or
-consciously re-pinned in the same commit).
+Both must stay **bit-identical** to the per-observation and per-fold-list
+references in ``tests/oracles/evaluation.py``, which restrict each trace,
+recompute its rolling statistics and drive the normal profile one value at
+a time — ``tests/test_analysis_equivalence.py`` pins this across seeds,
+layouts and sensor counts, and ``tests/test_golden_analysis.py`` pins the
+paper-facing numbers they produce.  Change either side only with those
+suites green (or consciously re-pinned in the same commit).
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ from ..features.rolling import RollingStdExtractor
 from ..features.store import FeatureStore
 from ..mobility.events import EventKind, GroundTruthEvent
 from ..ml.metrics import DetectionCounts
-from ..ml.validation import stratified_fold_assignments, stratified_kfold_indices
+from ..ml.validation import stratified_fold_assignments
 from ..radio.links import enumerate_stream_ids
 from ..radio.trace import RssiTrace
 from ..simulation.collector import CampaignRecording, DayRecording
@@ -67,7 +62,7 @@ from ..simulation.dataset import LabeledSample, SampleDataset
 from ..sliding import sum_rows
 from ..streaming.detector import WindowTracker
 from .config import FadewichConfig
-from .movement import OfflineMDResult, _profile_init_samples, detect_offline_scalar
+from .movement import OfflineMDResult, _profile_init_samples
 from .radio_env import RadioEnvironment
 from .security import DeauthOutcome, classify_outcome
 from .windows import MatchResult, VariationWindow, match_windows
@@ -79,11 +74,9 @@ __all__ = [
     "MDEvaluation",
     "CampaignStdFeatures",
     "evaluate_md",
-    "evaluate_md_scalar",
     "evaluate_md_grid",
     "build_sample_dataset",
     "cross_validated_predictions",
-    "cross_validated_predictions_scalar",
     "departure_outcomes",
 ]
 
@@ -316,11 +309,11 @@ def evaluate_md(
 ) -> MDEvaluation:
     """Run offline MD over every recorded day for one sensor subset.
 
-    This is the columnar fast path (bit-identical to
-    :func:`evaluate_md_scalar`).  Pass a shared :class:`CampaignStdFeatures`
-    to reuse the rolling feature matrix across calls; sweeps over sensor
-    counts should prefer :func:`evaluate_md_grid`, which additionally runs
-    all counts' profile chains in lockstep.
+    This is the columnar fast path (bit-identical to the per-observation
+    reference in ``tests/oracles/evaluation.py``).  Pass a shared
+    :class:`CampaignStdFeatures` to reuse the rolling feature matrix across
+    calls; sweeps over sensor counts should prefer :func:`evaluate_md_grid`,
+    which additionally runs all counts' profile chains in lockstep.
     """
     return _evaluate_md_sets(
         recording, config, [(0, list(sensor_ids))], features, detector
@@ -342,8 +335,7 @@ def evaluate_md_grid(
     matrix of each day is computed once and sliced per count, and every
     (day, count) profile chain advances through the lockstep batch engine
     together.  Returns ``{n_sensors: MDEvaluation}``, each value
-    bit-identical to ``evaluate_md_scalar(recording, config,
-    sensor_subset(ids, n))``.
+    bit-identical to :func:`evaluate_md` on ``sensor_subset(ids, n)``.
     """
     all_ids = list(recording.layout.sensor_ids)
     if sensor_counts is None:
@@ -353,43 +345,6 @@ def evaluate_md_grid(
     counts = list(dict.fromkeys(int(n) for n in sensor_counts))
     subsets = [(n, sensor_subset(all_ids, n)) for n in counts]
     return _evaluate_md_sets(recording, config, subsets, features, detector)
-
-
-def evaluate_md_scalar(
-    recording: CampaignRecording,
-    config: FadewichConfig,
-    sensor_ids: Sequence[str],
-) -> MDEvaluation:
-    """Per-observation reference implementation of :func:`evaluate_md`.
-
-    Restricts the trace and recomputes the rolling statistics per call and
-    drives the normal profile one value at a time — the semantics reference
-    the equivalence tests pin the columnar paths against.
-    """
-    stream_ids = streams_for_sensors(sensor_ids)
-    evaluation = MDEvaluation(
-        sensor_ids=tuple(sensor_ids), t_delta_s=config.t_delta_s
-    )
-    for day in recording.days:
-        trace = day.trace.restricted_to(stream_ids)
-        md_result = detect_offline_scalar(trace, config.md)
-        scored_events = _scored_events(day)
-        match = match_windows(
-            md_result.windows,
-            scored_events,
-            config.true_window_slack_s,
-            min_duration_s=config.t_delta_s,
-        )
-        evaluation.days.append(
-            DayEvaluation(
-                day_index=day.day_index,
-                trace=trace,
-                md_result=md_result,
-                match=match,
-                events=scored_events,
-            )
-        )
-    return evaluation
 
 
 def build_sample_dataset(
@@ -447,8 +402,8 @@ def cross_validated_predictions(
     Columnar fast path: the fold memberships are one assignment array
     (:func:`~repro.ml.validation.stratified_fold_assignments`), each fold's
     train/test sets are boolean-mask index views, and the out-of-fold
-    predictions fill one preallocated vector.  Bit-identical to
-    :func:`cross_validated_predictions_scalar`.
+    predictions fill one preallocated vector.  Bit-identical to the
+    per-fold-list reference in ``tests/oracles/evaluation.py``.
     """
     if len(dataset) == 0:
         return {}
@@ -474,40 +429,6 @@ def cross_validated_predictions(
         fold_re = re_module.clone_untrained().fit_arrays(X[train_idx], y[train_idx])
         predicted[test_idx] = fold_re.classify_many(X[test_idx])
     return {i: str(label) for i, label in enumerate(predicted)}
-
-
-def cross_validated_predictions_scalar(
-    re_module: RadioEnvironment,
-    dataset: SampleDataset,
-    *,
-    n_folds: int = 5,
-    rng: Optional[np.random.Generator] = None,
-) -> Dict[int, str]:
-    """Per-fold-list reference implementation of
-    :func:`cross_validated_predictions` (the equivalence tests pin the
-    columnar path against it)."""
-    if len(dataset) == 0:
-        return {}
-    if rng is None:
-        rng = np.random.default_rng()
-    X, y = dataset.to_arrays()
-    predictions: Dict[int, str] = {}
-    n_classes = np.unique(y).shape[0]
-    if len(dataset) < n_folds or n_classes < 2:
-        fitted = re_module.clone_untrained().fit_arrays(X, y)
-        for i, label in enumerate(fitted.classify_many(X)):
-            predictions[i] = label
-        return predictions
-    for train_idx, test_idx in stratified_kfold_indices(y, n_folds, rng):
-        if np.unique(y[train_idx]).shape[0] < 2 or train_idx.size == 0:
-            fallback = str(np.unique(y[train_idx])[0]) if train_idx.size else str(y[0])
-            for i in test_idx:
-                predictions[int(i)] = fallback
-            continue
-        fold_re = re_module.clone_untrained().fit_arrays(X[train_idx], y[train_idx])
-        for i, label in zip(test_idx, fold_re.classify_many(X[test_idx])):
-            predictions[int(i)] = label
-    return predictions
 
 
 def departure_outcomes(

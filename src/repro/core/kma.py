@@ -5,10 +5,13 @@ workstation reports its input idle time to the central station, and the
 system asks "which workstations have been idle for the last ``s`` seconds?"
 — the set ``S_t^(s)``.
 
-The module is a thin policy layer over an idle-time provider: the
-trace-backed :class:`~repro.workstation.idle.TraceIdleProvider` that
-``FadewichSystem.replay_day`` attaches, or the in-memory
-:class:`~repro.workstation.idle.IdleTracker` fed one input at a time.
+The module is a thin policy layer over an :class:`IdleProvider`: in the
+library, the trace-backed
+:class:`~repro.workstation.idle.TraceIdleProvider` that callers attach to
+the live system, or the per-step idle arrays ``FadewichSystem.replay_day``
+precomputes.
+The tests also drive an in-memory provider fed one input at a time
+(``tests/oracles/idle.py``).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Wires together the three modules (KMA, MD, RE), the controller and the
 workstation sessions into a single object that consumes the live RSSI
 sample stream, exactly like the deployed system of the paper (Figure 1).
 
-Three ways to drive it:
+Two ways to drive it:
 
 * **online** — call :meth:`process_sample` for every incoming multi-stream
   RSSI sample (after training RE via :meth:`train` and connecting KMA via
@@ -16,21 +16,21 @@ Three ways to drive it:
   day end to end.  The whole day goes to an ``OnlineDetector`` as one
   batch (no per-step sample dicts, no per-step ``np.std``), and only the
   controller/session state machines advance step by step, fed from the
-  kernel's arrays;
-* **scalar reference** — :meth:`replay_day_scalar` drives the scalar
-  per-sample MD engine of :mod:`repro.core.movement` one sample dict at a
-  time.  All three produce bit-identical reports
-  (``tests/test_analysis_equivalence.py``), and the kernel itself is
-  pinned bit-identical to the per-sample detector whatever the arrival
-  batching (``tests/test_streaming_equivalence.py``).
+  kernel's arrays.
 
-All three classify one RE window.  When Rule 1 fires at ``t`` on the
+Both produce reports bit-identical to the per-sample reference replay in
+``tests/oracles/system.py``, which drives the scalar MD engine one sample
+dict at a time (``tests/test_analysis_equivalence.py``), and the kernel
+itself is pinned bit-identical to the per-sample detector whatever the
+arrival batching (``tests/test_streaming_equivalence.py``).
+
+Both classify one RE window.  When Rule 1 fires at ``t`` on the
 variation window whose first anomalous sample is ``t1``, RE reads the
 samples of ``[t1, t1 + t_delta]`` through
 :meth:`~repro.core.radio_env.RadioEnvironment.classify_window` — the
 window RE is trained on and Table IV scores.  :meth:`process_sample`
 reads ``t1`` from the detector's open window and keeps that window's
-samples up to ``t1 + t_delta``; the replays read the recorded day.
+samples up to ``t1 + t_delta``; the replay reads the recorded day.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from ..simulation.collector import DayRecording
 from ..simulation.dataset import SampleDataset
 from ..streaming.detector import OnlineDetector
 from ..workstation.activity import ActivityTrace
-from ..workstation.idle import TraceIdleProvider
 from ..workstation.session import SessionState, WorkstationSession
 from .config import FadewichConfig
 from .controller import ControllerAction, ControllerState, FadewichController
@@ -355,52 +354,4 @@ class FadewichSystem:
                         session.reauthenticate(t)
                     else:
                         session.register_input(t)
-        return self.report()
-
-    def replay_day_scalar(self, day: DayRecording) -> ReplayReport:
-        """Per-sample reference replay on the scalar MD engine.
-
-        Semantics reference for :meth:`replay_day` and
-        :meth:`process_sample`: a
-        :class:`~repro.core.movement.MovementDetector` consumes one sample
-        dict per step, KMA reads the activity traces through
-        :class:`~repro.workstation.idle.TraceIdleProvider`, and Rule 1
-        classifies the day's samples of ``[t1, t1 + t_delta]``.  The
-        equivalence tests pin the other two paths against it.
-        """
-        # The scalar engine; nothing else in the system runs it.
-        from .movement import MovementDetector
-
-        self._validate_replay_day(day)
-        provider = TraceIdleProvider(day.activity)
-        self.attach_idle_provider(provider)
-        assert self._controller is not None
-        detector = MovementDetector(self._stream_ids, self._config.md, self._rate)
-
-        trace = day.trace.restricted_to(self._stream_ids)
-        times = trace.times
-        # Precompute the per-step sample rows once: a (n_steps, n_streams)
-        # matrix turned into row lists is far cheaper than indexing every
-        # stream's numpy array element by element at every step.
-        matrix = np.column_stack([trace.streams[sid] for sid in self._stream_ids])
-        rows = matrix.tolist()
-        prev_t = float(times[0]) - 1.0 / self._rate
-        for i in range(times.shape[0]):
-            t = float(times[i])
-            detector.process(t, dict(zip(self._stream_ids, rows[i])))
-            window = detector.current_window(t)
-            self._controller.step(
-                t,
-                detector.current_window_duration(t),
-                lambda: self._classify(trace, window.t_start, t),
-            )
-            # Forward keyboard/mouse input to the sessions so alerts cancel
-            # and deauthenticated users eventually log back in.
-            for wid, session in self._sessions.items():
-                if day.activity[wid].has_input_in(prev_t, t):
-                    if session.state is SessionState.DEAUTHENTICATED:
-                        session.reauthenticate(t)
-                    else:
-                        session.register_input(t)
-            prev_t = t
         return self.report()

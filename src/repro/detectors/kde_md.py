@@ -5,14 +5,14 @@ only engine: a Gaussian KDE over the first ``init_samples`` values, the
 anomaly threshold at its ``(100 - alpha)``-th percentile, and the batch
 update — accepted when fewer than ``tau`` of a batch's ``b`` values are
 anomalous — that drops the window's oldest ``b`` values and appends the
-batch (:meth:`~repro.ml.kde.GaussianKDE.updated`).  It advances any number
+batch.  It advances any number
 of independent chains in lockstep: the streaming service runs one chain
 per tenant, :meth:`KdeMdDetector.offline_grid` one chain per ``s_t``
 column over whole columns.  Row-wise Scott bandwidths and the
 warm-started :func:`~repro.ml.kde.mixture_quantiles` solve are
-independent per row, so every chain matches
-:class:`~repro.core.movement.NormalProfile`, the per-observation
-reference, bit for bit whatever the chain count or batch split.
+independent per row, so every chain matches the per-observation
+reference profile in ``tests/oracles/movement.py`` bit for bit whatever
+the chain count or batch split.
 
 All tunables live on the scenario's :class:`~repro.core.config.MDConfig`;
 the detector itself carries no fields, which is what pins the goldens:
@@ -58,11 +58,6 @@ class OnlineProfile:
         self._th: Optional[np.ndarray] = None  # (chains,) thresholds
 
     # ------------------------------------------------------------------ #
-    @property
-    def is_ready(self) -> bool:
-        """Whether the initial profile has been built."""
-        return self._th is not None
-
     @property
     def threshold(self) -> Optional[float]:
         """Current anomaly threshold (``None`` until ready)."""
@@ -204,7 +199,8 @@ class OnlineProfile:
             self._data[rows, keep:] = self._pending[:, rows].T
         window = self._data[rows]
         self._h[rows] = h = scott_bandwidths(window)
-        # Warm-start from the previous thresholds, like NormalProfile.
+        # Warm-start from the previous thresholds, like the reference
+        # profile.
         self._th[rows] = mixture_quantiles(
             window, h, 100.0 - self._config.alpha, x0=self._th[rows]
         )

@@ -26,7 +26,6 @@ live in :func:`repro.features.window.window_statistics`.
 from .correlation import CorrelationResult, correlation_matrix
 from .kde import (
     GaussianKDE,
-    bisect_quantiles,
     mixture_quantiles,
     scott_bandwidth,
     silverman_bandwidth,
@@ -82,7 +81,6 @@ __all__ = [
     "SVMNotFittedError",
     "StandardScaler",
     "accuracy",
-    "bisect_quantiles",
     "conditional_entropy",
     "correlation_matrix",
     "f_measure",

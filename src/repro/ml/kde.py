@@ -21,10 +21,9 @@ previous threshold via ``x0``.  Every per-row operation is independent of
 the other rows, so solving a profile alone or inside a batch is
 **bit-identical** — the property the scalar/lockstep equivalence suite
 relies on (:meth:`GaussianKDE.percentile` and the profile engine in
-:mod:`repro.detectors.kde_md` both delegate here).
-
-:func:`bisect_quantiles` retains the pre-Newton bracketed bisection as the
-reference threshold rule; the regression suite pins the Newton engine to
+:mod:`repro.detectors.kde_md` both delegate here).  The pre-Newton
+bracketed bisection is kept as the reference threshold rule in
+``tests/oracles/kde.py``; the property tests pin the Newton engine to
 within the old ``tol`` of it.
 """
 
@@ -41,7 +40,6 @@ __all__ = [
     "scott_bandwidths",
     "silverman_bandwidth",
     "mixture_quantiles",
-    "bisect_quantiles",
 ]
 
 _SQRT2 = np.sqrt(2.0)
@@ -80,13 +78,6 @@ def silverman_bandwidth(data: np.ndarray) -> float:
 # ---------------------------------------------------------------------- #
 # Row-wise mixture CDF / PDF / quantile engine
 # ---------------------------------------------------------------------- #
-def _rows_cdf(data: np.ndarray, h: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row-wise mixture CDF: ``out[i] = CDF_i(x[i])`` for profile rows."""
-    z = (x[:, None] - data) / h[:, None]
-    z /= _SQRT2
-    return np.add.reduce(0.5 * (1.0 + erf(z)), axis=1) / data.shape[1]
-
-
 def _rows_cdf_pdf(
     scaled_data: np.ndarray,
     scaled_x: np.ndarray,
@@ -298,61 +289,6 @@ def mixture_quantiles(
     return out
 
 
-def bisect_quantiles(
-    data: np.ndarray,
-    bandwidths: np.ndarray,
-    q: float,
-    *,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Retained reference: the pre-Newton bracketed-bisection threshold rule.
-
-    Row-wise replication of the original ``GaussianKDE.percentile``
-    (bracket expansion by ``10 h`` steps, midpoint bisection until the
-    bracket is narrower than ``tol``).  Kept as the documented reference
-    the Newton engine is pinned against: ``tests/test_properties.py``
-    asserts ``|mixture_quantiles - bisect_quantiles| <= tol`` across random
-    profiles, which is the re-pin bound of the threshold-rule change.
-    """
-    if not 0.0 <= q <= 100.0:
-        raise ValueError("q must be within [0, 100]")
-    data = np.ascontiguousarray(np.asarray(data, dtype=float))
-    h = np.asarray(bandwidths, dtype=float)
-    target = q / 100.0
-    rows = data.shape[0]
-    lo = data.min(axis=1) - 10.0 * h
-    hi = data.max(axis=1) + 10.0 * h
-    active = np.ones(rows, dtype=bool)
-    for _ in range(64):
-        active &= ~(_rows_cdf(data, h, lo) <= target)
-        if not active.any():
-            break
-        lo[active] -= 10.0 * h[active]
-    if active.any():
-        raise ValueError("bisection bracket expansion exhausted (low side)")
-    active = np.ones(rows, dtype=bool)
-    for _ in range(64):
-        active &= ~(_rows_cdf(data, h, hi) >= target)
-        if not active.any():
-            break
-        hi[active] += 10.0 * h[active]
-    if active.any():
-        raise ValueError("bisection bracket expansion exhausted (high side)")
-    active = np.ones(rows, dtype=bool)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = _rows_cdf(data, h, mid) < target
-        move_lo = active & below
-        move_hi = active & ~below
-        lo[move_lo] = mid[move_lo]
-        hi[move_hi] = mid[move_hi]
-        active &= ~((hi - lo) < tol)
-        if not active.any():
-            break
-    return 0.5 * (lo + hi)
-
-
 class GaussianKDE:
     """One-dimensional Gaussian kernel density estimator.
 
@@ -479,17 +415,3 @@ class GaussianKDE:
             )
         centers = rng.choice(self._data, size=size, replace=True)
         return centers + rng.normal(0.0, self._h, size=size)
-
-    def updated(self, new_data: Iterable[float], drop_oldest: int = 0) -> "GaussianKDE":
-        """Return a new KDE with ``new_data`` appended.
-
-        The MD module's profile update (Section IV-C3) appends a batch of
-        recent measurements while removing the ``drop_oldest`` oldest ones so
-        the profile tracks the slowly varying radio environment.
-        """
-        new_data = np.asarray(list(new_data), dtype=float).ravel()
-        kept = self._data[drop_oldest:] if drop_oldest > 0 else self._data
-        combined = np.concatenate([kept, new_data])
-        if combined.size == 0:
-            raise ValueError("profile update would leave no data")
-        return GaussianKDE(combined, bandwidth="scott")

@@ -53,9 +53,6 @@ class OneVsOneSVC:
     max_passes: int = 5
     max_iter: int = 200
     random_state: Optional[int] = None
-    #: Forwarded to every pairwise machine; ``False`` selects the retained
-    #: original SMO formulation (see :class:`~repro.ml.svm.BinarySVC`).
-    error_cache: bool = True
 
     classes_: np.ndarray = field(default=None, repr=False)
     estimators_: Dict[Tuple[int, int], BinarySVC] = field(
@@ -77,7 +74,6 @@ class OneVsOneSVC:
             max_passes=self.max_passes,
             max_iter=self.max_iter,
             random_state=self.random_state,
-            error_cache=self.error_cache,
         )
 
     def fit(

@@ -18,10 +18,9 @@ that: ``learning_curve`` hands it the shuffled fold once
 (:meth:`~SVCFoldFitter.begin_fold`), and every per-size fit becomes an
 index-sliced ``kernel="precomputed"`` fit.  Because the kernels are
 slice-stable (:mod:`repro.ml.kernels`), the shared-Gram path is
-bit-identical to the retained per-fit reference
-(``SVCFoldFitter(shared_gram=False)``), which computes a fresh kernel per
-fit — the equivalence contract ``benchmarks/test_analysis_throughput.py``
-gates.
+bit-identical to the per-fit reference in ``tests/oracles/svm.py``, which
+computes a fresh kernel per fit — the equivalence contract
+``benchmarks/test_analysis_throughput.py`` gates.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def stratified_kfold_indices(
 
 @dataclass
 class SVCFoldFitter:
-    """Per-fold learning-curve fitter for (optionally scaled) SVC stacks.
+    """Per-fold learning-curve fitter for the scaled SVC stack.
 
     A *fold fitter* is the per-fold strategy object ``learning_curve``
     drives instead of a plain estimator factory: ``begin_fold`` receives
@@ -103,20 +102,15 @@ class SVCFoldFitter:
     methods works; this implementation covers the SVC stack of the paper
     (standard scaling + one-vs-one SMO machines).
 
-    Parameters mirror :class:`~repro.ml.multiclass.OneVsOneSVC`; ``scale``
-    prepends a :class:`~repro.ml.scaling.StandardScaler` fitted on the full
-    training fold, and ``gamma=None`` resolves the RBF/poly coefficient
-    with the shared ``"scale"`` heuristic on the (scaled) training fold —
-    one preprocessing and one kernel per fold, the invariants that make the
-    Gram matrix shareable across training sizes.
-
-    With ``shared_gram=True`` (the fast path), ``begin_fold`` computes one
-    train x train and one test x train Gram block; every per-size fit is an
-    index-sliced ``kernel="precomputed"`` fit and every prediction reads
-    cached test-row columns.  With ``shared_gram=False`` (the retained
-    reference), each size fits directly on the sample rows with the same
-    fold-level kernel object — bit-identical results, one fresh Gram per
-    fit.
+    Parameters mirror :class:`~repro.ml.multiclass.OneVsOneSVC`.
+    ``begin_fold`` fits a :class:`~repro.ml.scaling.StandardScaler` on the
+    full training fold, and ``gamma=None`` resolves the RBF/poly
+    coefficient with the shared ``"scale"`` heuristic on the scaled
+    training fold — one preprocessing and one kernel per fold, the
+    invariants that make the Gram matrix shareable across training sizes.
+    It then computes one train x train and one test x train Gram block;
+    every per-size fit is an index-sliced ``kernel="precomputed"`` fit and
+    every prediction reads cached test-row columns.
 
     ``warm_start`` exploits the same prefix structure on the *solver* side:
     each pairwise SMO machine of size ``s`` is initialised from the dual
@@ -125,9 +119,8 @@ class SVCFoldFitter:
     prefixes).  Warm-started solves converge to a KKT point of the same
     ``tol`` quality in far fewer steps, but generally a *different* one
     within that tolerance — so ``warm_start=False`` is the configuration
-    whose scores are bit-identical across ``shared_gram`` modes, and the
-    default fast path (both flags on) is pinned by the golden tests
-    instead.
+    whose scores equal the per-fit reference's bit for bit, and the
+    default (warm start on) is pinned by the golden tests instead.
     """
 
     C: float = 1.0
@@ -137,15 +130,7 @@ class SVCFoldFitter:
     max_passes: int = 5
     max_iter: int = 200
     random_state: Optional[int] = None
-    scale: bool = True
-    shared_gram: bool = True
     warm_start: bool = True
-    #: ``False`` drops every fit to the retained original SMO formulation
-    #: (full error-vector recomputation per candidate step) — the per-fit
-    #: *performance* baseline of the Figure 8 throughput gate.  The
-    #: *bit-identity* reference keeps the cache on and only disables
-    #: ``shared_gram``/``warm_start``.
-    error_cache: bool = True
 
     def _fold_kernel(self, X_train: np.ndarray) -> Kernel:
         """Resolve the fold-level kernel (fixed across training sizes)."""
@@ -171,13 +156,12 @@ class SVCFoldFitter:
             max_passes=self.max_passes,
             max_iter=self.max_iter,
             random_state=self.random_state,
-            error_cache=self.error_cache,
         )
 
     def begin_fold(
         self, X_train: np.ndarray, y_train: np.ndarray, X_test: np.ndarray
     ) -> dict:
-        """Fold-level setup: scaling, kernel resolution and (shared) Grams.
+        """Fold-level setup: scaling, kernel resolution and shared Grams.
 
         ``X_train`` arrives in the shuffled fold order — every training
         subset evaluated by ``fit_predict`` is a leading prefix of it.
@@ -185,19 +169,15 @@ class SVCFoldFitter:
         X_train = np.atleast_2d(np.asarray(X_train, dtype=float))
         X_test = np.atleast_2d(np.asarray(X_test, dtype=float))
         y_train = np.asarray(y_train)
-        if self.scale:
-            scaler = StandardScaler().fit(X_train)
-            X_train = scaler.transform(X_train)
-            X_test = scaler.transform(X_test)
+        scaler = StandardScaler().fit(X_train)
+        X_train = scaler.transform(X_train)
+        X_test = scaler.transform(X_test)
         kernel = self._fold_kernel(X_train)
-        state = {"y": y_train, "kernel": kernel}
-        if self.shared_gram:
-            state["K_train"] = kernel(X_train, X_train)
-            state["K_test"] = kernel(X_test, X_train)
-        else:
-            state["X_train"] = X_train
-            state["X_test"] = X_test
-        return state
+        return {
+            "y": y_train,
+            "K_train": kernel(X_train, X_train),
+            "K_test": kernel(X_test, X_train),
+        }
 
     def fit_predict(self, state: dict, size: int) -> np.ndarray:
         """Fit on the first ``size`` fold rows; predict the test fold.
@@ -208,14 +188,9 @@ class SVCFoldFitter:
         """
         y = state["y"][:size]
         warm = state.get("pair_states") if self.warm_start else None
-        if self.shared_gram:
-            clf = self._make_svc("precomputed")
-            clf.fit(state["K_train"][:size, :size], y, warm_init=warm)
-            predicted = clf.predict(state["K_test"][:, :size])
-        else:
-            clf = self._make_svc(state["kernel"])
-            clf.fit(state["X_train"][:size], y, warm_init=warm)
-            predicted = clf.predict(state["X_test"])
+        clf = self._make_svc("precomputed")
+        clf.fit(state["K_train"][:size, :size], y, warm_init=warm)
+        predicted = clf.predict(state["K_test"][:, :size])
         if self.warm_start:
             state["pair_states"] = clf.pair_states()
         return predicted

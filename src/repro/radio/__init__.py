@@ -13,7 +13,7 @@ simulator (see DESIGN.md, substitution table):
   parameters (the channel evaluates it),
 * :mod:`~repro.radio.links` — the m*(m-1) directed stream enumeration,
 * :mod:`~repro.radio.channel` — the composite channel producing RSSI samples,
-* :mod:`~repro.radio.trace` — stream buffers and full trace containers.
+* :mod:`~repro.radio.trace` — the timestamped trace container.
 """
 
 from .channel import ChannelConfig, RadioChannel
@@ -23,7 +23,7 @@ from .links import LinkSet, Stream, enumerate_stream_ids, stream_id
 from .office import OfficeLayout, Sensor, Workstation, paper_office
 from .pathloss import FreeSpacePathLoss, LogDistancePathLoss
 from .shadowing import BodyShadowingModel
-from .trace import RssiTrace, StreamBuffer
+from .trace import RssiTrace
 
 __all__ = [
     "BodyShadowingModel",
@@ -40,7 +40,6 @@ __all__ = [
     "Sensor",
     "SkewLaplace",
     "Stream",
-    "StreamBuffer",
     "Workstation",
     "enumerate_stream_ids",
     "interpolate",

@@ -1,59 +1,18 @@
-"""RSSI trace containers.
+"""RSSI trace container.
 
 The MD and RE modules consume *streams of RSSI measurements*.
 :class:`RssiTrace` holds a complete timestamped recording, with the
-time-window cuts Rule 1 classifies; :class:`StreamBuffer` is
-the bounded per-stream window of the scalar ``s_t`` reference
-(:class:`~repro.core.movement.StdSumTracker`).
+time-window cuts Rule 1 classifies.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, Iterable, List
 
 import numpy as np
 
-__all__ = ["StreamBuffer", "RssiTrace"]
-
-
-class StreamBuffer:
-    """Bounded per-stream buffer of the most recent RSSI measurements.
-
-    Holds the last ``maxlen`` samples of every stream, the sliding window
-    of :class:`~repro.core.movement.StdSumTracker`.  Appending beyond
-    ``maxlen`` discards the oldest samples.
-    """
-
-    def __init__(self, stream_ids: Sequence[str], maxlen: int) -> None:
-        if maxlen <= 0:
-            raise ValueError("maxlen must be positive")
-        if len(stream_ids) == 0:
-            raise ValueError("at least one stream id is required")
-        self._buffers: Dict[str, deque] = {
-            sid: deque(maxlen=int(maxlen)) for sid in stream_ids
-        }
-
-    @property
-    def stream_ids(self) -> List[str]:
-        return list(self._buffers.keys())
-
-    def append(self, sample: Mapping[str, float]) -> None:
-        """Append one multi-stream sample (stream id -> RSSI)."""
-        for sid, buf in self._buffers.items():
-            if sid not in sample:
-                raise KeyError(f"sample is missing stream {sid!r}")
-            buf.append(float(sample[sid]))
-
-    def window(self, sid: str) -> np.ndarray:
-        """The buffered samples of one stream, oldest first."""
-        return np.asarray(self._buffers[sid], dtype=float)
-
-    def fill_level(self) -> int:
-        """Number of samples currently stored per stream."""
-        first = next(iter(self._buffers.values()))
-        return len(first)
+__all__ = ["RssiTrace"]
 
 
 @dataclass

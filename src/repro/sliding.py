@@ -6,7 +6,7 @@ rolling windows of the same kind.  Each runs offline over a whole column
 and streaming over batches, and the two must agree bitwise.  Every such
 reduction in :mod:`repro` runs here, EMA-MAD's long-window median and MAD
 included, so no other module builds a window view (only the per-sample
-scalar references, such as ``StdSumTracker``, keep their own buffers):
+scalar references in ``tests/oracles/`` keep their own buffers):
 
 * :func:`sliding` reduces each position's window — the last ``w`` values,
   or the whole prefix while fewer exist (the *partial head*) — over every

@@ -7,7 +7,7 @@ This package is its detection kernel, a true incremental engine:
 * :class:`~repro.streaming.detector.OnlineDetector` — bounded-state,
   batch-capable detection kernel: constant work per sample (independent of
   stream length), **bit-identical** to the scalar per-sample reference
-  :class:`~repro.core.movement.MovementDetector`, to the detector's
+  in ``tests/oracles/movement.py``, to the detector's
   ``offline_grid`` over the whole ``s_t`` series and to the sweep's
   ``evaluate_md_grid`` (per-day ``s_t``, thresholds and windows), whatever
   the arrival batching (``tests/test_streaming_equivalence.py``);

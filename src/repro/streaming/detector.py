@@ -5,18 +5,18 @@
 * :class:`OnlineStdSum` — the rolling ``s_t`` series.  Keeps only the last
   ``window_samples - 1`` samples per stream (one carry row each), so
   per-sample work is constant in the stream length, while reproducing the
-  per-sample :class:`~repro.core.movement.StdSumTracker` **bit for bit** —
-  including the partial-window head at stream start, whatever the arrival
-  batching.  It is also the sweep's ``s_t``: the evaluation pipeline's
+  per-sample reference tracker (``tests/oracles/movement.py``) **bit for
+  bit** — including the partial-window head at stream start, whatever the
+  arrival batching.  It is also the sweep's ``s_t``: the evaluation pipeline's
   :func:`~repro.core.movement.rolling_std_matrix` runs the same kernel, so
   the paper tables threshold the series a router sees;
 * the detector's decision engine — by default
   :class:`~repro.detectors.kde_md.OnlineProfile`, the KDE normal profile
   (re-exported here), the same engine the offline grids run;
 * :class:`WindowTracker` — the variation-window bookkeeping (open window,
-  merge gap, per-step ``dW_t``), the automaton of the scalar reference
-  :class:`~repro.core.movement.MovementDetector` evaluated a whole batch
-  at a time in closed form; the sweep closes its windows with it too.
+  merge gap, per-step ``dW_t``), the automaton of the scalar per-sample
+  reference detector evaluated a whole batch at a time in closed form;
+  the sweep closes its windows with it too.
 
 Bit-exactness of ``s_t`` under any batch split comes from
 :mod:`repro.sliding`, which every offline series (replay, sweep, Figure 2)
@@ -144,8 +144,8 @@ class OnlineStdSum:
 class WindowTracker:
     """Variation-window automaton: open/merge/close plus per-step ``dW_t``.
 
-    The bookkeeping of the scalar reference
-    :class:`~repro.core.movement.MovementDetector`, and the only one the
+    The bookkeeping of the scalar per-sample reference detector
+    (``tests/oracles/movement.py``), and the only one the
     live system, the router and the sweep run: a window opens at the first
     anomalous instant, stays open through non-anomalous observations
     arriving within ``merge_gap_s`` of the last anomalous one, and closes
@@ -164,10 +164,6 @@ class WindowTracker:
         self._completed: List[VariationWindow] = []
 
     # ------------------------------------------------------------------ #
-    @property
-    def window_start(self) -> Optional[float]:
-        return self._window_start
-
     @property
     def completed_windows(self) -> List[VariationWindow]:
         return list(self._completed)
@@ -309,7 +305,7 @@ class OnlineDetector:
     including single samples) and produces per-instant ``s_t``, anomaly
     decisions, thresholds and window durations — bit-identical to the
     columnar offline kernel over the concatenated stream and to the scalar
-    per-sample reference :class:`~repro.core.movement.MovementDetector`,
+    per-sample reference detector (``tests/oracles/movement.py``),
     whatever the arrival batching.  It is the live system's MD engine
     (:meth:`~repro.core.system.FadewichSystem.process_sample`).
 
@@ -534,8 +530,8 @@ class OnlineDetector:
         """Consume one sample dict; return the anomaly decision (or ``None``).
 
         The per-sample entry point the live system drives, with the
-        signature and semantics of the scalar reference
-        ``MovementDetector.process`` — ``None`` while the std window or the
+        signature and semantics of the scalar reference detector's
+        ``process`` — ``None`` while the std window or the
         normal profile is still initialising.
         """
         row = np.array(

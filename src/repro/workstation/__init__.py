@@ -2,8 +2,8 @@
 
 * :mod:`~repro.workstation.activity` — the Mikkelsen-style keyboard/mouse
   input generator the paper itself uses,
-* :mod:`~repro.workstation.idle` — per-workstation idle-time providers,
-  which the KMA module's "idle for s seconds" query reads,
+* :mod:`~repro.workstation.idle` — the idle-time provider over recorded
+  activity, which the KMA module's "idle for s seconds" query reads,
 * :mod:`~repro.workstation.session` — the workstation session state machine
   (authenticated / alert / screensaver / deauthenticated).
 """
@@ -14,14 +14,13 @@ from .activity import (
     ActivityTrace,
     InputActivityModel,
 )
-from .idle import IdleTracker, TraceIdleProvider
+from .idle import TraceIdleProvider
 from .session import SessionEvent, SessionState, WorkstationSession
 
 __all__ = [
     "MIKKELSEN_ACTIVITY_PROBABILITY",
     "MIKKELSEN_BIN_SECONDS",
     "ActivityTrace",
-    "IdleTracker",
     "InputActivityModel",
     "SessionEvent",
     "SessionState",

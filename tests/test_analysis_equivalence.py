@@ -35,18 +35,12 @@ from repro.core.controller import FadewichController
 from repro.core.evaluation import (
     CampaignStdFeatures,
     cross_validated_predictions,
-    cross_validated_predictions_scalar,
     evaluate_md,
     evaluate_md_grid,
-    evaluate_md_scalar,
     sensor_subset,
     streams_for_sensors,
 )
-from repro.core.movement import (
-    MovementDetector,
-    detect_offline_scalar,
-    rolling_std_matrix,
-)
+from repro.core.movement import rolling_std_matrix
 from repro.core.radio_env import RadioEnvironment
 from repro.core.system import FadewichSystem
 from repro.core.windows import VariationWindow
@@ -61,6 +55,13 @@ from repro.streaming.detector import OnlineDetector, OnlineStdSum
 from repro.workstation.activity import ActivityTrace
 from repro.workstation.idle import TraceIdleProvider
 from repro.workstation.session import SessionState
+
+from tests.oracles.evaluation import (
+    cross_validated_predictions_scalar,
+    evaluate_md_scalar,
+)
+from tests.oracles.movement import MovementDetector, detect_offline_scalar
+from tests.oracles.system import replay_day_scalar
 
 SEEDS = (0, 7, 1234)
 
@@ -348,7 +349,7 @@ class TestReplayEquivalence:
         recording, make_system = self._setup(seed, make_layout)
         day = recording.days[0]
         batch = make_system().replay_day(day)
-        scalar = make_system().replay_day_scalar(day)
+        scalar = replay_day_scalar(make_system(), day)
         assert batch.actions == scalar.actions
         assert batch.final_states == scalar.final_states
         assert batch.deauthentications == scalar.deauthentications
@@ -387,7 +388,7 @@ class TestReplayEquivalence:
 
         silent_day = dc_replace(day, activity=silent_activity)
         batch = make_system().replay_day(silent_day)
-        scalar = make_system().replay_day_scalar(silent_day)
+        scalar = replay_day_scalar(make_system(), silent_day)
         assert batch.actions == scalar.actions
         assert batch.final_states == scalar.final_states
         assert batch.screensavers == scalar.screensavers
@@ -545,9 +546,9 @@ class TestRuleOneWindow:
         ids = day.trace.stream_ids
         return {
             "replay_day": lambda: self._system(config, rate, ids).replay_day(day),
-            "replay_day_scalar": lambda: self._system(
-                config, rate, ids
-            ).replay_day_scalar(day),
+            "replay_day_scalar": lambda: replay_day_scalar(
+                self._system(config, rate, ids), day
+            ),
             "process_sample": lambda: feed_live(
                 self._system(config, rate, ids), day, ids, rate
             ),

@@ -11,7 +11,8 @@ from repro.core.windows import (
     true_window_for_event,
 )
 from repro.mobility.events import EventKind, GroundTruthEvent
-from repro.workstation.idle import IdleTracker
+
+from tests.oracles.idle import IdleTracker
 
 
 class TestConfig:

@@ -4,18 +4,19 @@ import numpy as np
 import pytest
 
 from repro.core.config import FadewichConfig, MDConfig, REConfig
-from repro.core.movement import (
-    MovementDetector,
-    NormalProfile,
-    StdSumTracker,
-    detect_offline_scalar,
-    rolling_std_matrix,
-)
+from repro.core.movement import rolling_std_matrix
 from repro.core.radio_env import RadioEnvironment, RENotTrainedError
 from repro.core.windows import VariationWindow
 from repro.radio.trace import RssiTrace
 from repro.simulation.dataset import LabeledSample
 from repro.streaming import OnlineDetector
+
+from tests.oracles.movement import (
+    MovementDetector,
+    NormalProfile,
+    StdSumTracker,
+    detect_offline_scalar,
+)
 
 
 def live_md(trace, config):

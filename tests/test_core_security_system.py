@@ -27,8 +27,9 @@ from repro.core.security import (
 from repro.core.usability import UsabilityDayInput, UsabilitySimulator
 from repro.core.windows import VariationWindow
 from repro.mobility.events import EventKind, GroundTruthEvent
-from repro.workstation.idle import IdleTracker
 from repro.workstation.session import SessionState, WorkstationSession
+
+from tests.oracles.idle import IdleTracker
 
 
 def departure(t=100.0, exit_time=106.0, workstation="w1"):

@@ -24,9 +24,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MDConfig
-from repro.core.movement import NormalProfile
 from repro.detectors import EmaMadDetector, KdeMdDetector, VarianceThresholdDetector
 from repro.streaming import OnlineProfile
+
+from tests.oracles.movement import NormalProfile
 
 CFG = MDConfig()
 

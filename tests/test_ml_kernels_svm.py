@@ -12,6 +12,8 @@ from repro.ml.kernels import (
 from repro.ml.multiclass import OneVsOneSVC
 from repro.ml.svm import BinarySVC, SVMNotFittedError
 
+from tests.oracles.svm import ReferenceBinarySVC
+
 
 class TestKernels:
     def test_linear_kernel_matches_dot_product(self):
@@ -261,8 +263,8 @@ class TestSMOErrorCache:
     def test_reference_formulation_reaches_same_quality(self, rng):
         X, y = self._binary(rng, n=60)
         cached = BinarySVC(C=2.0, kernel="linear", random_state=0).fit(X, y)
-        reference = BinarySVC(
-            C=2.0, kernel="linear", random_state=0, error_cache=False
+        reference = ReferenceBinarySVC(
+            C=2.0, kernel="linear", random_state=0
         ).fit(X, y)
         assert cached.score(X, y) >= reference.score(X, y) - 0.05
 

@@ -27,6 +27,8 @@ from repro.ml.validation import (
     stratified_kfold_indices,
 )
 
+from tests.oracles.svm import PerFitFoldFitter
+
 
 class TestDetectionCounts:
     def test_precision_recall_fmeasure(self):
@@ -313,12 +315,11 @@ class TestSVCFoldFitter:
     def test_shared_gram_bit_identical_to_per_fit_reference(self):
         X, y = self._data()
         shared = self._curve(
-            X, y, SVCFoldFitter(kernel="rbf", random_state=0,
-                                shared_gram=True, warm_start=False)
+            X, y, SVCFoldFitter(kernel="rbf", random_state=0, warm_start=False)
         )
         perfit = self._curve(
-            X, y, SVCFoldFitter(kernel="rbf", random_state=0,
-                                shared_gram=False, warm_start=False)
+            X, y, PerFitFoldFitter(kernel="rbf", random_state=0,
+                                   warm_start=False)
         )
         np.testing.assert_array_equal(
             shared.all_scores, perfit.all_scores
@@ -352,9 +353,8 @@ class TestSVCFoldFitter:
         X, y = self._data()
         fast = self._curve(X, y, SVCFoldFitter(kernel="linear", random_state=0))
         baseline = self._curve(
-            X, y, SVCFoldFitter(kernel="linear", random_state=0,
-                                shared_gram=False, warm_start=False,
-                                error_cache=False)
+            X, y, PerFitFoldFitter(kernel="linear", random_state=0,
+                                   warm_start=False, error_cache=False)
         )
         assert np.nanmax(np.abs(fast.all_scores - baseline.all_scores)) <= 0.2
 

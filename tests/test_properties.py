@@ -11,7 +11,7 @@ from repro.core.evaluation import DayEvaluation, MDEvaluation, sensor_subset
 from repro.core.movement import OfflineMDResult
 from repro.core.windows import VariationWindow, match_windows, true_window_for_event
 from repro.features import window_statistics
-from repro.ml.kde import GaussianKDE, bisect_quantiles, mixture_quantiles
+from repro.ml.kde import GaussianKDE, mixture_quantiles
 from repro.ml.kernels import make_kernel
 from repro.ml.metrics import DetectionCounts
 from repro.ml.mutual_info import quantize, relative_mutual_information
@@ -27,6 +27,8 @@ from repro.radio.links import LinkSet
 from repro.radio.office import paper_office
 from repro.radio.shadowing import BodyShadowingModel
 from repro.workstation.activity import InputActivityModel
+
+from tests.oracles.kde import bisect_quantiles, updated
 
 finite_floats = st.floats(
     min_value=-100.0, max_value=100.0, allow_nan=False, allow_infinity=False
@@ -352,7 +354,7 @@ class TestQuantileSolverProperties:
             # Slow drift: the profile window slides one sample per step,
             # its mean creeping away from where the chain started.
             fresh = rng.normal(10.0 + drift * step, 1.0 + 0.2 * abs(drift) * step)
-            kde = kde.updated([fresh], drop_oldest=1)
+            kde = updated(kde, [fresh], drop_oldest=1)
 
     @settings(max_examples=25, deadline=None)
     @given(

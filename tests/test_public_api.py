@@ -5,14 +5,16 @@
   or ``perfbench/``.  A definition that only its own unit tests call is
   code nobody runs: delete it together with those tests.  The few kept on
   purpose are listed in ``ALLOWED_UNREFERENCED``, each with its reason.
-* Every ``from repro... import name`` in ``examples/``, ``benchmarks/``
-  and ``perfbench/`` resolves, without running those scripts.
+* Every ``from repro... import name`` and ``from tests.oracles... import
+  name`` in ``examples/``, ``benchmarks/`` and ``perfbench/`` resolves,
+  without running those scripts; no module under ``src/repro`` imports
+  from ``tests``.
 
 A reference is any ``Name`` or ``Attribute`` node with the definition's
 name, so the scan is by name, not by binding: a method counts as used
 when any attribute of that name is read anywhere.  Dunder methods are
-exempt.  Both checks only parse source files and import ``repro``
-modules.
+exempt.  The checks only parse source files and import ``repro`` and
+``tests.oracles`` modules.
 """
 
 import ast
@@ -31,19 +33,11 @@ SCRIPT_DIRS = ("examples", "benchmarks", "perfbench")
 #: keyed ``"path:Qualname"`` with the path relative to the repository root.
 #: To keep another one, add it here with the reason; an entry that gains a
 #: caller, or whose definition is gone, fails the allowlist check below.
-ALLOWED_UNREFERENCED = {
-    "src/repro/ml/kde.py:bisect_quantiles": (
-        "bisection threshold rule the property tests bound "
-        "mixture_quantiles against"
-    ),
-    "src/repro/workstation/idle.py:IdleTracker": (
-        "in-memory IdleProvider that the KMA, controller and system tests "
-        "drive"
-    ),
-    "src/repro/workstation/idle.py:IdleTracker.record_input": (
-        "how those tests feed input events to IdleTracker"
-    ),
-}
+#: References that only tests compare against belong in ``tests/oracles/``.
+ALLOWED_UNREFERENCED = {}
+
+#: Import roots whose names the script check resolves.
+CHECKED_IMPORTS = ("repro", "tests.oracles")
 
 
 def _parse(path):
@@ -126,7 +120,10 @@ def test_script_imports_from_repro_resolve(rel):
     for node in ast.walk(_parse(ROOT / rel)):
         if not isinstance(node, ast.ImportFrom) or node.level:
             continue
-        if node.module != "repro" and not node.module.startswith("repro."):
+        if not any(
+            node.module == root or node.module.startswith(root + ".")
+            for root in CHECKED_IMPORTS
+        ):
             continue
         try:
             module = importlib.import_module(node.module)
@@ -144,3 +141,21 @@ def test_script_imports_from_repro_resolve(rel):
                 f"{rel}:{node.lineno}: from {node.module} import {alias.name}"
             )
     assert not broken, "unresolved imports:\n" + "\n".join(broken)
+
+
+def test_library_imports_nothing_from_tests():
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            offenders += [
+                f"{path.relative_to(ROOT).as_posix()}:{node.lineno}: {module}"
+                for module in modules
+                if module == "tests" or module.startswith("tests.")
+            ]
+    assert not offenders, "src/repro imports from tests:\n" + "\n".join(offenders)

@@ -14,7 +14,9 @@ from repro.radio.links import LinkSet, enumerate_stream_ids, stream_id
 from repro.radio.office import paper_office
 from repro.radio.pathloss import FreeSpacePathLoss, LogDistancePathLoss
 from repro.radio.shadowing import BodyShadowingModel
-from repro.radio.trace import RssiTrace, StreamBuffer
+from repro.radio.trace import RssiTrace
+
+from tests.oracles.movement import StreamBuffer
 
 
 class TestPathLoss:

@@ -122,12 +122,15 @@ class TestScenarioGrid:
         # One scenario in the grid: each count must be counted exactly once.
         assert all(row["n_scenarios"] == 1 for row in summary)
 
-    def test_sensor_counts_below_one_rejected(self):
+    @pytest.mark.parametrize("counts", [[0, 3], [1, 3]])
+    def test_sensor_counts_below_two_rejected(self, counts):
+        # A subset needs two sensors: one sensor has no links, and the
+        # runner would only find that out after collecting the day.
         with pytest.raises(ValueError, match="sensor counts"):
             ScenarioGrid(
                 layouts=[paper_office()],
                 scales=[tiny_scale()],
-                sensor_counts=[0, 3],
+                sensor_counts=counts,
             )
 
     def test_config_derive_axes(self):

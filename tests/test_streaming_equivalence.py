@@ -44,7 +44,6 @@ from repro.core.evaluation import (
     sensor_subset,
     streams_for_sensors,
 )
-from repro.core.movement import MovementDetector, NormalProfile, StdSumTracker
 from repro.core.windows import VariationWindow
 from repro.detectors import KdeMdDetector, detector_names, get_detector
 from repro.streaming import (
@@ -58,6 +57,8 @@ from repro.streaming import (
     merge_by_time,
 )
 from repro.zones import ZoneMap, ZoneOccupancyEstimator
+
+from tests.oracles.movement import MovementDetector, NormalProfile, StdSumTracker
 
 RATE = 4.0
 
@@ -651,7 +652,7 @@ class TestWindowTracker:
         if inside:
             cut = data.draw(st.sampled_from(inside))
             head, first = tracker_run(times[:cut], flags[:cut], gap, [cut])
-            assert head.window_start is not None
+            assert head.snapshot()["window_start"] is not None
             resumed = WindowTracker(gap)
             resumed.restore(json.loads(json.dumps(head.snapshot())))
             _, rest = tracker_run(
@@ -659,7 +660,7 @@ class TestWindowTracker:
             )
             assert np.concatenate([first, rest]).tobytes() == want.tobytes()
             assert resumed.completed_windows == oracle.completed
-            assert resumed.window_start == oracle.window_start
+            assert resumed.snapshot()["window_start"] == oracle.window_start
             resumed.finalize()
             oracle.finalize()
             assert resumed.completed_windows == oracle.completed
@@ -687,7 +688,7 @@ class TestMergeGapBoundaries:
             tracker, got = tracker_run(times, flags, gap, sizes)
             assert got.tobytes() == want.tobytes()
             assert tracker.completed_windows == oracle.completed
-            assert tracker.window_start == oracle.window_start
+            assert tracker.snapshot()["window_start"] == oracle.window_start
             trackers.append(tracker)
         # EOF closes any open window, as MovementDetector.finalize does.
         oracle.finalize()
@@ -723,13 +724,13 @@ class TestMergeGapBoundaries:
         tracker, _ = tracker_run(times, flags, self.GAP, [8])
         # The window is still open at EOF: dW grows through the last sample.
         assert durations[-1] == pytest.approx(times[-1] - times[6])
-        assert tracker.window_start == times[6]
+        assert tracker.snapshot()["window_start"] == times[6]
         # Finalizing closes it at the last anomalous instant, exactly like
         # MovementDetector.finalize.
         tracker.finalize()
         assert tracker.completed_windows == windows
         assert windows[-1] == VariationWindow(times[6], times[-1])
-        assert tracker.window_start is None
+        assert tracker.snapshot()["window_start"] is None
 
     def test_day_of_single_anomalous_sample(self):
         times = np.array([0.0])

@@ -21,6 +21,8 @@ import threading
 
 import pytest
 
+import repro.analysis.scenarios as scenarios_module
+import repro.analysis.sweep_store as sweep_store_module
 from repro.analysis.campaign import CampaignScale
 from repro.analysis.md_performance import MDTableRow
 from repro.analysis.scenarios import (
@@ -32,6 +34,7 @@ from repro.analysis.scenarios import (
 )
 from repro.analysis.sweep_store import StoreStats, SweepStore, name_slug
 from repro.core.config import FadewichConfig
+from repro.features.rolling import RollingStdExtractor
 from repro.ml.metrics import DetectionCounts
 from repro.radio.office import paper_office
 from repro.simulation.runner import CampaignRunner
@@ -771,6 +774,36 @@ class TestWarmResumeWork:
         assert runner.run(store=store).to_dict() == cold.to_dict()
         assert store.stats.hits == len(runner.specs)
         assert runner.last_run_stats.n_analyzed == 0
+
+    def test_one_checksum_per_record_and_features_digest_per_window(
+        self, filled, monkeypatch
+    ):
+        store, cold = filled
+        checksums, digested = [], []
+        checksum = sweep_store_module.result_checksum
+        digest = scenarios_module.digest
+
+        def counting_checksum(payload):
+            checksums.append(1)
+            return checksum(payload)
+
+        def counting_digest(value):
+            digested.append(value)
+            return digest(value)
+
+        monkeypatch.setattr(
+            sweep_store_module, "result_checksum", counting_checksum
+        )
+        monkeypatch.setattr(scenarios_module, "digest", counting_digest)
+        runner = self.runner()
+        assert runner.run(store=store).to_dict() == cold.to_dict()
+        assert len(checksums) == len(runner.specs)
+        # One typed std window across the 6 specs: a features digest per
+        # spec made 6.  The other 3 digests are the content hashes; the
+        # grid scores no zones.
+        features = [v for v in digested if isinstance(v, RollingStdExtractor)]
+        assert len(features) == 1
+        assert len(digested) == 4
 
     def test_detector_retuned_in_place_reads_stale(self, tmp_path):
         store = SweepStore(tmp_path)

@@ -10,20 +10,37 @@ call does with counting wrappers and no wall-clock assertion:
 * ``ZoneEngine.extend`` and ``OnlineStdSum.extend`` reduce every stream
   of a batch in one :func:`repro.sliding.sliding` call;
 * ``OnlineDetector.process_block`` closes a batch's variation windows in
-  one ``WindowTracker.extend`` call.
+  one ``WindowTracker.extend`` call;
+* ``build_sample_dataset`` reduces each day's RE windows with one
+  ``window_statistics`` call per distinct window length and no
+  ``np.histogram``;
+* ``cross_validated_predictions`` makes one ``BinarySVC.fit`` per class
+  pair of each fold's training set, and each of those fits runs the SMO
+  solver once.
 """
 
 import dataclasses
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import repro.core.radio_env as radio_env_module
 import repro.streaming.detector as detector_module
 import repro.zones.estimator as estimator_module
-from repro.core.config import MDConfig
+from repro.core.config import FadewichConfig, MDConfig
+from repro.core.evaluation import (
+    build_sample_dataset,
+    cross_validated_predictions,
+    evaluate_md,
+)
+from repro.core.radio_env import RadioEnvironment
+from repro.ml.svm import BinarySVC
+from repro.ml.validation import stratified_fold_assignments
 from repro.radio.links import enumerate_stream_ids
 from repro.radio.trace import RssiTrace
+from repro.simulation.dataset import LabeledSample
 from repro.streaming import OnlineDetector, OnlineStdSum, WindowTracker
 from repro.zones import ZoneMap, ZoneOccupancyEstimator
 
@@ -122,3 +139,55 @@ def test_process_block_closes_windows_once_per_batch(rng, count_calls, batch):
         det.process_block(times[rows], matrix[rows])
     assert len(calls) == len(batches(600, batch))
     assert det.completed_windows
+
+
+def test_sample_dataset_reduces_once_per_window_length(
+    small_recording, layout, count_calls, monkeypatch
+):
+    config = FadewichConfig()
+    evaluation = evaluate_md(small_recording, config, layout.sensor_ids)
+    expected, n_windows = 0, 0
+    for day in evaluation.days:
+        starts = [
+            window.t_start
+            for window, true_window in day.match.true_positive_pairs
+            if true_window.event.label is not None
+        ]
+        lengths = {
+            day.trace.slice_time(t1, t1 + config.t_delta_s).n_samples
+            for t1 in starts
+        }
+        expected += len(lengths)
+        n_windows += len(starts)
+    calls = count_calls(radio_env_module, "window_statistics")
+    histograms = count_calls(np, "histogram")
+    _, dataset = build_sample_dataset(evaluation, config)
+    assert len(dataset) == n_windows > len(calls) == expected
+    assert histograms == []
+
+
+def test_cross_validation_fits_once_per_fold_class_pair(count_calls):
+    re_module = RadioEnvironment(["a-b", "b-a"])
+    dataset = re_module.empty_dataset()
+    rng = np.random.default_rng(11)
+    # "w3" has a single sample: the fold that tests it trains on 3 classes.
+    labels = ["w0"] * 8 + ["w1"] * 8 + ["w2"] * 6 + ["w3"]
+    for i, label in enumerate(labels):
+        centre = float(label[1])
+        dataset.add(
+            LabeledSample(
+                features=rng.normal(centre, 0.5, len(re_module.feature_names)),
+                label=label,
+                time=float(i),
+            )
+        )
+    _, y = dataset.to_arrays()
+    folds = stratified_fold_assignments(y, 5, np.random.default_rng(3))
+    expected = sum(
+        len(list(combinations(np.unique(y[folds != k]), 2))) for k in range(5)
+    )
+    fits = count_calls(BinarySVC, "fit")
+    solves = count_calls(BinarySVC, "_smo")
+    cross_validated_predictions(re_module, dataset, rng=np.random.default_rng(3))
+    assert expected == 4 * 6 + 3
+    assert len(fits) == len(solves) == expected

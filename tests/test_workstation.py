@@ -9,8 +9,10 @@ from repro.workstation.activity import (
     ActivityTrace,
     InputActivityModel,
 )
-from repro.workstation.idle import IdleTracker, TraceIdleProvider
+from repro.workstation.idle import TraceIdleProvider
 from repro.workstation.session import SessionState, WorkstationSession
+
+from tests.oracles.idle import IdleTracker
 
 
 class TestActivityModel:
