@@ -4,8 +4,8 @@ The analysis modules (one per table / figure) all share the same processing
 chain, which mirrors the paper's Section VII-C procedure:
 
 1. restrict the recorded traces to the streams of the chosen sensor subset,
-2. run MD over every day: the detector's ``offline_grid`` decides each
-   ``s_t`` column and :class:`~repro.streaming.detector.WindowTracker`,
+2. run MD over every day: the detector's ``streaming_engine`` decides
+   each ``s_t`` column and :class:`~repro.streaming.detector.WindowTracker`,
    the live detector's window automaton, closes its variation windows,
 3. match the resulting variation windows against the ground-truth events
    (TP / FP / FN),
@@ -21,10 +21,9 @@ Columnar paths and their references
 
 * :func:`evaluate_md` / :func:`evaluate_md_grid` share one rolling-window
   feature matrix per recorded day (:class:`CampaignStdFeatures`), sliced
-  per sensor subset and pushed through the detector's ``offline_grid``
-  (for the KDE detector the lockstep profile engine,
-  :class:`~repro.detectors.kde_md.OnlineProfile`), all sensor counts and
-  days advancing together.  They take ``s_t`` the way the live
+  per sensor subset and fed to one engine of the detector as lockstep
+  chains, all sensor counts and equally long days advancing together.
+  They take ``s_t`` the way the live
   :class:`~repro.streaming.detector.OnlineDetector` does — from the second
   sample, partial windows first, streams added left to right — so the
   per-day ``std_sums``, thresholds and windows they report equal the
@@ -210,6 +209,11 @@ class CampaignStdFeatures:
         return times, sum_rows(matrix.T, [columns[sid] for sid in stream_ids])
 
 
+# Rows per engine call of the MD grid: whole-day blocks would hold several
+# day-sized temporaries per chain inside the engine.
+_BLOCK_ROWS = 1024
+
+
 def _scored_events(day: DayRecording) -> List[GroundTruthEvent]:
     return [
         e for e in day.events if e.kind in (EventKind.DEPARTURE, EventKind.ENTRY)
@@ -225,10 +229,10 @@ def _evaluate_md_sets(
 ) -> Dict[int, MDEvaluation]:
     """Columnar MD evaluation of several sensor subsets at once.
 
-    All subsets of all days advance through the batch profile engine in
-    lockstep: one pooled ``(n_obs, n_days * n_subsets)`` std-sum matrix per
-    group of equally-shaped days, through ``detector``'s
-    ``offline_grid``.
+    All subsets of all days advance as lockstep chains: one
+    ``detector.streaming_engine`` per group of equally-shaped days, fed
+    the pooled ``(n_obs, n_days * n_subsets)`` std-sum matrix in
+    ``_BLOCK_ROWS``-row blocks.
     """
     if not subsets:
         return {}
@@ -253,19 +257,24 @@ def _evaluate_md_sets(
             (day, times, stacked, _profile_init_samples(times, config.md))
         )
 
-    # Group equally-shaped days so their profile chains run in one lockstep
-    # call, then split the pooled grid back per day.
+    # Group equally-shaped days so their chains run through one engine,
+    # then split the pooled grid back per day.
     groups: Dict[Tuple[int, int], List[int]] = {}
     for i, (_, times, stacked, init_samples) in enumerate(day_inputs):
         groups.setdefault((stacked.shape[0], init_samples), []).append(i)
     n_subsets = len(subsets)
     grids: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [None] * len(day_inputs)
-    for (_, init_samples), indices in groups.items():
+    for (n, init_samples), indices in groups.items():
         pooled = np.hstack([day_inputs[i][2] for i in indices])
-        result = detector.offline_grid(pooled, config.md, init_samples)
+        engine = detector.streaming_engine(config.md, init_samples)
+        decisions = np.empty(pooled.shape, dtype=np.int8)
+        thresholds = np.empty(pooled.shape)
+        for a in range(0, n, _BLOCK_ROWS):
+            rows = slice(a, a + _BLOCK_ROWS)
+            decisions[rows], thresholds[rows] = engine.extend(pooled[rows])
         for position, i in enumerate(indices):
             block = slice(position * n_subsets, (position + 1) * n_subsets)
-            grids[i] = (result.decisions[:, block], result.thresholds[:, block])
+            grids[i] = (decisions[:, block], thresholds[:, block])
 
     for (day, times, stacked, _), grid in zip(day_inputs, grids):
         assert grid is not None
@@ -313,7 +322,7 @@ def evaluate_md(
     reference in ``tests/oracles/evaluation.py``).  Pass a shared
     :class:`CampaignStdFeatures` to reuse the rolling feature matrix across
     calls; sweeps over sensor counts should prefer :func:`evaluate_md_grid`,
-    which additionally runs all counts' profile chains in lockstep.
+    which additionally runs all counts' chains in lockstep.
     """
     return _evaluate_md_sets(
         recording, config, [(0, list(sensor_ids))], features, detector
@@ -333,9 +342,9 @@ def evaluate_md_grid(
     The paper's Table III / Figures 7-10 all sweep the number of sensors;
     this entry point computes the whole sweep at once: the rolling feature
     matrix of each day is computed once and sliced per count, and every
-    (day, count) profile chain advances through the lockstep batch engine
-    together.  Returns ``{n_sensors: MDEvaluation}``, each value
-    bit-identical to :func:`evaluate_md` on ``sensor_subset(ids, n)``.
+    (day, count) chain advances through one detector engine together.
+    Returns ``{n_sensors: MDEvaluation}``, each value bit-identical to
+    :func:`evaluate_md` on ``sensor_subset(ids, n)``.
     """
     all_ids = list(recording.layout.sensor_ids)
     if sensor_counts is None:

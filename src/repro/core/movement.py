@@ -27,9 +27,9 @@ Entry points:
 MD itself runs on one engine per detector.  The streaming kernel
 :class:`~repro.streaming.detector.OnlineDetector` is what the live
 system, the replay and the router run, fed a trace in any batch split;
-the sweep (:func:`~repro.core.evaluation.evaluate_md_grid`) runs the
-detector's ``offline_grid`` over many independent ``s_t`` columns (sensor
-subsets, days) at once.  Both close variation windows with
+the sweep (:func:`~repro.core.evaluation.evaluate_md_grid`) feeds the
+same engine many independent ``s_t`` columns (sensor subsets, days) at
+once, as lockstep chains.  Both close variation windows with
 :class:`~repro.streaming.detector.WindowTracker`, and for Algorithm 1 both
 advance the KDE profile with
 :class:`~repro.detectors.kde_md.OnlineProfile`, whose warm-started

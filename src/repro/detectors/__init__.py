@@ -1,20 +1,18 @@
-"""Pluggable detector zoo: one interface across scalar, columnar and
-streaming paths.
+"""Pluggable detector zoo: one engine per detector, from sweep to router.
 
 Every detector is a frozen config dataclass with a registry ``name`` and
-one engine: :meth:`streaming_engine` builds it, and :meth:`offline_grid`
-runs it over whole columns, so offline and streaming agree bitwise under
-arbitrary batch splits (see :mod:`repro.detectors.base` for the full
-contract).  The zoo ships the paper's KDE-MD detector (a pure port
-— golden numbers unchanged), the EMA+MAD hysteresis detector and the
-rolling-variance threshold baseline; *detector* is a first-class
-``ScenarioGrid`` axis, so sweeps compare members head-to-head on
-identical recordings.
+one entry point, :meth:`streaming_engine`: its engine takes one series or
+an ``(m, chains)`` block of lockstep chains in any batch split, so the
+sweep's MD grid and the live detector agree bitwise (see
+:mod:`repro.detectors.base` for the full contract).  The zoo ships the
+paper's KDE-MD detector (a pure port — golden numbers unchanged), the
+EMA+MAD hysteresis detector and the rolling-variance threshold baseline;
+*detector* is a first-class ``ScenarioGrid`` axis, so sweeps compare
+members head-to-head on identical recordings.
 """
 
 from .base import (
     DETECTORS,
-    DetectionGrid,
     detector_names,
     get_detector,
     register_detector,
@@ -25,7 +23,6 @@ from .variance import VarianceThresholdDetector
 
 __all__ = [
     "DETECTORS",
-    "DetectionGrid",
     "EmaMadDetector",
     "KdeMdDetector",
     "VarianceThresholdDetector",

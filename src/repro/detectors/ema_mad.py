@@ -23,8 +23,10 @@ The detector has one engine, :class:`EmaMadEngine`: bounded state over a
 values, and both windows reduced by :func:`repro.sliding.sliding` — the
 short one by ``np.std``, the long one by sorting each window for the
 median and its absolute deviations for the MAD — so its output does not
-depend on how the series is split into batches.
-:meth:`EmaMadDetector.offline_grid` runs it once over each whole column.
+depend on how the series is split into batches.  An ``(m, chains)``
+block advances every column as its own chain (the sweep's MD grid): the
+windows of all chains are rows of one :func:`~repro.sliding.sliding`
+call, while the EMA recursion and the hysteresis walk loop per chain.
 ``tests/test_detector_oracles.py`` checks it bitwise against naive
 per-instant loops (``np.median`` windows and the hysteresis walk).
 """
@@ -32,17 +34,16 @@ per-instant loops (``np.median`` windows and the hysteresis walk).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from ..sliding import Carry, sliding
 from .base import (
-    DetectionGrid,
     calibrated_threshold,
     calibration_rules,
+    chain_block,
     check_fields,
-    column_grid,
     register_detector,
 )
 
@@ -61,14 +62,13 @@ _MAD_TINY = 1e-9
 
 
 def _ema_series(
-    values: np.ndarray, alpha: float, e: Optional[float] = None
-) -> Tuple[np.ndarray, Optional[float]]:
-    """Per-step python-float EMA recursion from state ``e``: ``(series, e)``."""
-    out = np.empty(values.size)
-    for i, v in enumerate(values.tolist()):
+    values: list, alpha: float, e: Optional[float], out: np.ndarray
+) -> Optional[float]:
+    """Python-float EMA recursion from state ``e`` into ``out``; the last state."""
+    for i, v in enumerate(values):
         e = v if e is None else alpha * v + (1.0 - alpha) * e
         out[i] = e
-    return out, e
+    return e
 
 
 def _sorted_median(ordered: np.ndarray) -> np.ndarray:
@@ -146,9 +146,6 @@ class EmaMadDetector:
         if not 0.0 < self.down_ratio <= 1.0:
             raise ValueError(f"down_ratio must be in (0, 1], got {self.down_ratio}")
 
-    def offline_grid(self, std_sums, config, init_samples: int) -> DetectionGrid:
-        return column_grid(self, std_sums, config, init_samples)
-
     def _median_mad(
         self, ema: np.ndarray, new: int, seen: int
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -164,41 +161,43 @@ class EmaMadDetector:
             sliding(ema, w, _mad, new=new, seen=seen, first=first),
         )
 
-    def _hysteresis(self, j, stds, ema, med, mad, eff, down, active):
-        """``(decisions, active)`` of the walk over instants ``j`` onwards.
-
-        Vectorised trigger/exit evidence, then the inherently sequential
-        two-state hysteresis over plain python bools, starting from
-        ``active``; the engine runs it on its post-init instants.
+    def _hysteresis(self, stds, ema, med, mad, eff, down, active):
+        """``(decisions, active)`` of each chain's walk over its row of the
+        ``(chains, n)`` statistics: vectorised trigger/exit evidence, then
+        the sequential two-state hysteresis over python bools from its flag.
         """
-        stds, ema, med, mad = stds[j:], ema[j:], med[j:], mad[j:]
         rs = np.where(mad > _MAD_TINY, mad * _MAD_SIGMA, 0.0)
-        dev = np.zeros(stds.size)
-        robust = rs > _MAD_TINY
-        dev[robust] = np.abs(ema - med)[robust] / rs[robust]
+        dev = np.divide(
+            np.abs(ema - med), rs, out=np.zeros(stds.shape), where=rs > _MAD_TINY
+        )
         trig = np.where(
             np.isnan(med), stds > eff, (dev > self.dev_factor) | (stds > eff)
         )
-        decisions = np.empty(stds.size, dtype=np.int8)
+        decisions, flags = [], []
         exits = (stds < down).tolist()
-        for i, (trigger, exit_) in enumerate(zip(trig.tolist(), exits)):
-            active = not exit_ if active else trigger
-            decisions[i] = active
-        return decisions, active
+        for triggers, chain_exits, state in zip(trig.tolist(), exits, active):
+            walk = []
+            for trigger, exit_ in zip(triggers, chain_exits):
+                state = not exit_ if state else trigger
+                walk.append(state)
+            decisions.append(walk)
+            flags.append(state)
+        return decisions, flags
 
     def streaming_engine(self, config, init_samples: int) -> "EmaMadEngine":
         return EmaMadEngine(self, init_samples)
 
 
 class EmaMadEngine:
-    """Incremental :class:`EmaMadDetector` over one scalar series.
+    """Incremental :class:`EmaMadDetector` over lockstep chains.
 
-    Bounded state: the EMA accumulator, a :class:`~repro.sliding.Carry` of
-    the last ``long_window - 1`` *smoothed* values (one carry serves both
-    windows since ``long_window >= short_window``), the init-window
-    calibration buffer and the hysteresis flag.  Each ``extend`` reduces
-    the carried values plus the batch, so the concatenated output is the
-    same whatever the batch splits.
+    Bounded state per chain: the EMA accumulator, a row of a
+    :class:`~repro.sliding.Carry` of the last ``long_window - 1``
+    *smoothed* values (one carry serves both windows since ``long_window
+    >= short_window``), the init-window calibration buffer and the
+    hysteresis flag.  Each ``extend`` reduces the carried values plus the
+    batch, so the concatenated output is the same whatever the batch
+    splits.  The snapshots hold a single chain.
     """
 
     def __init__(self, detector: EmaMadDetector, init_samples: int) -> None:
@@ -206,24 +205,31 @@ class EmaMadEngine:
             raise ValueError(f"init_samples must be >= 2, got {init_samples}")
         self._det = detector
         self._init = int(init_samples)
-        self._ema_last: Optional[float] = None
-        self._carry = Carry(detector.long_window - 1, ["ema"])
-        self._calib: List[float] = []
-        self._eff: Optional[float] = None
-        self._down = np.nan
-        self._active = False
+        self._start(1)
+
+    def _start(self, chains: int) -> None:
+        """Fresh state for ``chains`` chains."""
+        self._chains = chains
+        self._ema_last: list = [None] * chains
+        self._carry = Carry(self._det.long_window - 1, ["ema"] * chains)
+        self._calib = np.empty((0, chains))  # init-window stds
+        self._eff: Optional[np.ndarray] = None  # (chains, 1) thresholds
+        self._active = [False] * chains
 
     def snapshot(self) -> dict:
         """JSON-ready bounded state (``down`` may be NaN pre-calibration)."""
+        if self._chains != 1:
+            raise ValueError("only a single-chain engine has a snapshot")
         carry = self._carry.snapshot()
+        eff = None if self._eff is None else float(self._eff[0, 0])
         return {
             "count": carry["count"],
-            "ema_last": self._ema_last,
+            "ema_last": self._ema_last[0],
             "carry": carry["tails"][0],
-            "calib": list(self._calib),
-            "eff": self._eff,
-            "down": self._down,
-            "active": self._active,
+            "calib": self._calib[:, 0].tolist(),
+            "eff": eff,
+            "down": np.nan if eff is None else eff * self._det.down_ratio,
+            "active": self._active[0],
         }
 
     def restore(self, state: dict) -> None:
@@ -251,41 +257,55 @@ class EmaMadEngine:
                 ),
             ]
         )
+        self._start(1)
         self._carry.restore({"count": state["count"], "tails": [state["carry"]]})
         ema_last = state["ema_last"]
-        self._ema_last = None if ema_last is None else float(ema_last)
-        self._calib = [float(v) for v in state["calib"]]
-        self._eff = None if eff is None else float(eff)
-        self._down = down
-        self._active = bool(state["active"])
+        self._ema_last = [None if ema_last is None else float(ema_last)]
+        self._calib = np.array(state["calib"], dtype=float).reshape(-1, 1)
+        self._eff = None if eff is None else np.array([[float(eff)]])
+        self._active = [bool(state["active"])]
 
     def extend(self, values) -> Tuple[np.ndarray, np.ndarray]:
-        """Consume one batch; return its (decisions, thresholds)."""
+        """Consume one batch or block; return its (decisions, thresholds)."""
         det = self._det
-        batch = np.asarray(values, dtype=float).ravel()
-        m = batch.size
-        decisions = np.full(m, -1, dtype=np.int8)
-        thresholds = np.full(m, np.nan)
-        ema_b, self._ema_last = _ema_series(batch, det.ema_alpha, self._ema_last)
-        (ext,), c0 = self._carry.push(ema_b[:, None])
-        stds_b = sliding(ext, det.short_window, np.std, new=m, seen=c0, first=1)
-        med_b, mad_b = det._median_mad(ext, m, c0)
+        consumed = self._carry.count > 0
+        block = chain_block(values, self._chains, consumed)
+        m, chains = block.shape
+        if not consumed and chains != self._chains:
+            self._start(chains)
+        ema = np.empty((chains, m))  # chain-major, like the carry's rows
+        for c, column in enumerate(block.T.tolist()):
+            self._ema_last[c] = _ema_series(
+                column, det.ema_alpha, self._ema_last[c], ema[c]
+            )
+        ext, c0 = self._carry.push(ema.T)
+        # A single chain reduces its row as a 1-D stream (same bits): numpy
+        # sorts and reduces 2-D window views faster than 3-D ones.
+        rows = ext[0] if chains == 1 else ext
+        stds = sliding(rows, det.short_window, np.std, new=m, seen=c0, first=1)
+        med, mad = det._median_mad(rows, m, c0)
+        if chains == 1:
+            stds, med, mad = stds[None], med[None], mad[None]
+        decisions = np.full((chains, m), -1, dtype=np.int8)
+        thresholds = np.full((chains, m), np.nan)
 
         if self._eff is None:
             # Calibrate once the init window's stds (positions 1 ..
             # init_samples - 1) have all been seen.
             lo, hi = max(1 - c0, 0), max(self._init - c0, 0)
-            self._calib.extend(stds_b[lo:hi].tolist())
+            self._calib = np.concatenate((self._calib, stds[:, lo:hi].T))
             if c0 + m >= self._init:
                 self._eff = calibrated_threshold(
                     self._calib, det.threshold_scale, _EFF_FLOOR
-                )
-                self._down = self._eff * det.down_ratio
-                self._calib = []
+                )[:, None]
+                self._calib = self._calib[:0]
         if self._eff is not None:
-            thresholds[max(self._init - 1 - c0, 0) :] = self._eff
+            thresholds[:, max(self._init - 1 - c0, 0) :] = self._eff
             j = max(self._init - c0, 0)
-            decisions[j:], self._active = det._hysteresis(
-                j, stds_b, ema_b, med_b, mad_b, self._eff, self._down, self._active
+            decisions[:, j:], self._active = det._hysteresis(
+                stds[:, j:], ema[:, j:], med[:, j:], mad[:, j:],
+                self._eff, self._eff * det.down_ratio, self._active,
             )
-        return decisions, thresholds
+        if np.ndim(values) == 1:
+            return decisions[0], thresholds[0]
+        return decisions.T, thresholds.T

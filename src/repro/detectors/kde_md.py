@@ -5,10 +5,9 @@ only engine: a Gaussian KDE over the first ``init_samples`` values, the
 anomaly threshold at its ``(100 - alpha)``-th percentile, and the batch
 update — accepted when fewer than ``tau`` of a batch's ``b`` values are
 anomalous — that drops the window's oldest ``b`` values and appends the
-batch.  It advances any number
-of independent chains in lockstep: the streaming service runs one chain
-per tenant, :meth:`KdeMdDetector.offline_grid` one chain per ``s_t``
-column over whole columns.  Row-wise Scott bandwidths and the
+batch.  It advances any number of independent chains in lockstep: the
+streaming service runs one chain per tenant, the sweep's MD grid one
+chain per ``s_t`` column.  Row-wise Scott bandwidths and the
 warm-started :func:`~repro.ml.kde.mixture_quantiles` solve are
 independent per row, so every chain matches the per-observation
 reference profile in ``tests/oracles/movement.py`` bit for bit whatever
@@ -26,8 +25,8 @@ from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..ml.kde import GaussianKDE, mixture_quantiles, scott_bandwidths
-from .base import DetectionGrid, check_fields, column_grid, register_detector
+from ..ml.kde import mixture_quantiles, scott_bandwidths
+from .base import chain_block, check_fields, register_detector
 
 __all__ = ["KdeMdDetector", "OnlineProfile"]
 
@@ -37,13 +36,13 @@ class OnlineProfile:
 
     :meth:`extend` takes a 1-D block of one chain's ``s_t`` values, or an
     ``(m, chains)`` block advancing every column as its own chain; the
-    first block fixes the chain count.  State: the init values, the
-    ``(chains, window)`` KDE data matrix with its bandwidths and
-    thresholds, and the partial batch.  An accepted update grows a window
-    of ``init_samples`` to ``batch_size`` values when ``batch_size >
-    init_samples``, at times that differ per chain, so that case takes a
-    single chain.  ``threshold``, ``kde`` and the snapshots describe a
-    single chain.
+    first block that holds values fixes the chain count.  State: the init
+    values, the ``(chains, window)`` KDE data matrix with its bandwidths
+    and thresholds, and the partial batch.  When ``batch_size >
+    init_samples`` an accepted window is the whole batch, so the matrix
+    widens to ``batch_size`` columns at the first acceptance; a chain not
+    yet accepted keeps its init window there, padded, and reads only its
+    threshold.  ``threshold`` and the snapshots describe a single chain.
     """
 
     def __init__(self, config, init_samples: int) -> None:
@@ -62,12 +61,6 @@ class OnlineProfile:
     def threshold(self) -> Optional[float]:
         """Current anomaly threshold (``None`` until ready)."""
         return None if self._th is None else float(self._th[0])
-
-    @property
-    def kde(self) -> Optional[GaussianKDE]:
-        if self._th is None:
-            return None
-        return GaussianKDE(self._data[0].copy(), bandwidth=float(self._h[0]))
 
     # ------------------------------------------------------------------ #
     def snapshot(self) -> Dict[str, Any]:
@@ -145,12 +138,10 @@ class OnlineProfile:
         *after* each observation (NaN while initialising) — the
         :attr:`~repro.core.movement.OfflineMDResult.threshold_trace`.
         """
-        values = np.asarray(values, dtype=float)
-        block = values if values.ndim == 2 else values.reshape(-1, 1)
+        consumed = self._init.shape[0] > 0
+        block = chain_block(values, self._init.shape[1], consumed)
         cfg = self._config
-        if not self._init.shape[0]:  # nothing consumed: fix the chain count
-            if block.shape[1] > 1 and cfg.batch_size > self._init_samples:
-                raise ValueError("lockstep chains need batch_size <= init_samples")
+        if not consumed:  # the first values fix the chain count
             self._init = self._pending = block[:0]
         n = block.shape[0]
         decisions = np.full(block.shape, -1, dtype=np.int8)
@@ -184,7 +175,7 @@ class OnlineProfile:
                     # last value, so the trace shows the new threshold there.
                     thresholds[end - 1] = self._th
                 self._pending = self._pending[:0]
-        if values.ndim != 2:
+        if np.ndim(values) == 1:
             return decisions[:, 0], thresholds[:, 0]
         return decisions, thresholds
 
@@ -192,11 +183,11 @@ class OnlineProfile:
         """Accept the full partial batch into the KDE windows of ``rows``."""
         b = self._pending.shape[0]
         keep = self._data.shape[1] - b
-        if keep < 0:  # a single chain whose init window is shorter than b
-            self._data = self._pending.T.copy()
-        else:
-            self._data[rows, :keep] = self._data[rows, b:]
-            self._data[rows, keep:] = self._pending[:, rows].T
+        if keep < 0:  # init windows shorter than b: widen, then replace
+            self._data = np.pad(self._data, ((0, 0), (0, -keep)))
+            keep = 0
+        self._data[rows, :keep] = self._data[rows, b:]
+        self._data[rows, keep:] = self._pending[:, rows].T
         window = self._data[rows]
         self._h[rows] = h = scott_bandwidths(window)
         # Warm-start from the previous thresholds, like the reference
@@ -212,12 +203,6 @@ class KdeMdDetector:
     """KDE normal profile + Newton-quantile threshold (paper Section IV)."""
 
     name: ClassVar[str] = "kde_md"
-
-    def offline_grid(self, std_sums, config, init_samples) -> DetectionGrid:
-        if config.batch_size > init_samples:
-            return column_grid(self, std_sums, config, init_samples)
-        profile = OnlineProfile(config, init_samples)
-        return DetectionGrid(*profile.extend(np.asarray(std_sums, dtype=float)))
 
     def streaming_engine(self, config, init_samples) -> OnlineProfile:
         return OnlineProfile(config, init_samples)

@@ -16,26 +16,25 @@ initialisation; the threshold trace first materialises at
 
 The detector has one engine, :class:`VarianceEngine`, which takes rolling
 variances through :mod:`repro.sliding`, so its output does not depend on
-how the series is split into batches.
-:meth:`VarianceThresholdDetector.offline_grid` runs it once over each
-whole column.  ``tests/test_detector_oracles.py`` checks it bitwise
-against a naive per-instant loop.
+how the series is split into batches; an ``(m, chains)`` block advances
+every column as its own chain in the same call (the sweep's MD grid).
+``tests/test_detector_oracles.py`` checks it bitwise against a naive
+per-instant loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
 import numpy as np
 
 from ..sliding import Carry, sliding
 from .base import (
-    DetectionGrid,
     calibrated_threshold,
     calibration_rules,
+    chain_block,
     check_fields,
-    column_grid,
     register_detector,
 )
 
@@ -64,21 +63,18 @@ class VarianceThresholdDetector:
                 f"threshold_scale must be > 0, got {self.threshold_scale}"
             )
 
-    def offline_grid(self, std_sums, config, init_samples: int) -> DetectionGrid:
-        return column_grid(self, std_sums, config, init_samples)
-
     def streaming_engine(self, config, init_samples: int) -> "VarianceEngine":
         return VarianceEngine(self, init_samples)
 
 
 class VarianceEngine:
-    """Incremental :class:`VarianceThresholdDetector` over one series.
+    """Incremental :class:`VarianceThresholdDetector` over lockstep chains.
 
-    State is a :class:`~repro.sliding.Carry` of the last ``window - 1``
-    values, the calibration buffer and — once calibrated — the effective
-    threshold.  Stateless past calibration: each decision reads only the
-    current rolling variance, so the post-init batch path is fully
-    vectorised.
+    State is a :class:`~repro.sliding.Carry` of each chain's last ``window
+    - 1`` values, the calibration buffer and — once calibrated — the
+    effective thresholds.  Stateless past calibration: each decision reads
+    only the current rolling variance, so the post-init batch path is
+    fully vectorised.  The snapshots hold a single chain.
     """
 
     def __init__(self, detector: VarianceThresholdDetector, init_samples: int) -> None:
@@ -86,50 +82,63 @@ class VarianceEngine:
             raise ValueError(f"init_samples must be >= 2, got {init_samples}")
         self._det = detector
         self._init = int(init_samples)
-        self._carry = Carry(detector.window - 1, ["s_t"])
-        self._calib: List[float] = []
-        self._eff: Optional[float] = None
+        self._start(1)
+
+    def _start(self, chains: int) -> None:
+        """Fresh state for ``chains`` chains."""
+        self._chains = chains
+        self._carry = Carry(self._det.window - 1, ["s_t"] * chains)
+        self._calib = np.empty((0, chains))  # init-window variances
+        self._eff: Optional[np.ndarray] = None  # (chains,) thresholds
 
     def snapshot(self) -> dict:
         """JSON-ready bounded state of the rolling-variance engine."""
+        if self._chains != 1:
+            raise ValueError("only a single-chain engine has a snapshot")
         carry = self._carry.snapshot()
         return {
             "count": carry["count"],
             "carry": carry["tails"][0],
-            "calib": list(self._calib),
-            "eff": self._eff,
+            "calib": self._calib[:, 0].tolist(),
+            "eff": None if self._eff is None else float(self._eff[0]),
         }
 
     def restore(self, state: dict) -> None:
         """Overwrite the mutable state from a :meth:`snapshot` dict."""
         check_fields(calibration_rules(state, self._init))
+        self._start(1)
         self._carry.restore({"count": state["count"], "tails": [state["carry"]]})
-        self._calib = [float(v) for v in state["calib"]]
+        self._calib = np.array(state["calib"], dtype=float).reshape(-1, 1)
         eff = state["eff"]
-        self._eff = None if eff is None else float(eff)
+        self._eff = None if eff is None else np.array([float(eff)])
 
     def extend(self, values) -> Tuple[np.ndarray, np.ndarray]:
-        """Consume one batch; return its (decisions, thresholds)."""
-        batch = np.asarray(values, dtype=float).ravel()
-        m = batch.size
-        decisions = np.full(m, -1, dtype=np.int8)
-        thresholds = np.full(m, np.nan)
-        (ext,), c0 = self._carry.push(batch[:, None])
-        var_b = sliding(
+        """Consume one batch or block; return its (decisions, thresholds)."""
+        consumed = self._carry.count > 0
+        block = chain_block(values, self._chains, consumed)
+        m, chains = block.shape
+        if not consumed and chains != self._chains:
+            self._start(chains)
+        decisions = np.full((m, chains), -1, dtype=np.int8)
+        thresholds = np.full((m, chains), np.nan)
+        ext, c0 = self._carry.push(block)
+        var = sliding(
             ext, self._det.window, np.var, new=m, seen=c0, first=1, fill=0.0
-        )
+        ).T
 
         # Calibrate once init_samples values have been seen, then compare.
         if self._eff is None:
             lo, hi = max(1 - c0, 0), max(self._init - c0, 0)
-            self._calib.extend(var_b[lo:hi].tolist())
+            self._calib = np.concatenate((self._calib, var[lo:hi]))
             if c0 + m >= self._init:
                 self._eff = calibrated_threshold(
                     self._calib, self._det.threshold_scale, _EFF_FLOOR
                 )
-                self._calib = []
+                self._calib = self._calib[:0]
         if self._eff is not None:
             thresholds[max(self._init - 1 - c0, 0) :] = self._eff
             j = max(self._init - c0, 0)
-            decisions[j:] = var_b[j:] > self._eff
+            decisions[j:] = var[j:] > self._eff
+        if np.ndim(values) == 1:
+            return decisions[:, 0], thresholds[:, 0]
         return decisions, thresholds

@@ -7,8 +7,8 @@ This package is its detection kernel, a true incremental engine:
 * :class:`~repro.streaming.detector.OnlineDetector` — bounded-state,
   batch-capable detection kernel: constant work per sample (independent of
   stream length), **bit-identical** to the scalar per-sample reference
-  in ``tests/oracles/movement.py``, to the detector's
-  ``offline_grid`` over the whole ``s_t`` series and to the sweep's
+  in ``tests/oracles/movement.py``, to the detector's engine over the
+  whole ``s_t`` series and to the sweep's
   ``evaluate_md_grid`` (per-day ``s_t``, thresholds and windows), whatever
   the arrival batching (``tests/test_streaming_equivalence.py``);
   its :class:`~repro.streaming.detector.WindowTracker` is the one

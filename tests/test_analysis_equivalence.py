@@ -4,7 +4,7 @@ PR 2's analysis fast paths must be *bit-identical* to their retained scalar
 references:
 
 * ``evaluate_md_grid`` / ``evaluate_md`` (shared rolling feature matrix +
-  lockstep profile engine) vs. ``evaluate_md_scalar`` (per-count restrict /
+  one detector engine over lockstep chains) vs. ``evaluate_md_scalar`` (per-count restrict /
   recompute / per-observation profile),
 * ``cross_validated_predictions`` (array fold masks) vs.
   ``cross_validated_predictions_scalar`` (per-fold index lists),
@@ -201,8 +201,8 @@ class TestDetectOfflineEquivalence:
         np.testing.assert_array_equal(thresholds, scalar.threshold_trace)
 
     def test_batch_matches_scalar_when_update_outgrows_init(self):
-        # batch_size > init_samples flips the engine to its per-column
-        # fallback; the contract must hold there too.
+        # batch_size > init_samples: an accepted window outgrows the init
+        # window, and the contract must hold there too.
         recording = collect(7, n_days=1)
         stream_ids = streams_for_sensors(
             sensor_subset(recording.layout.sensor_ids, 3)
@@ -227,9 +227,10 @@ class TestDetectOfflineEquivalence:
         std_sums = result.std_sums.copy()
         original = std_sums.copy()
         init = sample_count(config.profile_init_s, 1.0 / trace.sample_interval)
-        grid = KdeMdDetector().offline_grid(std_sums[:, np.newaxis], config, init)
+        engine = KdeMdDetector().streaming_engine(config, init)
+        _, thresholds = engine.extend(std_sums[:, np.newaxis])
         np.testing.assert_array_equal(std_sums, original)
-        np.testing.assert_array_equal(grid.thresholds[:, 0], result.threshold_trace)
+        np.testing.assert_array_equal(thresholds[:, 0], result.threshold_trace)
 
 
 class TestEvaluateMDGridEquivalence:

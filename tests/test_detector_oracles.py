@@ -1,8 +1,9 @@
 """Each zoo detector against an independent, naive per-instant oracle.
 
-A detector's ``offline_grid`` runs its streaming engine over whole
-columns, so the offline ≡ streaming suites compare the engine with
-itself.  These tests compare it with code that shares nothing with it:
+A detector has one engine, so the batch-split suites compare the engine
+with itself.  These tests compare it with code that shares nothing with
+it, as a block of 1, 2 or 5 lockstep chains and as one engine per
+column, each split at random rows:
 
 * the variance detector with ``np.var`` over each instant's own slice
   ``values[max(0, i - w + 1) : i + 1]`` and the calibrated threshold;
@@ -11,21 +12,18 @@ itself.  These tests compare it with code that shares nothing with it:
   odd and even long windows up to 241 on rounded, tied values; the
   median and MAD alone also with NaN, +inf and -inf in the smoothed
   series, partial head included, and with signed zeros;
-* the KDE detector's multi-column grid with ``batch_size > init_samples``
+* the KDE detector's lockstep chains with ``batch_size > init_samples``
   with one per-observation ``NormalProfile`` per column.
 
-Every comparison is bitwise.  The last test pins what a lockstep
-(multi-chain) profile refuses: ``batch_size > init_samples`` and snapshots.
+Every comparison is bitwise.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MDConfig
 from repro.detectors import EmaMadDetector, KdeMdDetector, VarianceThresholdDetector
-from repro.streaming import OnlineProfile
 
 from tests.oracles.movement import NormalProfile
 
@@ -116,22 +114,27 @@ def naive_ema_mad(values, det, init):
     return decisions, thresholds
 
 
-def check_grid_and_splits(oracle, det, values, init, data):
-    """Offline grid (two columns) and a random streaming split vs oracle."""
-    want_d, want_t = oracle(values, det, init)
-    grid = det.offline_grid(np.column_stack([values, values[::-1]]), CFG, init)
-    assert_bits_equal(grid.decisions[:, 0], want_d)
-    assert_bits_equal(grid.thresholds[:, 0], want_t)
-    rev_d, rev_t = oracle(values[::-1].copy(), det, init)
-    assert_bits_equal(grid.decisions[:, 1], rev_d)
-    assert_bits_equal(grid.thresholds[:, 1], rev_t)
-
-    engine = det.streaming_engine(CFG, init)
+def split_extend(engine, values, data):
+    """``engine``'s concatenated outputs over ``values`` cut at random rows."""
     cuts = sorted(data.draw(st.lists(st.integers(0, len(values)), max_size=6)))
-    parts = np.split(values, cuts)
-    got = [engine.extend(part) for part in parts]
-    assert_bits_equal(np.concatenate([d for d, _ in got]), want_d)
-    assert_bits_equal(np.concatenate([t for _, t in got]), want_t)
+    got = [engine.extend(part) for part in np.split(values, cuts)]
+    return np.concatenate([d for d, _ in got]), np.concatenate([t for _, t in got])
+
+
+def check_chains_and_splits(oracle, det, values, init, data):
+    """1, 2 or 5 lockstep chains (the series reversed and rotated) and one
+    engine per column, each split at random rows, against the oracle."""
+    k = data.draw(st.sampled_from([1, 2, 5]))
+    columns = [np.roll(values[:: (-1) ** j], 7 * (j // 2)) for j in range(k)]
+    block = np.column_stack(columns).reshape(len(values), k)
+    dec, th = split_extend(det.streaming_engine(CFG, init), block, data)
+    for j, column in enumerate(columns):
+        want_d, want_t = oracle(column, det, init)
+        assert_bits_equal(dec[:, j], want_d)
+        assert_bits_equal(th[:, j], want_t)
+        one_d, one_t = split_extend(det.streaming_engine(CFG, init), column, data)
+        assert_bits_equal(one_d, want_d)
+        assert_bits_equal(one_t, want_t)
 
 
 @settings(max_examples=40, deadline=None)
@@ -148,7 +151,7 @@ def test_variance_matches_naive_oracle(
     seed, n, window, scale, init, decimals, data
 ):
     det = VarianceThresholdDetector(window=window, threshold_scale=scale)
-    check_grid_and_splits(
+    check_chains_and_splits(
         naive_variance, det, series(seed, n, decimals), init, data
     )
 
@@ -203,7 +206,7 @@ def test_ema_mad_matches_naive_oracle(
             med, mad = det._median_mad(ema, len(ema), 0)
         assert_bits_equal(med, want_med)
         assert_bits_equal(mad, want_mad)
-    check_grid_and_splits(naive_ema_mad, det, values, init, data)
+    check_chains_and_splits(naive_ema_mad, det, values, init, data)
 
 
 def test_median_mad_signed_zeros_match_np_median():
@@ -226,15 +229,19 @@ def test_median_mad_signed_zeros_match_np_median():
     batch_over_init=st.integers(1, 40),
     tau=st.sampled_from([0.1, 0.25, 0.5]),
     decimals=st.sampled_from([1, 3]),
+    data=st.data(),
 )
 def test_kde_grid_with_batch_larger_than_init_matches_normal_profile(
-    seed, n, columns, init, batch_over_init, tau, decimals
+    seed, n, columns, init, batch_over_init, tau, decimals, data
 ):
+    # An accepted window is the whole batch, widened at a different time
+    # in each chain, while the others keep their init windows.
     cfg = MDConfig(batch_size=init + batch_over_init, tau=tau)
     matrix = np.column_stack(
         [series(seed + j, n, decimals) for j in range(columns)]
     ).reshape(n, columns)
-    grid = KdeMdDetector().offline_grid(matrix, cfg, init)
+    engine = KdeMdDetector().streaming_engine(cfg, init)
+    got_d, got_t = split_extend(engine, matrix, data)
     for j in range(columns):
         profile = NormalProfile(cfg, init)
         decisions = np.full(n, -1, dtype=np.int8)
@@ -245,18 +252,5 @@ def test_kde_grid_with_batch_larger_than_init_matches_normal_profile(
                 decisions[i] = anomalous
             if profile.threshold is not None:
                 thresholds[i] = profile.threshold
-        assert_bits_equal(grid.decisions[:, j], decisions)
-        assert_bits_equal(grid.thresholds[:, j], thresholds)
-
-
-def test_lockstep_profile_guards():
-    # An accepted window would grow to batch_size at a different time in
-    # each chain, so only a single chain may run with batch_size > init.
-    profile = OnlineProfile(MDConfig(batch_size=30), 8)
-    with pytest.raises(ValueError, match="batch_size <= init_samples"):
-        profile.extend(np.ones((40, 2)))
-    # Snapshots hold one chain.
-    profile = OnlineProfile(MDConfig(batch_size=4), 8)
-    profile.extend(np.ones((10, 2)))
-    with pytest.raises(ValueError, match="single-chain"):
-        profile.snapshot()
+        assert_bits_equal(got_d[:, j], decisions)
+        assert_bits_equal(got_t[:, j], thresholds)

@@ -2,10 +2,14 @@
 
 Extends the repo's equivalence discipline to :mod:`repro.detectors`:
 
-* **every registered detector** (and tuned variants) has a streaming
-  engine bitwise-identical to its offline reference grid under
+* **every registered detector** (and tuned variants) has one engine
+  whose output over a whole series equals its output under
   hypothesis-generated random batch splits — partial-window head
   included — the same contract ``OnlineStdSum``/``OnlineProfile`` set;
+* an ``(m, chains)`` block advances each column as its own chain,
+  bitwise equal to one engine per column under random row splits; a
+  malformed block is rejected before any state changes, and a
+  multi-chain engine has no snapshot;
 * detector configs round-trip through the :mod:`repro.identity` codec;
 * *detector* works as a first-class :class:`ScenarioGrid` axis: shared
   recordings, per-detector store records (warm resume of one detector
@@ -32,7 +36,6 @@ from repro.analysis.scenarios import (
 from repro.analysis.sweep_store import SweepStore
 from repro.core.config import FadewichConfig, MDConfig
 from repro.detectors import (
-    DetectionGrid,
     EmaMadDetector,
     KdeMdDetector,
     VarianceThresholdDetector,
@@ -97,6 +100,11 @@ def stream_grid(detector, values, config, init_samples, sizes):
     return np.concatenate(decisions), np.concatenate(thresholds)
 
 
+def whole_series(detector, values, config, init_samples):
+    """``(decisions, thresholds)`` of one ``extend`` over the whole series."""
+    return detector.streaming_engine(config, init_samples).extend(values)
+
+
 def anomaly_series(rng, n):
     values = np.abs(rng.normal(2.0, 0.5, n))
     values[n // 2 :: 5] += 4.0
@@ -131,13 +139,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             VarianceThresholdDetector(**kwargs)
 
-    def test_detection_grid_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError, match="share a shape"):
-            DetectionGrid(
-                decisions=np.zeros((4, 2), dtype=np.int8),
-                thresholds=np.zeros((4, 3)),
-            )
-
 
 class TestComponentCodec:
     @pytest.mark.parametrize(
@@ -162,33 +163,33 @@ class TestComponentCodec:
 
 
 # --------------------------------------------------------------------- #
-class TestOfflineStreamingIdentity:
+class TestBatchSplitIdentity:
     """The zoo-wide bit-identity contract, enforced per registry entry."""
 
     CFG = MDConfig(profile_init_s=5.0, batch_size=16)
 
     @pytest.mark.parametrize("det", variant_params())
     @pytest.mark.parametrize("init_samples", [2, 8, 40])
-    def test_single_sample_feed_matches_offline_grid(self, rng, det, init_samples):
+    def test_single_sample_feed_matches_whole_series(self, rng, det, init_samples):
         values = anomaly_series(rng, 120)
-        ref = det.offline_grid(values[:, np.newaxis], self.CFG, init_samples)
+        want_dec, want_th = whole_series(det, values, self.CFG, init_samples)
         dec, th = stream_grid(det, values, self.CFG, init_samples, [1] * 120)
-        np.testing.assert_array_equal(dec, ref.decisions[:, 0])
-        np.testing.assert_array_equal(th, ref.thresholds[:, 0])
+        np.testing.assert_array_equal(dec, want_dec)
+        np.testing.assert_array_equal(th, want_th)
 
     @pytest.mark.parametrize("det", variant_params())
     @pytest.mark.parametrize(
         "sizes",
         [[120], [3, 117], [1, 1, 118], [13, 50, 57], [119, 1], [2] * 60],
     )
-    def test_fixed_splits_match_offline_grid(self, rng, det, sizes):
+    def test_fixed_splits_match_whole_series(self, rng, det, sizes):
         # [1, 1, 118] and [2] * 60 start below every window length, so the
         # partial-window head crosses a batch boundary.
         values = anomaly_series(rng, 120)
-        ref = det.offline_grid(values[:, np.newaxis], self.CFG, 20)
+        want_dec, want_th = whole_series(det, values, self.CFG, 20)
         dec, th = stream_grid(det, values, self.CFG, 20, sizes)
-        np.testing.assert_array_equal(dec, ref.decisions[:, 0])
-        np.testing.assert_array_equal(th, ref.thresholds[:, 0])
+        np.testing.assert_array_equal(dec, want_dec)
+        np.testing.assert_array_equal(th, want_th)
 
     @pytest.mark.parametrize("det", variant_params())
     @settings(max_examples=25, deadline=None)
@@ -203,56 +204,32 @@ class TestOfflineStreamingIdentity:
     ):
         rng = np.random.default_rng(seed)
         values = anomaly_series(rng, n)
-        ref = det.offline_grid(values[:, np.newaxis], self.CFG, init_samples)
+        want_dec, want_th = whole_series(det, values, self.CFG, init_samples)
         sizes, left = [], n
         while left > 0:
             s = data.draw(st.integers(min_value=1, max_value=left))
             sizes.append(s)
             left -= s
         dec, th = stream_grid(det, values, self.CFG, init_samples, sizes)
-        np.testing.assert_array_equal(dec, ref.decisions[:, 0])
-        np.testing.assert_array_equal(th, ref.thresholds[:, 0])
+        np.testing.assert_array_equal(dec, want_dec)
+        np.testing.assert_array_equal(th, want_th)
 
     @pytest.mark.parametrize("det", variant_params())
     def test_empty_batch_is_a_no_op(self, rng, det):
         values = anomaly_series(rng, 40)
-        ref = det.offline_grid(values[:, np.newaxis], self.CFG, 12)
+        want_dec, want_th = whole_series(det, values, self.CFG, 12)
         engine = det.streaming_engine(self.CFG, 12)
         d1, t1 = engine.extend(values[:15])
         d_empty, t_empty = engine.extend(values[:0])
         d2, t2 = engine.extend(values[15:])
         assert d_empty.shape == (0,) and t_empty.shape == (0,)
-        np.testing.assert_array_equal(
-            np.concatenate([d1, d2]), ref.decisions[:, 0]
-        )
-        np.testing.assert_array_equal(
-            np.concatenate([t1, t2]), ref.thresholds[:, 0]
-        )
-
-    @pytest.mark.parametrize(
-        "det",
-        [TUNED_EMA, TUNED_VARIANCE],
-        ids=["ema_mad", "variance"],
-    )
-    def test_columns_are_independent_chains(self, rng, det):
-        matrix = np.abs(rng.normal(2.0, 0.8, size=(80, 3)))
-        matrix[40::6, :] += 5.0
-        grid = det.offline_grid(matrix, self.CFG, 12)
-        assert grid.decisions.shape == matrix.shape
-        for j in range(matrix.shape[1]):
-            col = det.offline_grid(matrix[:, j : j + 1], self.CFG, 12)
-            np.testing.assert_array_equal(
-                col.decisions[:, 0], grid.decisions[:, j]
-            )
-            np.testing.assert_array_equal(
-                col.thresholds[:, 0], grid.thresholds[:, j]
-            )
+        np.testing.assert_array_equal(np.concatenate([d1, d2]), want_dec)
+        np.testing.assert_array_equal(np.concatenate([t1, t2]), want_th)
 
     @pytest.mark.parametrize("det", variant_params())
     def test_decisions_follow_the_grid_conventions(self, rng, det):
         values = anomaly_series(rng, 100)
-        grid = det.offline_grid(values[:, np.newaxis], self.CFG, 30)
-        dec, th = grid.decisions[:, 0], grid.thresholds[:, 0]
+        dec, th = whole_series(det, values, self.CFG, 30)
         assert dec.dtype == np.int8
         assert set(np.unique(dec)) <= {-1, 0, 1}
         # Initialisation phase: undecided, no threshold before init-1.
@@ -261,6 +238,103 @@ class TestOfflineStreamingIdentity:
         # The threshold first materialises at row init_samples - 1.
         assert np.isfinite(th[29:]).all()
         assert np.all(dec[30:] >= 0)
+
+
+class TestLockstepChains:
+    """An ``(m, chains)`` block: one chain per column, nothing shared."""
+
+    # batch_size 16 > init_samples 2 and 8: the KDE windows widen to a
+    # whole batch at a different time in each chain.
+    CFG = MDConfig(profile_init_s=5.0, batch_size=16)
+
+    @pytest.mark.parametrize("det", variant_params())
+    @pytest.mark.parametrize("chains", [1, 2, 5])
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=120),
+        init_samples=st.sampled_from([2, 8, 40]),
+        seed=st.integers(min_value=0, max_value=2**31),
+        data=st.data(),
+    )
+    def test_block_matches_one_engine_per_column(
+        self, det, chains, n, init_samples, seed, data
+    ):
+        rng = np.random.default_rng(seed)
+        matrix = np.column_stack(
+            [anomaly_series(rng, n) for _ in range(chains)]
+        ).reshape(n, chains)
+        cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=5)))
+        engine = det.streaming_engine(self.CFG, init_samples)
+        parts = [engine.extend(block) for block in np.split(matrix, cuts)]
+        dec = np.concatenate([d for d, _ in parts])
+        th = np.concatenate([t for _, t in parts])
+        assert dec.shape == th.shape == matrix.shape
+        for j in range(chains):
+            want_dec, want_th = whole_series(
+                det, matrix[:, j], self.CFG, init_samples
+            )
+            np.testing.assert_array_equal(dec[:, j], want_dec)
+            np.testing.assert_array_equal(th[:, j], want_th)
+
+    @pytest.mark.parametrize("det", variant_params())
+    def test_only_a_single_chain_has_a_snapshot(self, rng, det):
+        matrix = np.abs(rng.normal(2.0, 0.5, size=(30, 2)))
+        engine = det.streaming_engine(self.CFG, 8)
+        engine.extend(matrix)
+        with pytest.raises(ValueError, match="single-chain"):
+            engine.snapshot()
+        single = det.streaming_engine(self.CFG, 8)
+        single.extend(matrix[:, :1])
+        det.streaming_engine(self.CFG, 8).restore(single.snapshot())
+
+    @pytest.mark.parametrize("det", variant_params())
+    def test_empty_blocks_leave_the_chain_count_open(self, rng, det):
+        matrix = np.abs(rng.normal(2.0, 0.5, size=(30, 3)))
+        engine = det.streaming_engine(self.CFG, 8)
+        d0, t0 = engine.extend(np.empty((0, 2)))
+        assert d0.shape == t0.shape == (0, 2)
+        dec, th = engine.extend(matrix)
+        want_dec, want_th = det.streaming_engine(self.CFG, 8).extend(matrix)
+        np.testing.assert_array_equal(dec, want_dec)
+        np.testing.assert_array_equal(th, want_th)
+
+
+class TestMalformedBlocks:
+    """Input an engine cannot read raises before any state changes."""
+
+    CFG = MDConfig(profile_init_s=5.0, batch_size=16)
+
+    @pytest.mark.parametrize("det", variant_params())
+    @pytest.mark.parametrize("bad", [np.ones((4, 2, 3)), np.ones((4, 2)), 1.0])
+    def test_single_chain_rejects_other_shapes(self, rng, det, bad):
+        values = anomaly_series(rng, 40)
+        engine = det.streaming_engine(self.CFG, 12)
+        engine.extend(values[:20])
+        before = json.dumps(engine.snapshot())
+        with pytest.raises(ValueError, match="chain"):
+            engine.extend(bad)
+        assert json.dumps(engine.snapshot()) == before
+        dec, th = engine.extend(values[20:])
+        want_dec, want_th = whole_series(det, values, self.CFG, 12)
+        np.testing.assert_array_equal(dec, want_dec[20:])
+        np.testing.assert_array_equal(th, want_th[20:])
+
+    @pytest.mark.parametrize("det", variant_params())
+    @pytest.mark.parametrize(
+        "bad", [np.ones((4, 3)), np.ones(4), np.ones((4, 2, 1))],
+        ids=["3-chains", "1-D", "3-D"],
+    )
+    def test_lockstep_chains_reject_other_shapes(self, rng, det, bad):
+        matrix = np.abs(rng.normal(2.0, 0.5, size=(40, 2)))
+        matrix[25::4] += 4.0
+        engine = det.streaming_engine(self.CFG, 12)
+        engine.extend(matrix[:20])
+        with pytest.raises(ValueError, match="chain"):
+            engine.extend(bad)
+        dec, th = engine.extend(matrix[20:])
+        want_dec, want_th = det.streaming_engine(self.CFG, 12).extend(matrix)
+        np.testing.assert_array_equal(dec, want_dec[20:])
+        np.testing.assert_array_equal(th, want_th[20:])
 
 
 # --------------------------------------------------------------------- #
@@ -524,11 +598,11 @@ class TestStreamingIntegration:
         init = max(int(round(self.CFG.profile_init_s * RATE)), 2)
         s = OnlineStdSum(matrix.shape[1], window).extend(matrix)
         defined = ~np.isnan(s)
-        grid = det.offline_grid(s[defined][:, np.newaxis], self.CFG, init)
         decisions = np.full(s.shape[0], -1, dtype=np.int8)
         thresholds = np.full(s.shape[0], np.nan)
-        decisions[defined] = grid.decisions[:, 0]
-        thresholds[defined] = grid.thresholds[:, 0]
+        decisions[defined], thresholds[defined] = whole_series(
+            det, s[defined], self.CFG, init
+        )
         return decisions, thresholds
 
     @pytest.mark.parametrize(

@@ -11,13 +11,15 @@ Locks the contracts of :mod:`repro.identity`:
   of, and decodes only registered types;
 * the detector registry keeps the :class:`~repro.identity.Registry`
   contract, and every registered class is decodable — so a detector
-  registered only with ``@register_detector`` resumes warm from a store.
+  registered only with ``@register_detector`` resumes warm from a store,
+  its inherited engine running the sweep's lockstep chains.
 """
 
 import dataclasses
 import json
 from typing import ClassVar
 
+import numpy as np
 import pytest
 
 from repro.analysis.campaign import CampaignScale
@@ -268,3 +270,19 @@ def test_registered_custom_detector_resumes_warm(tmp_path, scratch_registries):
     assert stats.hits == stats.lookups and stats.stale == 0
     assert warm_runner.last_run_stats.n_day_tasks == 0
     assert warm.to_dict() == cold.to_dict()
+
+    # The sweep fed the inherited engine lockstep chains: a block split at
+    # random rows equals one single-chain engine per column.
+    detector, rng = WideVarianceDetector(window=6), np.random.default_rng(9)
+    for chains in (1, 2, 5):
+        block = np.abs(rng.normal(2.0, 0.5, size=(90, chains)))
+        engine = detector.streaming_engine(MDConfig(), 12)
+        cuts = np.sort(rng.integers(0, 91, size=3))
+        parts = [engine.extend(rows) for rows in np.split(block, cuts)]
+        decisions = np.concatenate([d for d, _ in parts])
+        thresholds = np.concatenate([t for _, t in parts])
+        for j in range(chains):
+            single = detector.streaming_engine(MDConfig(), 12)
+            want_d, want_t = single.extend(block[:, j])
+            np.testing.assert_array_equal(decisions[:, j], want_d)
+            np.testing.assert_array_equal(thresholds[:, j], want_t)

@@ -7,8 +7,10 @@ to the streaming engine of :mod:`repro.streaming`:
   head included, equal to the per-sample :class:`StdSumTracker` — whatever
   the arrival batching (single samples, ragged batches, one big block);
 * :class:`OnlineProfile` reproduces the scalar :class:`NormalProfile`
-  chain (decisions and warm-started thresholds) bit for bit;
-* :class:`OnlineDetector` matches both the columnar offline kernel and the
+  chain (decisions and warm-started thresholds) bit for bit, alone or as
+  one of several lockstep chains;
+* :class:`OnlineDetector` matches both the columnar kernel (the whole
+  trace's ``s_t`` through one profile) and the
   per-sample :class:`MovementDetector` on the same trace: every ``s_t``,
   anomaly decision, threshold and window duration equal;
 * the sweep's ``evaluate_md_grid`` reports, per day and sensor subset, the
@@ -196,24 +198,20 @@ class TestOnlineProfile:
         np.testing.assert_array_equal(got, want)
         assert online.threshold == scalar.threshold
 
-    def test_threshold_trace_matches_profile_grid(self, rng):
+    def test_threshold_trace_matches_lockstep_chain(self, rng):
         values = self.profile_series(rng, 300)
         init_samples = max(int(round(self.CFG.profile_init_s * RATE)), 2)
-        grid = KdeMdDetector().offline_grid(
-            values[:, np.newaxis], self.CFG, init_samples
-        )
+        lockstep = OnlineProfile(self.CFG, init_samples)
+        grid_d, grid_t = lockstep.extend(np.column_stack([values, values[::-1]]))
 
         online = OnlineProfile(self.CFG, init_samples)
         decisions, thresholds = online.extend(values)
-        np.testing.assert_array_equal(
-            decisions == 1, grid.decisions[:, 0] == 1
-        )
-        np.testing.assert_array_equal(thresholds, grid.thresholds[:, 0])
+        np.testing.assert_array_equal(decisions, grid_d[:, 0])
+        np.testing.assert_array_equal(thresholds, grid_t[:, 0])
 
     def test_batch_size_larger_than_init_matches_scalar(self, rng):
-        # The columnar grid falls back to a scalar drive in this regime;
-        # the streaming profile handles it uniformly — pin it to the
-        # scalar reference directly.
+        # An accepted window outgrows the init window in this regime: pin
+        # the profile to the scalar reference directly.
         cfg = MDConfig(profile_init_s=3.0, batch_size=50)
         init_samples = max(int(round(cfg.profile_init_s * RATE)), 2)
         values = self.profile_series(rng, 180)
@@ -271,10 +269,11 @@ class TestOnlineDetector:
         ini = max(int(round(cfg.profile_init_s * RATE)), 2)
         std_sums = stream_std_sums(matrix, w, [len(matrix)])
         anomalous = np.zeros(n, dtype=bool)
-        grid = KdeMdDetector().offline_grid(std_sums[1:, np.newaxis], cfg, ini)
-        anomalous[1:] = grid.decisions[:, 0] == 1
+        engine = KdeMdDetector().streaming_engine(cfg, ini)
+        decisions, thresholds = engine.extend(std_sums[1:, np.newaxis])
+        anomalous[1:] = decisions[:, 0] == 1
         durations = WindowTracker(cfg.merge_gap_s).extend(times, anomalous)
-        return std_sums, anomalous, grid.thresholds[:, 0], durations
+        return std_sums, anomalous, thresholds[:, 0], durations
 
     @pytest.mark.parametrize(
         "sizes", [None, [1200], [1, 7, 64, 256] * 4 + [1200 - 4 * 328]]

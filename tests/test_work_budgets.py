@@ -16,7 +16,12 @@ call does with counting wrappers and no wall-clock assertion:
   ``np.histogram``;
 * ``cross_validated_predictions`` makes one ``BinarySVC.fit`` per class
   pair of each fold's training set, and each of those fits runs the SMO
-  solver once.
+  solver once;
+* ``evaluate_md_grid`` builds one ``streaming_engine`` per group of
+  equally long days for every registered detector and feeds it all the
+  group's ``s_t`` columns in 1,024-row blocks, and each EMA-MAD or
+  variance ``extend`` makes the same number of ``sliding`` calls whatever
+  its chain count (one engine per column would multiply both).
 """
 
 import dataclasses
@@ -27,14 +32,19 @@ import numpy as np
 import pytest
 
 import repro.core.radio_env as radio_env_module
+import repro.detectors.ema_mad as ema_mad_module
+import repro.detectors.variance as variance_module
 import repro.streaming.detector as detector_module
 import repro.zones.estimator as estimator_module
+from repro.analysis.campaign import CampaignScale, collect_campaign
 from repro.core.config import FadewichConfig, MDConfig
 from repro.core.evaluation import (
     build_sample_dataset,
     cross_validated_predictions,
     evaluate_md,
+    evaluate_md_grid,
 )
+from repro.detectors import detector_names, get_detector
 from repro.core.radio_env import RadioEnvironment
 from repro.ml.svm import BinarySVC
 from repro.ml.validation import stratified_fold_assignments
@@ -45,6 +55,10 @@ from repro.streaming import OnlineDetector, OnlineStdSum, WindowTracker
 from repro.zones import ZoneMap, ZoneOccupancyEstimator
 
 BATCH_SIZES = pytest.mark.parametrize("batch", [1, 4, 256])
+# ``sliding`` calls per detector-engine ``extend``, whatever the chain
+# count (the KDE profile makes none).
+SLIDING_PER_EXTEND = {"kde_md": 0, "ema_mad": 3, "variance": 1}
+DETECTOR_NAMES = pytest.mark.parametrize("name", detector_names())
 SENSORS = pytest.mark.parametrize(
     "n_sensors", [3, 9], ids=["6-streams", "72-streams"]
 )
@@ -191,3 +205,60 @@ def test_cross_validation_fits_once_per_fold_class_pair(count_calls):
     cross_validated_predictions(re_module, dataset, rng=np.random.default_rng(3))
     assert expected == 4 * 6 + 3
     assert len(fits) == len(solves) == expected
+
+
+@pytest.fixture(scope="module")
+def short_campaign():
+    """Two 300-s days at 4 Hz: 1,199 ``s_t`` rows each, one group."""
+    scale = CampaignScale.compact().derive("budget", n_days=2, day_duration_s=300.0)
+    return collect_campaign(seed=3, scale=scale)
+
+
+def count_detector_work(count_calls, monkeypatch, detector):
+    """``(engines, blocks, reductions)``: lists that ``detector``'s engine
+    builds, the shapes its ``extend`` calls get and the zoo's ``sliding``
+    calls append to."""
+    engine_type = type(detector.streaming_engine(MDConfig(), 2))
+    extend, blocks = engine_type.extend, []
+
+    def recording_extend(engine, values):
+        blocks.append(np.shape(values))
+        return extend(engine, values)
+
+    monkeypatch.setattr(engine_type, "extend", recording_extend)
+    engines = count_calls(type(detector), "streaming_engine")
+    reductions = [
+        count_calls(module, "sliding") for module in (ema_mad_module, variance_module)
+    ]
+    return engines, blocks, reductions
+
+
+@DETECTOR_NAMES
+def test_md_grid_runs_one_engine_per_day_shape(
+    short_campaign, count_calls, monkeypatch, name
+):
+    detector = get_detector(name)
+    engines, blocks, reductions = count_detector_work(
+        count_calls, monkeypatch, detector
+    )
+    counts = (3, 5, 7, 9)
+    evaluate_md_grid(short_campaign, FadewichConfig(), counts, detector=detector)
+    chains = len(short_campaign.days) * len(counts)
+    assert len(engines) == 1
+    assert blocks == [(1024, chains), (1199 - 1024, chains)]
+    assert sum(map(len, reductions)) == SLIDING_PER_EXTEND[name] * len(blocks)
+
+
+@DETECTOR_NAMES
+@pytest.mark.parametrize("chains", [1, 35])
+def test_engine_reductions_do_not_grow_with_chains(
+    count_calls, monkeypatch, name, chains
+):
+    detector = get_detector(name)
+    _, blocks, reductions = count_detector_work(count_calls, monkeypatch, detector)
+    values = np.random.default_rng(7).normal(2.0, 0.5, size=(300, chains))
+    engine = detector.streaming_engine(MDConfig(batch_size=10), 60)
+    for rows in batches(300, 4):
+        engine.extend(values[rows])
+    assert len(blocks) == len(batches(300, 4))
+    assert sum(map(len, reductions)) == SLIDING_PER_EXTEND[name] * len(blocks)
