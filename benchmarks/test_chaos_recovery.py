@@ -40,8 +40,6 @@ from repro.reliability import (
     WORKER_CRASH_BEFORE_PUT,
     FaultPlan,
     FaultSpec,
-    dumps_snapshot,
-    loads_snapshot,
 )
 from repro.streaming import DayRecordingSource, IngestRouter, OnlineDetector
 
@@ -181,7 +179,7 @@ def test_router_kill_restore_preserves_tenant_bits(campaign):
     assert first.stats.shard_restarts == {0: 1}
 
     # The checkpoint crosses process boundaries as plain JSON.
-    wire = dumps_snapshot(snapshots["office"])
+    wire = json.dumps(snapshots["office"])
 
     # Generation B: restore, survive another shard death, finish.
     second = IngestRouter(
@@ -193,7 +191,7 @@ def test_router_kill_restore_preserves_tenant_bits(campaign):
     )
     with second:
         state_b = second.register(
-            "office", ids, restore_from=loads_snapshot(wire)
+            "office", ids, restore_from=json.loads(wire)
         )
         for batch in batches[half:]:
             second.submit(batch)
@@ -216,5 +214,5 @@ def test_router_kill_restore_preserves_tenant_bits(campaign):
     )
     # The restored tenant's own snapshot still round-trips — generation C
     # could pick up right here.
-    final_state = json.loads(dumps_snapshot(state_b.detector.snapshot()))
+    final_state = json.loads(json.dumps(state_b.detector.snapshot()))
     assert final_state["stream_ids"] == ids

@@ -10,11 +10,12 @@ Two gates over one simulated working day:
   required;
 * **router** — an :class:`~repro.streaming.router.IngestRouter` sustaining
   eight concurrent offices (distinct sensor subsets, batches interleaved
-  in arrival order by :func:`~repro.streaming.source.merge_by_time`)
-  against per-sample scalar detectors over the same eight tenants.  Every
-  tenant's concatenated decision stream must be bit-identical to a
-  standalone single-tenant replay — the no-reordering acceptance
-  criterion — with >= 2x required over the scalar loop.
+  in arrival order by :func:`~repro.streaming.source.merge_by_time`) over
+  four shards, processed on the submitting thread, against per-sample
+  scalar detectors over the same eight tenants.  Every tenant's
+  concatenated decision stream must be bit-identical to a standalone
+  single-tenant replay — the no-reordering acceptance criterion — with
+  >= 2x required over the scalar loop.
 
 Day length defaults to a compact 40-minute day (``--streaming-day-s`` to
 override; the CI smoke job passes a smaller day, ``--paper-scale`` the
@@ -149,9 +150,9 @@ def _tenant_feeds(day):
     ]
 
 
-def _router_replay(day, feeds, n_workers=4):
+def _router_replay(day, feeds, n_shards=4):
     router = IngestRouter(
-        n_workers=n_workers,
+        n_workers=n_shards,
         queue_capacity=32,
         config=MD_CFG,
         sample_rate_hz=RATE,
@@ -192,8 +193,8 @@ def test_router_sustains_eight_offices(request, best_of, speedup_gate):
 
     # The no-reordering criterion: each of the eight tenants' concatenated
     # decision streams is bit-identical to a standalone replay of the same
-    # day — sharding, interleaved submission and bounded queues left no
-    # trace in the output.
+    # day — sharding, interleaved submission and bounded pending lists
+    # left no trace in the output.
     for tenant, ids in feeds:
         got = streams[tenant]
         dec_scalar, dur_scalar = scalar[tenant]
@@ -211,10 +212,10 @@ def test_router_sustains_eight_offices(request, best_of, speedup_gate):
             f"per-sample x {N_TENANTS} ({total / t_scalar:12,.0f} samples/s)"
         ),
         fast_name=(
-            f"router (4 workers)  ({total / t_router:12,.0f} samples/s)"
+            f"router (4 shards)   ({total / t_router:12,.0f} samples/s)"
         ),
         detail=(
             f"{N_TENANTS} offices x {n} steps, "
-            f"{BATCH_SAMPLES}-sample batches, bounded queues"
+            f"{BATCH_SAMPLES}-sample batches, bounded pending lists"
         ),
     )

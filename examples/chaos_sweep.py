@@ -26,6 +26,7 @@ Run with::
 
 from __future__ import annotations
 
+import json
 import shutil
 
 import numpy as np
@@ -41,8 +42,6 @@ from repro.reliability import (
     WORKER_CRASH_BEFORE_PUT,
     FaultPlan,
     FaultSpec,
-    dumps_snapshot,
-    loads_snapshot,
 )
 from repro.streaming import OnlineDetector
 
@@ -152,8 +151,8 @@ def main() -> None:
     cut = len(trace.times) // 2
     head = OnlineDetector(ids, cfg, sample_rate_hz=4.0)
     got_head = head.process_block(trace.times[:cut], matrix[:cut])
-    wire = dumps_snapshot(head.snapshot())  # plain JSON: survives any kill
-    restored = OnlineDetector.from_snapshot(loads_snapshot(wire))
+    wire = json.dumps(head.snapshot())  # plain JSON: survives any kill
+    restored = OnlineDetector.from_snapshot(json.loads(wire))
     got_tail = restored.process_block(trace.times[cut:], matrix[cut:])
     identical = bool(
         np.array_equal(

@@ -4,12 +4,15 @@ The load-generator companion of the streaming engine: several simulated
 offices (tenants) replay their recorded days as timestamped sample
 batches, a k-way merge interleaves them into one global arrival sequence
 — exactly what a shared ingestion endpoint would see — and an
-:class:`~repro.streaming.router.IngestRouter` fans the batches out to
-sharded detector workers with bounded queues.
+:class:`~repro.streaming.router.IngestRouter` routes the batches to
+per-tenant detectors on round-robin shards.  The router starts no thread:
+the submit that fills a shard to its capacity processes the shard's
+pending batches on this (the producer's) thread, and ``drain()`` processes
+the rest.
 
 After the drain, every tenant's decision stream is compared bit-for-bit
 against a standalone single-tenant detector fed the same day: sharding,
-interleaving and backpressure leave no trace in the output.
+interleaving and bounded pending lists leave no trace in the output.
 
 Run with::
 
@@ -32,7 +35,7 @@ from repro.streaming import (
 )
 
 N_TENANTS = 8
-N_WORKERS = 4
+N_SHARDS = 4
 QUEUE_CAPACITY = 16
 BATCH_SAMPLES = 128
 
@@ -54,12 +57,12 @@ def main() -> None:
         feeds.append((f"office-{i}", day, ids))
 
     print(
-        f"Routing {N_TENANTS} tenants through {N_WORKERS} workers "
-        f"(queues bounded at {QUEUE_CAPACITY} batches)..."
+        f"Routing {N_TENANTS} tenants over {N_SHARDS} shards on the "
+        f"caller's thread (at most {QUEUE_CAPACITY} batches pending each)..."
     )
     t0 = time.perf_counter()
     with IngestRouter(
-        n_workers=N_WORKERS,
+        n_workers=N_SHARDS,
         queue_capacity=QUEUE_CAPACITY,
         config=config,
     ) as router:
@@ -81,7 +84,7 @@ def main() -> None:
             f"  {stats.batches_processed} batches / "
             f"{stats.samples_processed} samples in {elapsed:.2f}s "
             f"({stats.samples_processed / elapsed:,.0f} samples/s); "
-            f"deepest queue: {stats.max_queue_depth}"
+            f"deepest pending list: {stats.max_queue_depth}"
         )
 
         print("\nPer-tenant results (vs. a standalone detector):")

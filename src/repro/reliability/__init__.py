@@ -1,15 +1,13 @@
 """Reliability layer: deterministic fault injection + lossless recovery.
 
-Two halves, one discipline:
-
-* :mod:`repro.reliability.faults` — a seeded, picklable
-  :class:`FaultPlan` executed by a :class:`FaultInjector` at named
-  injection points threaded through the *production* seams of the store,
-  the lease protocol, the sweep workers and the streaming stack (no
-  monkeypatching), so every chaos run is replayable bit for bit;
-* :mod:`repro.reliability.checkpoint` — bit-preserving JSON snapshot
-  serialisation, the companion of the streaming kernel's ``snapshot()`` /
-  ``restore()`` methods.
+:mod:`repro.reliability.faults` holds a seeded, picklable
+:class:`FaultPlan` executed by a :class:`FaultInjector` at named
+injection points threaded through the *production* seams of the store,
+the lease protocol, the sweep workers and the streaming stack (no
+monkeypatching), so every chaos run is replayable bit for bit.  The
+streaming kernel's ``snapshot()`` dicts are plain JSON values, and
+``json.dumps`` / ``json.loads`` round-trip every float64 bit for bit
+(NaN and ±inf as bare tokens), so a checkpoint needs no codec of its own.
 
 The recovery paths themselves live with the components they protect:
 checksummed quarantine in :mod:`repro.analysis.sweep_store`, supervised
@@ -18,7 +16,6 @@ restart / tenant quarantine policies in
 :class:`repro.streaming.IngestRouter`.
 """
 
-from .checkpoint import dumps_snapshot, loads_snapshot
 from .faults import (
     HARD_CRASH_EXIT_CODE,
     KNOWN_POINTS,
@@ -42,8 +39,6 @@ from .faults import (
 )
 
 __all__ = [
-    "dumps_snapshot",
-    "loads_snapshot",
     "FaultInjector",
     "FaultPlan",
     "FaultSpec",

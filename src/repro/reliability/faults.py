@@ -95,8 +95,8 @@ WORKER_CRASH_BEFORE_PUT = "worker.crash_before_put"
 WORKER_CRASH_AFTER_PUT = "worker.crash_after_put"
 #: Streaming source: a sample batch is dropped in transit.
 SOURCE_DROP_BATCH = "source.drop_batch"
-#: IngestRouter shard worker: dies after computing a batch but before
-#: recording it — the failure-policy layer must recover the tenant state.
+#: IngestRouter shard: a batch dies after it is computed but before it
+#: is recorded — the failure-policy layer must recover the tenant state.
 ROUTER_SHARD_DEATH = "router.shard_death"
 
 #: Every injection point threaded through the codebase.  Plans naming an

@@ -20,15 +20,16 @@ This package is its detection kernel, a true incremental engine:
   generator interleaving many tenants' batches in arrival order;
 * :class:`~repro.streaming.router.IngestRouter` — the ingestion front-end
   multiplexing many concurrent offices: per-tenant detector state,
-  round-robin sharded workers, bounded queues with backpressure, a clean
-  drain/flush on shutdown that never reorders a tenant's decisions, and
-  configurable failure policies (``fail_fast`` / ``restart_shard`` from
-  per-batch checkpoints / ``quarantine`` with dead-letter records).
+  round-robin shards of bounded pending lists processed on the callers'
+  threads (the router starts none), a clean drain/flush on shutdown that
+  never reorders a tenant's decisions, and configurable failure policies
+  (``fail_fast`` / ``restart_shard`` from per-batch checkpoints /
+  ``quarantine`` with dead-letter records).
 
 Every stateful piece checkpoints: ``snapshot()``/``restore()`` round-trip
-the kernel's bounded state through JSON bit-exactly (see
-:mod:`repro.reliability`), so a killed stream resumed from a checkpoint
-is indistinguishable from one that never stopped.
+the kernel's bounded state through ``json.dumps``/``json.loads``
+bit-exactly, so a killed stream resumed from a checkpoint is
+indistinguishable from one that never stopped.
 
 The live system's MD is this kernel:
 :meth:`~repro.core.system.FadewichSystem.process_sample` feeds it one

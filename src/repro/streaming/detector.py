@@ -444,6 +444,10 @@ class OnlineDetector:
     @classmethod
     def from_snapshot(cls, state: Mapping[str, Any]) -> "OnlineDetector":
         """Rebuild a detector mid-stream from a :meth:`snapshot` dict."""
+        if not isinstance(state, Mapping):
+            raise ValueError(
+                f"snapshot must be a mapping, got {type(state).__name__}"
+            )
         fmt = state.get("format")
         if fmt != 1:
             raise ValueError(f"unsupported detector snapshot format: {fmt!r}")

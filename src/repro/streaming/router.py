@@ -1,36 +1,39 @@
-"""Multi-tenant ingestion: many offices, sharded workers, bounded queues.
+"""Multi-tenant ingestion: many offices, sharded pending lists, no threads.
 
 :class:`IngestRouter` is the front-end the north-star service shape calls
 for: every office (*tenant*) owns an independent
 :class:`~repro.streaming.detector.OnlineDetector`, tenants are assigned
-round-robin to a fixed worker shard at registration, and each shard is one
-worker thread consuming a bounded :class:`queue.Queue`.  The design gives
-three guarantees:
+round-robin to a fixed shard at registration, and each shard is a list of
+pending batches behind one lock.  The router starts no thread: batches
+are processed on the threads that call it (a 1-s batch of 4 samples is
+too small for threads to overlap under the GIL).  The design gives three
+guarantees:
 
-* **per-tenant FIFO** — a tenant's batches are processed by exactly one
-  worker in submission order, so its decision stream is never reordered
-  (batches of *different* tenants on different shards may interleave
-  freely, which is fine — their detectors share no state);
-* **backpressure** — :meth:`IngestRouter.submit` blocks once the target
-  shard's queue holds ``queue_capacity`` batches, so a slow shard
-  throttles its producers instead of buffering unboundedly;
-* **clean drain/flush** — :meth:`IngestRouter.drain` blocks until every
-  submitted batch is fully processed, and :meth:`IngestRouter.close`
-  drains, stops the workers, and closes every tenant's open variation
+* **per-tenant FIFO** — a tenant's batches are processed under its
+  shard's lock in submission order, so its decision stream is never
+  reordered (different shards share no state, so callers may process
+  them at the same time);
+* **bounded memory** — the :meth:`IngestRouter.submit` that fills its
+  shard to ``queue_capacity`` pending batches processes them before it
+  returns, so a fast producer runs at the detectors' pace instead of
+  buffering without bound;
+* **clean drain/flush** — :meth:`IngestRouter.drain` processes every
+  pending batch, and :meth:`IngestRouter.close` marks the router closed,
+  processes what is pending and closes every tenant's open variation
   window (:meth:`~repro.streaming.detector.OnlineDetector.finalize`), so
   shutdown never drops work in flight.
 
-Worker exceptions (e.g. out-of-order timestamps from a misbehaving
-source) are captured and re-raised on the submitting/draining thread, not
-swallowed in the worker.
+A processing failure (e.g. out-of-order timestamps from a misbehaving
+source) is recorded and re-raised on the calling thread, not swallowed.
 
 Lifecycle edges are deterministic: ``submit()`` after (or racing with)
-``close()`` raises ``RuntimeError`` — it can never slip a batch onto a
-queue whose worker has already exited, which would make a later
-``drain()`` hang forever on ``Queue.join`` — ``drain()`` after ``close()``
-is a no-op, repeated ``close()`` is idempotent, and once a worker has
-failed *every* subsequent ``submit``/``drain``/``close``/``register``
-re-raises the failure instead of silently doing nothing.
+``close()`` raises ``RuntimeError`` — ``close()`` marks the router closed
+before it takes each shard's lock, and ``submit()`` re-checks under that
+lock, so a racing batch either lands before ``close()`` processes its
+shard or raises — ``drain()`` after ``close()`` has nothing left to do,
+repeated ``close()`` is idempotent, and once a batch has failed *every*
+subsequent ``submit``/``drain``/``close``/``register`` re-raises the
+failure instead of silently doing nothing.
 
 Failure policies
 ----------------
@@ -59,10 +62,9 @@ point) flow through exactly the same policy code as real failures.
 
 from __future__ import annotations
 
-import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,20 +85,19 @@ __all__ = [
 #: Recognised ``failure_policy`` values, in documentation order.
 FAILURE_POLICIES = ("fail_fast", "restart_shard", "quarantine")
 
-_SHUTDOWN = object()
-
 
 @dataclass
 class RouterStats:
     """Counters describing one router's lifetime.
 
     ``submitted == processed`` after a successful :meth:`IngestRouter.drain`
-    (nothing in flight); ``max_queue_depth`` reaching ``queue_capacity``
-    means backpressure actually engaged.  The reliability counters stay
-    empty under the default ``fail_fast`` policy: ``shard_restarts`` /
-    ``shard_quarantines`` count recovery events per shard index, and
-    ``dead_letters`` counts rejected batches per tenant (the batches
-    themselves are kept on :attr:`TenantState.dead_letters`).
+    (nothing pending); ``max_queue_depth`` is the deepest pending list,
+    and reaching ``queue_capacity`` means a submit processed its full
+    shard.  The reliability counters stay empty under the default
+    ``fail_fast`` policy: ``shard_restarts`` / ``shard_quarantines`` count
+    recovery events per shard index, and ``dead_letters`` counts rejected
+    batches per tenant (the batches themselves are kept on
+    :attr:`TenantState.dead_letters`).
     """
 
     n_tenants: int = 0
@@ -170,17 +171,18 @@ class TenantState:
 
 
 class IngestRouter:
-    """Route sample batches from many offices to sharded detector workers.
+    """Route sample batches from many offices to per-tenant detectors.
 
     Parameters
     ----------
     n_workers:
-        Worker shard count.  Tenants are assigned round-robin at
-        registration and never migrate, preserving per-tenant order.
+        Shard count (no thread is started).  Tenants are assigned
+        round-robin at registration and never migrate, preserving
+        per-tenant order; a shard is the unit ``restart_shard`` rebuilds.
     queue_capacity:
-        Bound of each shard's batch queue — the backpressure knob.
-        Producers block in :meth:`submit` once their tenant's shard is
-        this far behind.
+        Bound of each shard's pending batches.  The :meth:`submit` that
+        fills its tenant's shard to this depth processes the shard's
+        batches before it returns.
     config / sample_rate_hz / detector:
         Defaults for detectors built at registration (overridable per
         tenant); ``detector`` is a detector-zoo member
@@ -242,33 +244,19 @@ class IngestRouter:
         self._lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.stats = RouterStats()
-        self._queues: List["queue.Queue"] = [
-            queue.Queue(maxsize=queue_capacity) for _ in range(n_workers)
+        self._capacity = int(queue_capacity)
+        # Lock order: a shard's lock first, then _lock or _stats_lock.
+        self._shard_locks = [threading.Lock() for _ in range(n_workers)]
+        self._pending: List[List[Tuple[TenantState, SampleBatch]]] = [
+            [] for _ in range(n_workers)
         ]
-        # One submit lock per shard: submit() holds its shard's lock across
-        # the closed-recheck and the q.put, and close() cycles every lock
-        # after setting _closed, so no batch can land on a queue whose
-        # worker has already been told to shut down.
-        self._submit_locks = [threading.Lock() for _ in self._queues]
-        self._close_lock = threading.Lock()
         self._failure: Optional[BaseException] = None
         self._closed = False
-        self._workers = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(i, q),
-                name=f"ingest-worker-{i}",
-                daemon=True,
-            )
-            for i, q in enumerate(self._queues)
-        ]
-        for w in self._workers:
-            w.start()
 
     # ------------------------------------------------------------------ #
     @property
     def n_workers(self) -> int:
-        return len(self._queues)
+        return len(self._shard_locks)
 
     @property
     def tenants(self) -> List[str]:
@@ -350,7 +338,7 @@ class IngestRouter:
         with self._lock:
             if tenant in self._tenants:
                 raise ValueError(f"tenant {tenant!r} is already registered")
-            shard = len(self._tenants) % len(self._queues)
+            shard = len(self._tenants) % len(self._shard_locks)
             state = TenantState(tenant=tenant, shard=shard, detector=online)
             if self._policy == "restart_shard":
                 # Seed the recovery point: a shard death before the
@@ -377,11 +365,12 @@ class IngestRouter:
         return {state.tenant: state.detector.snapshot() for state in states}
 
     def submit(self, batch: SampleBatch) -> None:
-        """Enqueue one batch; blocks when the tenant's shard queue is full.
+        """Add one batch to its tenant's shard.
 
-        Raises :class:`RuntimeError` if the router is closed (or closes
-        concurrently) and re-raises the first worker failure, so a batch
-        never lands on a queue nobody will consume.
+        The submit that fills the shard to ``queue_capacity`` processes
+        the shard's pending batches before it returns.  Raises
+        :class:`RuntimeError` if the router is closed (or closes
+        concurrently) and re-raises the first processing failure.
         """
         self._check_failure()
         if self._closed:
@@ -392,59 +381,49 @@ class IngestRouter:
             raise KeyError(
                 f"tenant {batch.tenant!r} is not registered with this router"
             )
-        q = self._queues[state.shard]
-        # Re-check under the shard's submit lock: close() sets _closed and
-        # then cycles this lock, so either we enqueue before close() starts
-        # draining, or we observe _closed and raise — never a put onto a
-        # queue whose worker has exited (which would hang a later drain()).
-        with self._submit_locks[state.shard]:
+        shard = state.shard
+        # Re-check under the shard's lock: close() sets _closed before it
+        # takes this lock, so either the batch lands before close()
+        # processes this shard, or we observe _closed and raise.
+        with self._shard_locks[shard]:
             if self._closed:
                 raise RuntimeError("router is closed")
-            q.put((state, batch))
-            depth = q.qsize()
-        with self._stats_lock:
-            if depth > self.stats.max_queue_depth:
-                self.stats.max_queue_depth = depth
-            self.stats.batches_submitted += 1
+            pending = self._pending[shard]
+            pending.append((state, batch))
+            with self._stats_lock:
+                if len(pending) > self.stats.max_queue_depth:
+                    self.stats.max_queue_depth = len(pending)
+                self.stats.batches_submitted += 1
+            if len(pending) >= self._capacity:
+                self._process_pending(shard)
+        self._check_failure()
 
     def drain(self) -> None:
-        """Block until every submitted batch has been fully processed.
+        """Process every shard's pending batches on this thread.
 
-        After :meth:`close`, draining is a deterministic no-op (everything
-        was already flushed); a recorded worker failure is re-raised either
-        way.  Safe to call repeatedly.
+        Safe to call repeatedly, and after :meth:`close` (nothing is
+        pending then); a recorded failure is re-raised either way.
         """
-        if self._closed:
-            self._check_failure()
-            return
-        for q in self._queues:
-            q.join()
+        for shard, lock in enumerate(self._shard_locks):
+            with lock:
+                self._process_pending(shard)
         self._check_failure()
 
     def close(self) -> None:
-        """Drain, stop the workers, and finalize every tenant's detector.
+        """Process what is pending and finalize every tenant's detector.
 
-        Idempotent — but if a worker failed, *every* call re-raises that
+        Idempotent — but if a batch failed, *every* call re-raises that
         failure rather than only the first, so callers cannot miss it.
         """
-        with self._close_lock:
-            if not self._closed:
-                self._closed = True
-                # Fence: after this, no submit() can be between its closed
-                # re-check and its q.put, so the queues only shrink.
-                for lock in self._submit_locks:
-                    with lock:
-                        pass
-                try:
-                    for q in self._queues:
-                        q.join()
-                finally:
-                    for q in self._queues:
-                        q.put(_SHUTDOWN)
-                    for w in self._workers:
-                        w.join()
-                for state in self._tenants.values():
-                    state.detector.finalize()
+        self._closed = True
+        with self._lock:
+            states = list(self._tenants.values())
+        for shard, lock in enumerate(self._shard_locks):
+            with lock:
+                self._process_pending(shard)
+                for state in states:
+                    if state.shard == shard:
+                        state.detector.finalize()
         self._check_failure()
 
     def __enter__(self) -> "IngestRouter":
@@ -462,22 +441,23 @@ class IngestRouter:
                 pass
 
     # ------------------------------------------------------------------ #
-    def _worker_loop(self, shard: int, q: "queue.Queue") -> None:
-        while True:
-            item = q.get()
-            if item is _SHUTDOWN:
-                q.task_done()
-                return
-            state, batch = item
+    def _process_pending(self, shard: int) -> None:
+        """Process ``shard``'s pending batches in order and empty its list.
+
+        The caller holds the shard's lock.  After a failure, the rest of
+        the batches are dropped unprocessed.
+        """
+        pending = self._pending[shard]
+        for state, batch in pending:
+            if self._failure is not None:
+                break
             try:
-                if self._failure is None:
-                    self._process_one(shard, state, batch)
-            except BaseException as exc:  # noqa: BLE001 - reported to caller
+                self._process_one(shard, state, batch)
+            except BaseException as exc:  # noqa: BLE001 - reported to callers
                 with self._stats_lock:
                     if self._failure is None:
                         self._failure = exc
-            finally:
-                q.task_done()
+        pending.clear()
 
     def _process_one(
         self, shard: int, state: TenantState, batch: SampleBatch

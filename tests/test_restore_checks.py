@@ -6,7 +6,9 @@ restored engine silently changes every later threshold.  Each engine's
 ``restore`` therefore checks how its fields fit together and raises a
 ``ValueError`` naming the field — directly, through
 ``OnlineDetector.from_snapshot`` and through
-``IngestRouter.register(restore_from=...)``.
+``IngestRouter.register(restore_from=...)``.  A state that is not a
+mapping at all (say, decoded JSON that held a list) raises ``ValueError``
+at the same two entry points.
 """
 
 import json
@@ -209,6 +211,21 @@ def test_router_register_restore_from(det, n, field, break_engine):
     try:
         with pytest.raises(ValueError, match=f"field '{field}'"):
             router.register("t", ids, restore_from=state)
+        assert router.stats.n_tenants == 0
+    finally:
+        router.close()
+
+
+def test_from_snapshot_rejects_a_state_that_is_not_a_mapping():
+    with pytest.raises(ValueError, match="snapshot must be a mapping, got list"):
+        OnlineDetector.from_snapshot(json.loads("[1, 2]"))
+
+
+def test_router_restore_from_rejects_a_state_that_is_not_a_mapping():
+    router = IngestRouter(n_workers=1)
+    try:
+        with pytest.raises(ValueError, match="snapshot must be a mapping"):
+            router.register("t", ["a", "b"], restore_from=[1, 2])
         assert router.stats.n_tenants == 0
     finally:
         router.close()

@@ -28,10 +28,12 @@ to the streaming engine of :mod:`repro.streaming`:
   without a hosted zone engine;
 * the multi-tenant :class:`IngestRouter` never reorders a tenant's
   decision stream: per-tenant concatenated output is bit-identical to a
-  standalone detector fed the same day, for any worker/queue geometry.
+  standalone detector fed the same day, for any shard count and queue
+  capacity.
 """
 
 import json
+import sys
 import threading
 
 import numpy as np
@@ -898,16 +900,17 @@ class TestIngestRouter:
         router.submit(
             SampleBatch("t0", np.array([0.0, 0.25]), np.zeros((2, 2)))
         )
-        # Time goes backwards: the worker hits the detector's validation
-        # error, which must surface on the control thread, not vanish.
+        # Time goes backwards: drain() hits the detector's validation
+        # error, which must surface as the router's failure, not vanish.
         router.submit(SampleBatch("t0", np.array([0.1]), np.zeros((1, 2))))
         with pytest.raises(RuntimeError, match="ingest worker failed"):
             router.drain()
             router.close()
 
-    def test_backpressure_blocks_submitters(self):
-        # A router whose single worker is stalled by a slow first batch:
-        # submits beyond queue_capacity must block until it drains.
+    def test_full_shard_is_processed_by_its_submitter(self):
+        # The submit that fills the single shard to queue_capacity
+        # processes it on the producer's thread, so the pending list
+        # never grows past its bound.
         cfg = MDConfig(profile_init_s=5.0)
         router = IngestRouter(
             n_workers=1, queue_capacity=2, config=cfg, sample_rate_hz=RATE
@@ -939,19 +942,108 @@ class TestIngestRouter:
             router.drain()
             state = router.tenant_state("t0")
             assert state.n_batches == n_batches
-            # The bounded queue never held more than its capacity.
+            # The pending list never held more than its capacity.
             assert router.stats.max_queue_depth <= 2
         finally:
             router.close()
+
+    def test_producers_sharing_shards_keep_every_tenant_fifo(self):
+        # Four producers feed eight tenants on two shards of capacity 3
+        # under a short switch interval, so submits land while another
+        # producer processes the same shard.
+        cfg = MDConfig(profile_init_s=5.0)
+        n_batches, batch = 30, 4
+        times = np.arange(n_batches * batch) / RATE
+        rng = np.random.default_rng(9)
+        data = {
+            f"t{i}": rng.normal(size=(n_batches * batch, 2)) for i in range(8)
+        }
+        router = IngestRouter(
+            n_workers=2, queue_capacity=3, config=cfg, sample_rate_hz=RATE
+        )
+        for tenant in data:
+            router.register(tenant, ["a", "b"])
+
+        def producer(tenants):
+            for k in range(n_batches):
+                rows = slice(k * batch, (k + 1) * batch)
+                for tenant in tenants:
+                    router.submit(
+                        SampleBatch(tenant, times[rows], data[tenant][rows])
+                    )
+
+        threads = [
+            threading.Thread(target=producer, args=([f"t{i}", f"t{i + 4}"],))
+            for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+                assert not thread.is_alive(), "producer hung"
+            router.drain()
+        finally:
+            sys.setswitchinterval(interval)
+        assert (
+            router.stats.batches_submitted
+            == router.stats.batches_processed
+            == 8 * n_batches
+        )
+        for tenant, matrix in data.items():
+            state = router.tenant_state(tenant)
+            want = OnlineDetector(
+                ["a", "b"], cfg, sample_rate_hz=RATE
+            ).process_block(times, matrix)
+            got = state.concatenated()
+            assert state.n_batches == n_batches
+            np.testing.assert_array_equal(got.std_sums, want.std_sums)
+            np.testing.assert_array_equal(got.decisions, want.decisions)
+            np.testing.assert_array_equal(got.durations, want.durations)
+        router.close()
+
+    def test_submit_that_fills_the_shard_processes_it(self):
+        router = IngestRouter(n_workers=1, queue_capacity=3)
+        router.register("t0", ["a", "b"])
+        processed = []
+        for i in range(3):
+            router.submit(
+                SampleBatch("t0", np.array([i, i + 0.5]), np.zeros((2, 2)))
+            )
+            processed.append(router.tenant_state("t0").n_batches)
+        assert processed == [0, 0, 3]
+        assert router.stats.max_queue_depth == 3
+        router.close()
+
+    def test_router_starts_no_thread(self):
+        before = threading.active_count()
+        router = IngestRouter(n_workers=3)
+        counts = [threading.active_count()]
+        for i in range(3):
+            router.register(f"t{i}", ["a", "b"])
+        counts.append(threading.active_count())
+        for i in range(3):
+            router.submit(
+                SampleBatch(f"t{i}", np.array([0.0, 0.25]), np.zeros((2, 2)))
+            )
+        counts.append(threading.active_count())
+        router.drain()
+        counts.append(threading.active_count())
+        router.close()
+        counts.append(threading.active_count())
+        assert counts == [before] * 5
+        assert router.stats.batches_processed == 3
 
 
 class TestIngestRouterLifecycle:
     """Regression tests for the router's close/failure edges.
 
-    Before the fix, ``submit()`` racing ``close()`` could land a batch on a
-    queue whose worker had already exited — a later ``drain()`` then hung
-    forever on ``Queue.join`` — and ``close()``/``drain()`` after a worker
-    failure raised only on the first call, so callers could miss it.
+    ``submit()`` racing ``close()`` must either land its batch before
+    ``close()`` processes the shard or raise, never leave it pending after
+    the close, and ``close()``/``drain()`` after a processing failure must
+    raise on every call, not only the first, so callers cannot miss it.
     """
 
     @staticmethod
@@ -962,7 +1054,7 @@ class TestIngestRouterLifecycle:
 
     @staticmethod
     def poison_router():
-        """A router whose single worker has recorded a failure."""
+        """A router whose single shard has recorded a failure."""
         router = IngestRouter(n_workers=1, queue_capacity=4)
         router.register("t0", ["a", "b"])
         router.submit(
@@ -971,9 +1063,8 @@ class TestIngestRouterLifecycle:
         # Time goes backwards within the tenant's stream: the detector's
         # validation error becomes the router's recorded failure.
         router.submit(SampleBatch("t0", np.array([0.1]), np.zeros((1, 2))))
-        for q in router._queues:
-            q.join()
-        assert router._failure is not None
+        with pytest.raises(RuntimeError, match="ingest worker failed"):
+            router.drain()
         return router
 
     def test_submit_after_close_raises(self):
@@ -994,8 +1085,7 @@ class TestIngestRouterLifecycle:
         router.register("t0", ["a", "b"])
         router.submit(self.one_batch())
         router.close()
-        # Must return immediately (the workers are gone — a q.join that
-        # still expected work would hang), and be repeatable.
+        # Nothing is pending after close(): returns at once, repeatably.
         router.drain()
         router.drain()
 
@@ -1034,8 +1124,8 @@ class TestIngestRouterLifecycle:
     def test_submit_racing_close_never_hangs_drain(self):
         # Hammer the submit/close race: producers submit as fast as they
         # can while the control thread closes.  Every submit must either
-        # be fully processed or raise "router is closed" — none may land
-        # on a dead queue (which would make drain()/close() hang).
+        # be fully processed or raise "router is closed" — none may stay
+        # pending after close() has processed its shard.
         for attempt in range(5):
             router = IngestRouter(n_workers=2, queue_capacity=8)
             router.register("t0", ["a", "b"])

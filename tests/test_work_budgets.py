@@ -17,6 +17,9 @@ call does with counting wrappers and no wall-clock assertion:
 * ``cross_validated_predictions`` makes one ``BinarySVC.fit`` per class
   pair of each fold's training set, and each of those fits runs the SMO
   solver once;
+* a cold ``ScenarioSweepRunner.run()`` makes exactly those fits for one
+  ``cross_validated_predictions`` per (scenario, RE sensor count) and no
+  other fit (perfbench's cold grid reads 90);
 * ``evaluate_md_grid`` builds one ``streaming_engine`` per group of
   equally long days for every registered detector and feeds it all the
   group's ``s_t`` columns in 1,024-row blocks, and each EMA-MAD or
@@ -31,12 +34,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import repro.analysis.campaign as campaign_module
 import repro.core.radio_env as radio_env_module
 import repro.detectors.ema_mad as ema_mad_module
 import repro.detectors.variance as variance_module
 import repro.streaming.detector as detector_module
 import repro.zones.estimator as estimator_module
 from repro.analysis.campaign import CampaignScale, collect_campaign
+from repro.analysis.scenarios import ScenarioGrid, ScenarioSweepRunner
 from repro.core.config import FadewichConfig, MDConfig
 from repro.core.evaluation import (
     build_sample_dataset,
@@ -49,6 +54,7 @@ from repro.core.radio_env import RadioEnvironment
 from repro.ml.svm import BinarySVC
 from repro.ml.validation import stratified_fold_assignments
 from repro.radio.links import enumerate_stream_ids
+from repro.radio.office import paper_office
 from repro.radio.trace import RssiTrace
 from repro.simulation.dataset import LabeledSample
 from repro.streaming import OnlineDetector, OnlineStdSum, WindowTracker
@@ -205,6 +211,50 @@ def test_cross_validation_fits_once_per_fold_class_pair(count_calls):
     cross_validated_predictions(re_module, dataset, rng=np.random.default_rng(3))
     assert expected == 4 * 6 + 3
     assert len(fits) == len(solves) == expected
+
+
+def fold_class_pairs(y, rng):
+    """``BinarySVC.fit`` calls of a 5-fold CV: one per class pair of each
+    fold's training set."""
+    folds = stratified_fold_assignments(y, 5, rng)
+    return sum(
+        len(list(combinations(np.unique(y[folds != k]), 2))) for k in range(5)
+    )
+
+
+def test_cold_sweep_fits_one_cross_validation_per_re_count(
+    count_calls, monkeypatch
+):
+    # Two 20-min days at 20 departures an hour: every dataset (12-21
+    # samples, 3-4 classes) folds.
+    scale = CampaignScale.compact().derive(
+        "budget-re", n_days=2, day_duration_s=1200.0, departures_per_hour=20.0
+    )
+    grid = ScenarioGrid(
+        [paper_office()], [scale], detectors=["kde_md", "variance"], sensor_counts=(5, 9)
+    )
+    runner = ScenarioSweepRunner(grid, seed=1, mode="serial", re_sensor_counts=(5, 9))
+    fits = count_calls(BinarySVC, "fit")
+    validations = []
+    cross_validate = campaign_module.cross_validated_predictions
+
+    def recording_cross_validate(re_module, dataset, *, rng):
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        before = len(fits)
+        predictions = cross_validate(re_module, dataset, rng=rng)
+        _, y = dataset.to_arrays()
+        assert len(dataset) >= 5, "too few samples: the CV would not fold"
+        validations.append((len(fits) - before, fold_class_pairs(y, replay)))
+        return predictions
+
+    monkeypatch.setattr(
+        campaign_module, "cross_validated_predictions", recording_cross_validate
+    )
+    runner.run()
+    assert len(validations) == len(runner.specs) * 2
+    assert all(made == expected > 0 for made, expected in validations)
+    assert len(fits) == sum(made for made, _ in validations)
 
 
 @pytest.fixture(scope="module")
